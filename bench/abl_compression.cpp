@@ -12,14 +12,17 @@ int main() {
   const auto config = core::case_study(1);
   struct Codec {
     const char* name;
-    io::CompressConfig config;
+    core::SnapshotTransform transform;
   };
   const Codec codecs[] = {
-      {"none", {}},
-      {"lossless", {io::CompressionMode::kLossless, 0.0}},
-      {"lossy eb=1e-3", {io::CompressionMode::kLossyAbsBound, 1e-3}},
-      {"lossy eb=1e-1", {io::CompressionMode::kLossyAbsBound, 0.1}},
-      {"lossy eb=1", {io::CompressionMode::kLossyAbsBound, 1.0}},
+      {"none", core::ConfigCodec{}},
+      {"lossless", io::CompressConfig{io::CompressionMode::kLossless, 0.0}},
+      {"lossy eb=1e-3",
+       io::CompressConfig{io::CompressionMode::kLossyAbsBound, 1e-3}},
+      {"lossy eb=1e-1",
+       io::CompressConfig{io::CompressionMode::kLossyAbsBound, 0.1}},
+      {"lossy eb=1",
+       io::CompressConfig{io::CompressionMode::kLossyAbsBound, 1.0}},
   };
 
   util::TextTable t({"Codec", "Ratio", "Bytes written (MB)", "Time (s)",
@@ -28,28 +31,22 @@ int main() {
   for (const auto& codec : codecs) {
     std::cerr << "[bench] " << codec.name << "...\n";
     core::Testbed bed;
-    double ratio = 1.0;
-    double written_mb = 0.0;
-    double max_err = 0.0;
-    if (std::string(codec.name) == "none") {
-      (void)core::run_post_processing(bed, config);
-      written_mb =
-          static_cast<double>(config.io_steps()) * 128.0 / 1024.0;
-    } else {
-      const auto out =
-          core::run_compressed_post_processing(bed, config, codec.config);
-      ratio = out.mean_compression_ratio;
-      written_mb = out.bytes_written.megabytes();
-      max_err = out.max_abs_error;
-    }
+    const auto out = core::run_pipeline(
+        bed, core::PipelineKind::kPostProcessing, config, {}, codec.transform);
+    // The raw snapshot is its own reference: ratio 1.
+    const double ratio =
+        std::holds_alternative<core::ConfigCodec>(codec.transform)
+            ? 1.0
+            : out.mean_compression_ratio;
     const auto trace = bed.profile();
     const double energy = trace.energy(&power::PowerSample::system).value();
     if (baseline_energy == 0.0) {
       baseline_energy = energy;
     }
-    t.add_row({codec.name, util::cell(ratio, 1), util::cell(written_mb, 2),
+    t.add_row({codec.name, util::cell(ratio, 1),
+               util::cell(out.snapshot_bytes_written.megabytes(), 2),
                util::cell(bed.clock().now().value()),
-               util::cell(energy / 1000.0), util::cell(max_err, 4),
+               util::cell(energy / 1000.0), util::cell(out.max_abs_error, 4),
                util::cell_percent(1.0 - energy / baseline_energy)});
   }
   std::cout << t.render();

@@ -23,14 +23,16 @@ int main() {
   for (std::size_t stride : {1, 2, 4, 8}) {
     std::cerr << "[bench] stride " << stride << "...\n";
     core::Testbed bed;
-    const auto out = core::run_sampled_post_processing(bed, config, stride);
+    const auto out =
+        core::run_pipeline(bed, core::PipelineKind::kPostProcessing, config,
+                           {}, core::Sampling{stride});
     const auto trace = bed.profile();
     const double energy = trace.energy(&power::PowerSample::system).value();
     if (stride == 1) {
       full_energy = energy;
     }
     t.add_row({std::to_string(stride),
-               util::cell(out.bytes_written.megabytes(), 2),
+               util::cell(out.snapshot_bytes_written.megabytes(), 2),
                util::cell(bed.clock().now().value()),
                util::cell(energy / 1000.0),
                util::cell(out.mean_rms_error, 3),

@@ -407,7 +407,7 @@ ProfilerOverhead profiler_overhead(int reps) {
   core::Testbed bed;
   const core::CaseStudyConfig workload = core::case_study(1);
   auto t0 = Clock::now();
-  (void)core::run_post_processing(bed, workload, {});
+  (void)core::run_pipeline(bed, core::PipelineKind::kPostProcessing, workload);
   out.experiment_s = seconds_since(t0);
 
   const obs::EnergyAttributor attributor(bed.power_model());

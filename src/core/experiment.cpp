@@ -8,18 +8,6 @@
 
 namespace greenvis::core {
 
-const char* pipeline_kind_name(PipelineKind kind) {
-  switch (kind) {
-    case PipelineKind::kPostProcessing:
-      return "Traditional";
-    case PipelineKind::kPostProcessingAsync:
-      return "Traditional (async)";
-    case PipelineKind::kInSitu:
-      return "In-situ";
-  }
-  return "?";
-}
-
 PipelineMetrics Experiment::run(PipelineKind kind,
                                 const CaseStudyConfig& config,
                                 const PipelineOptions& options) const {
@@ -30,21 +18,9 @@ PipelineMetrics Experiment::run(PipelineKind kind,
     runs.add(1);
   }
   Testbed bed(base_);
-  PipelineOutput out;
-  switch (kind) {
-    case PipelineKind::kPostProcessing:
-      out = run_post_processing(bed, config, options);
-      break;
-    case PipelineKind::kPostProcessingAsync:
-      out = run_post_processing_async(bed, config, options);
-      break;
-    case PipelineKind::kInSitu:
-      out = run_in_situ(bed, config, options);
-      break;
-  }
-
   PipelineMetrics m;
-  m.pipeline_name = out.pipeline_name;
+  m.output = run_pipeline(bed, kind, config, options);
+  m.pipeline_name = m.output.pipeline_name;
   m.case_name = config.name;
   m.duration = bed.clock().now();
   m.timeline = bed.phases();
@@ -56,7 +32,6 @@ PipelineMetrics Experiment::run(PipelineKind kind,
                                            (config.problem.ny - 2));
   const double work = cells * static_cast<double>(config.iterations);
   m.efficiency = work / m.energy.value();
-  m.output = std::move(out);
   m.attribution = obs::EnergyAttributor(bed.power_model())
                       .attribute(m.timeline, bed.loads(),
                                  bed.device().activity(), m.duration);

@@ -14,10 +14,6 @@
 
 namespace greenvis::core {
 
-enum class PipelineKind { kPostProcessing, kPostProcessingAsync, kInSitu };
-
-[[nodiscard]] const char* pipeline_kind_name(PipelineKind kind);
-
 struct PipelineMetrics {
   std::string pipeline_name;
   std::string case_name;

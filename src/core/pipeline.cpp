@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "src/io/dataset.hpp"
 #include "src/obs/registry.hpp"
@@ -12,14 +13,19 @@
 
 namespace greenvis::core {
 
-namespace {
-
-/// Simulate one step: real solve + modeled compute burst.
-void simulate_step(Testbed& bed, heat::HeatSolver& solver) {
-  obs::ScopedSpan span("stage.simulate", obs::kCatStage);
-  solver.step();
-  bed.run_compute(solver.step_activity(), stage::kSimulation);
+const char* pipeline_kind_name(PipelineKind kind) {
+  switch (kind) {
+    case PipelineKind::kPostProcessing:
+      return "Traditional";
+    case PipelineKind::kPostProcessingAsync:
+      return "Traditional (async)";
+    case PipelineKind::kInSitu:
+      return "In-situ";
+  }
+  return "?";
 }
+
+namespace {
 
 /// Render one frame: real raster + modeled compute burst. `frame` is a
 /// caller-owned buffer reused across steps (no per-frame image allocation).
@@ -36,47 +42,235 @@ void visualize_step(Testbed& bed, const vis::VisPipeline& pipeline,
   }
 }
 
+std::string pipeline_name(PipelineKind kind,
+                          const SnapshotTransform& transform) {
+  if (kind == PipelineKind::kInSitu) {
+    return "In-situ";
+  }
+  std::string detail;
+  if (const auto* sampling = std::get_if<Sampling>(&transform)) {
+    detail = "sampled 1/" + std::to_string(sampling->stride);
+  } else if (const auto* predictive =
+                 std::get_if<io::CompressConfig>(&transform)) {
+    detail = predictive->mode == io::CompressionMode::kLossless
+                 ? "lossless compression"
+                 : "lossy, eb=" + std::to_string(predictive->error_bound);
+  }
+  if (kind == PipelineKind::kPostProcessingAsync) {
+    detail = detail.empty() ? "async staging" : "async staging, " + detail;
+  }
+  return detail.empty() ? "Post-processing"
+                        : "Post-processing (" + detail + ")";
+}
+
+/// One SnapshotTransform's write half (encode) and read half (decode), with
+/// its byte and quality accounting. Host work only: the modeled compute
+/// each encode and each decode costs is `cost()`.
+class SnapshotCoder {
+ public:
+  /// Chunk encode fans out across `pool` when given (bytes are
+  /// pool-size-invariant).
+  SnapshotCoder(PipelineKind kind, const CaseStudyConfig& config,
+                const SnapshotTransform& transform, util::ThreadPool* pool)
+      : problem_(config.problem),
+        sampling_(std::get_if<Sampling>(&transform)),
+        predictive_(std::get_if<io::CompressConfig>(&transform)) {
+    GREENVIS_REQUIRE(sampling_ == nullptr || sampling_->stride >= 1);
+    // Only runs that encode with config.snapshot_codec build (and so
+    // validate) it.
+    if (kind != PipelineKind::kInSitu &&
+        std::holds_alternative<ConfigCodec>(transform)) {
+      codec_.emplace(config.snapshot_codec);
+      codec_->set_pool(pool);
+    }
+    // Per cell, the field codec's quantize + delta + pack is a handful of
+    // ops and the predictive codec's predictor + quantize/unpack several
+    // times that; either streams one read and one write of the field.
+    // Sampling and the raw codec are free.
+    const double cells = static_cast<double>(problem_.nx * problem_.ny);
+    work_.flops = cells * (predictive_ != nullptr ? 60.0 : 12.0);
+    work_.active_cores = 1;
+    work_.dram_bytes = util::Bytes{static_cast<std::uint64_t>(cells * 16)};
+    if (predictive_ != nullptr || (codec_ && codec_->active())) {
+      cost_ = &work_;
+    }
+  }
+
+  /// Modeled compute per encode and per decode; nullptr when free.
+  [[nodiscard]] const machine::ActivityRecord* cost() const { return cost_; }
+
+  /// Encode `field` into `payload`. The field codec scratches in `arena`
+  /// (reset first), so its steady state performs zero heap allocations.
+  void encode(const util::Field2D& field, util::ScratchArena& arena,
+              std::vector<std::uint8_t>& payload, PipelineOutput& out) {
+    // Lossy transforms keep the exact field so the reconstruction can be
+    // scored on read (an analysis convenience — the testbed app would not
+    // retain it).
+    if (sampling_ != nullptr) {
+      payload = vis::downsample(field, sampling_->stride).serialize();
+      truths_.push_back(field);
+    } else if (predictive_ != nullptr) {
+      payload = io::compress_field(field, *predictive_);
+      ratio_sum_ += io::compression_ratio(field, payload);
+      truths_.push_back(field);
+    } else {
+      arena.reset();
+      codec_->set_arena(&arena);
+      codec_->encode(field, payload);
+    }
+    out.snapshot_bytes_written += util::Bytes{payload.size()};
+    out.snapshot_bytes_raw += util::Bytes{field.serialized_bytes()};
+  }
+
+  /// Invert the transform and update `out`'s quality fields (running means
+  /// over the steps read so far); the result stays valid until the next
+  /// decode.
+  const util::Field2D& decode(const std::vector<std::uint8_t>& payload,
+                              util::ScratchArena& arena, PipelineOutput& out) {
+    out.snapshot_bytes_read += util::Bytes{payload.size()};
+    if (sampling_ != nullptr) {
+      const util::Field2D sampled = util::Field2D::deserialize(payload);
+      field_ = sampling_->stride == 1
+                   ? sampled
+                   : vis::resample(sampled, problem_.nx, problem_.ny);
+      error_sum_ += vis::rms_difference(field_, truths_[scored_++]);
+      out.mean_rms_error = error_sum_ / static_cast<double>(scored_);
+    } else if (predictive_ != nullptr) {
+      field_ = io::decompress_field(payload);
+      const util::Field2D& truth = truths_[scored_++];
+      for (std::size_t k = 0; k < field_.size(); ++k) {
+        out.max_abs_error =
+            std::max(out.max_abs_error,
+                     std::abs(field_.values()[k] - truth.values()[k]));
+      }
+      out.mean_compression_ratio = ratio_sum_ / static_cast<double>(scored_);
+    } else {
+      arena.reset();
+      codec_->set_arena(&arena);
+      codec_->decode_into(payload, field_);
+    }
+    return field_;
+  }
+
+ private:
+  const heat::HeatProblem& problem_;
+  const Sampling* sampling_;
+  const io::CompressConfig* predictive_;
+  std::optional<codec::FieldCodec> codec_;
+  machine::ActivityRecord work_;
+  const machine::ActivityRecord* cost_{nullptr};
+  util::Field2D field_;
+  std::vector<util::Field2D> truths_;
+  std::size_t scored_{0};
+  double error_sum_{0.0};
+  double ratio_sum_{0.0};
+};
+
 }  // namespace
 
-PipelineOutput run_post_processing(Testbed& bed,
-                                   const CaseStudyConfig& config,
-                                   const PipelineOptions& options) {
+PipelineOutput run_pipeline(Testbed& bed, PipelineKind kind,
+                            const CaseStudyConfig& config,
+                            const PipelineOptions& options,
+                            const SnapshotTransform& transform) {
+  GREENVIS_REQUIRE_MSG(kind != PipelineKind::kInSitu ||
+                           std::holds_alternative<ConfigCodec>(transform),
+                       "in-situ writes no snapshots to transform");
   PipelineOutput out;
-  out.pipeline_name = "Post-processing";
+  out.pipeline_name = pipeline_name(kind, transform);
   util::ThreadPool pool(options.host_threads);
   heat::HeatSolver solver(config.problem, &pool);
   vis::VisPipeline vis_pipeline(config.vis, &pool);
   vis::Image frame;  // reused across visualize steps
   io::TimestepWriter writer(bed.fs(), config.dataset);
-
-  // Snapshot codec (raw by default: byte-identical to the legacy
-  // serialization, and no modeled codec compute is charged). The arena is
-  // reset per output step, so the steady-state encode/decode path performs
-  // zero heap allocations.
-  util::ScratchArena arena;
-  codec::FieldCodec snap_codec(config.snapshot_codec, &arena);
-  // Modeled per-snapshot codec cost (quantize + delta + pack is a handful
-  // of ops per cell; one streaming read + one write of the field).
-  const double cells =
-      static_cast<double>(config.problem.nx * config.problem.ny);
-  machine::ActivityRecord codec_work;
-  codec_work.flops = cells * 12.0;
-  codec_work.active_cores = 1;
-  codec_work.dram_bytes = util::Bytes{static_cast<std::uint64_t>(cells * 16)};
-
-  // Phase 1: simulate, writing every io_period-th step to disk.
+  const bool staged = kind == PipelineKind::kPostProcessingAsync;
+  SnapshotCoder coder(kind, config, transform, staged ? &pool : nullptr);
+  util::ScratchArena arena;  // sync encodes and every decode scratch here
   std::vector<std::uint8_t> payload;
+
+  // The staged data path overlaps simulate and write: the producer (this
+  // thread) simulates and encodes along its private compute cursor `cpu`;
+  // the stager's writer thread owns the shared clock, placing write k at
+  // max(write k-1 end, snapshot k ready). Writer-side load/phase intervals
+  // go to private sinks and are merged at the drain barrier, so the main
+  // timelines see genuinely concurrent simulate/write activity.
+  machine::LoadTimeline writer_loads;
+  trace::Timeline writer_phases;
+  std::optional<sched::AsyncStager> stager;
+  if (staged) {
+    stager.emplace(
+        sched::StagingConfig{options.stage_buffers,
+                             std::min(options.stage_queue_depth,
+                                      options.stage_buffers)},
+        [&](std::span<sched::StagedSnapshot* const> batch,
+            util::Seconds start) {
+          // One claimed window: successive writes chain through `t`, and no
+          // snapshot's write starts before its encode finished.
+          util::Seconds t = start;
+          for (sched::StagedSnapshot* snap : batch) {
+            t = bed.run_io_at(
+                std::max(t, snap->ready), stage::kWrite, config.io_stage_cores,
+                config.io_stage_utilization,
+                [&] { writer.write_step(snap->step, snap->payload); },
+                &writer_loads, &writer_phases);
+          }
+          return t;
+        });
+  }
+  util::Seconds cpu = bed.clock().now();
+  const auto simulation_compute = [&](const machine::ActivityRecord& work) {
+    if (stager) {
+      cpu = bed.run_compute_at(cpu, work, stage::kSimulation);
+    } else {
+      bed.run_compute(work, stage::kSimulation);
+    }
+  };
+
+  // Phase 1: simulate; every io_period-th step is visualized in situ or
+  // transformed and written to disk.
   for (int step = 0; step < config.iterations; ++step) {
-    simulate_step(bed, solver);
-    if (config.is_io_step(step)) {
-      arena.reset();
-      snap_codec.encode(solver.temperature(), payload);
-      if (snap_codec.active()) {
-        bed.run_compute(codec_work, stage::kSimulation);
+    {
+      obs::ScopedSpan span("stage.simulate", obs::kCatStage);
+      solver.step();
+      simulation_compute(solver.step_activity());
+    }
+    if (!config.is_io_step(step)) {
+      continue;
+    }
+    if (kind == PipelineKind::kInSitu) {
+      visualize_step(bed, vis_pipeline, solver.temperature(), out,
+                     options.keep_images, frame);
+    } else if (stager) {
+      sched::AsyncStager::Slot slot = stager->acquire();
+      if (slot.freed_at > cpu) {
+        // Backpressure: the ring was still draining past our cursor. The
+        // producer busy-waits like an I/O region until the slot's write
+        // ends.
+        bed.record_stall(stage::kWrite, cpu, slot.freed_at,
+                         config.io_stage_cores, config.io_stage_utilization);
+        cpu = slot.freed_at;
+        if (obs::enabled()) {
+          static obs::Counter& stalls =
+              obs::Registry::global().counter("sched.virtual_stalls");
+          stalls.add(1);
+        }
       }
-      out.snapshot_bytes_written += util::Bytes{payload.size()};
-      out.snapshot_bytes_raw +=
-          util::Bytes{snap_codec.last_stats().raw_bytes};
+      // Each slot owns the payload and the arena its encode scratches in.
+      sched::StagedSnapshot& snap = *slot.snapshot;
+      {
+        obs::ScopedSpan span("sched.encode", obs::kCatStage);
+        coder.encode(solver.temperature(), snap.arena, snap.payload, out);
+      }
+      if (const machine::ActivityRecord* work = coder.cost()) {
+        simulation_compute(*work);
+      }
+      snap.step = step;
+      snap.raw_bytes = solver.temperature().serialized_bytes();
+      stager->submit(cpu);
+    } else {
+      coder.encode(solver.temperature(), arena, payload, out);
+      if (const machine::ActivityRecord* work = coder.cost()) {
+        simulation_compute(*work);
+      }
       bed.run_io(stage::kWrite, config.io_stage_cores,
                  config.io_stage_utilization,
                  [&] { writer.write_step(step, payload); });
@@ -84,15 +278,30 @@ PipelineOutput run_post_processing(Testbed& bed,
   }
   out.steps = config.iterations;
   out.final_field = solver.temperature();
+  if (kind == PipelineKind::kInSitu) {
+    return out;
+  }
+
+  if (stager) {
+    // Drain barrier: everything staged is on disk; both tracks join and the
+    // shared clock lands at the later of compute-end and write-end.
+    cpu = std::max(cpu, stager->drain());
+    if (cpu > bed.clock().now()) {
+      bed.clock().advance_to(cpu);
+    }
+    bed.loads().merge(writer_loads);
+    for (const auto& iv : writer_phases.intervals()) {
+      bed.phases().record(iv.category, iv.begin, iv.end);
+    }
+  }
 
   // Between phases: sync and drop the caches (Sec. IV-C) so the read phase
   // really hits the disk.
   bed.run_io(stage::kWrite, config.io_stage_cores,
              config.io_stage_utilization, [&] { bed.fs().drop_caches(); });
 
-  // Phase 2: read each written step back and visualize it.
+  // Phase 2: read each written step back, invert the transform, visualize.
   io::TimestepReader reader(bed.fs(), config.dataset);
-  util::Field2D field;
   for (int step = 0; step < config.iterations; ++step) {
     if (!config.is_io_step(step)) {
       continue;
@@ -100,298 +309,12 @@ PipelineOutput run_post_processing(Testbed& bed,
     bed.run_io(stage::kRead, config.io_stage_cores,
                config.io_stage_utilization,
                [&] { payload = reader.read_step(step); });
-    arena.reset();
-    snap_codec.decode_into(payload, field);
-    if (snap_codec.active()) {
-      bed.run_compute(codec_work, stage::kRead);
+    const util::Field2D& field = coder.decode(payload, arena, out);
+    if (const machine::ActivityRecord* work = coder.cost()) {
+      bed.run_compute(*work, stage::kRead);
     }
-    out.snapshot_bytes_read += util::Bytes{payload.size()};
     visualize_step(bed, vis_pipeline, field, out, options.keep_images, frame);
   }
-  return out;
-}
-
-PipelineOutput run_post_processing_async(Testbed& bed,
-                                         const CaseStudyConfig& config,
-                                         const PipelineOptions& options) {
-  PipelineOutput out;
-  out.pipeline_name = "Post-processing (async staging)";
-  util::ThreadPool pool(options.host_threads);
-  heat::HeatSolver solver(config.problem, &pool);
-  vis::VisPipeline vis_pipeline(config.vis, &pool);
-  vis::Image frame;  // reused across visualize steps
-  io::TimestepWriter writer(bed.fs(), config.dataset);
-
-  // Each staging slot owns the arena its encode scratches in; the codec is
-  // re-pointed at the slot per snapshot. Chunk encode may fan out across
-  // `pool` for large fields (bytes are pool-size-invariant).
-  codec::FieldCodec snap_codec(config.snapshot_codec);
-  snap_codec.set_pool(&pool);
-  const double cells =
-      static_cast<double>(config.problem.nx * config.problem.ny);
-  machine::ActivityRecord codec_work;
-  codec_work.flops = cells * 12.0;
-  codec_work.active_cores = 1;
-  codec_work.dram_bytes = util::Bytes{static_cast<std::uint64_t>(cells * 16)};
-
-  // Phase 1, overlapped: the producer (this thread) simulates and encodes
-  // along its private compute cursor `cpu`; the stager's writer thread owns
-  // the shared clock, placing write k at max(write k-1 end, snapshot k
-  // ready). Writer-side load/phase intervals go to private sinks and are
-  // merged at the drain barrier, so the main timelines see genuinely
-  // concurrent simulate/write activity.
-  machine::LoadTimeline writer_loads;
-  trace::Timeline writer_phases;
-  sched::AsyncStager stager(
-      sched::StagingConfig{options.stage_buffers,
-                           std::min(options.stage_queue_depth,
-                                    options.stage_buffers)},
-      [&](std::span<sched::StagedSnapshot* const> batch, util::Seconds start) {
-        // One claimed window: successive writes chain through `t`, and no
-        // snapshot's write starts before its encode finished.
-        util::Seconds t = start;
-        for (sched::StagedSnapshot* snap : batch) {
-          t = bed.run_io_at(
-              std::max(t, snap->ready), stage::kWrite, config.io_stage_cores,
-              config.io_stage_utilization,
-              [&] { writer.write_step(snap->step, snap->payload); },
-              &writer_loads, &writer_phases);
-        }
-        return t;
-      });
-
-  util::Seconds cpu = bed.clock().now();
-  for (int step = 0; step < config.iterations; ++step) {
-    {
-      obs::ScopedSpan span("stage.simulate", obs::kCatStage);
-      solver.step();
-      cpu = bed.run_compute_at(cpu, solver.step_activity(), stage::kSimulation);
-    }
-    if (!config.is_io_step(step)) {
-      continue;
-    }
-    sched::AsyncStager::Slot slot = stager.acquire();
-    if (slot.freed_at > cpu) {
-      // Backpressure: the ring was still draining past our cursor. The
-      // producer busy-waits like an I/O region until the slot's write ends.
-      bed.record_stall(stage::kWrite, cpu, slot.freed_at,
-                       config.io_stage_cores, config.io_stage_utilization);
-      cpu = slot.freed_at;
-      if (obs::enabled()) {
-        static obs::Counter& stalls =
-            obs::Registry::global().counter("sched.virtual_stalls");
-        stalls.add(1);
-      }
-    }
-    sched::StagedSnapshot& snap = *slot.snapshot;
-    snap.arena.reset();
-    snap_codec.set_arena(&snap.arena);
-    {
-      obs::ScopedSpan span("sched.encode", obs::kCatStage);
-      snap_codec.encode(solver.temperature(), snap.payload);
-    }
-    if (snap_codec.active()) {
-      cpu = bed.run_compute_at(cpu, codec_work, stage::kSimulation);
-    }
-    snap.step = step;
-    snap.raw_bytes = snap_codec.last_stats().raw_bytes;
-    out.snapshot_bytes_written += util::Bytes{snap.payload.size()};
-    out.snapshot_bytes_raw += util::Bytes{snap.raw_bytes};
-    stager.submit(cpu);
-  }
-  out.steps = config.iterations;
-  out.final_field = solver.temperature();
-
-  // Drain barrier: everything staged is on disk; both tracks join and the
-  // shared clock lands at the later of compute-end and write-end.
-  const util::Seconds io_end = stager.drain();
-  cpu = std::max(cpu, io_end);
-  if (cpu > bed.clock().now()) {
-    bed.clock().advance_to(cpu);
-  }
-  bed.loads().merge(writer_loads);
-  for (const auto& iv : writer_phases.intervals()) {
-    bed.phases().record(iv.category, iv.begin, iv.end);
-  }
-
-  bed.run_io(stage::kWrite, config.io_stage_cores,
-             config.io_stage_utilization, [&] { bed.fs().drop_caches(); });
-
-  // Phase 2: identical to the sync pipeline (same reads, same renders).
-  util::ScratchArena arena;
-  snap_codec.set_arena(&arena);
-  io::TimestepReader reader(bed.fs(), config.dataset);
-  util::Field2D field;
-  std::vector<std::uint8_t> payload;
-  for (int step = 0; step < config.iterations; ++step) {
-    if (!config.is_io_step(step)) {
-      continue;
-    }
-    bed.run_io(stage::kRead, config.io_stage_cores,
-               config.io_stage_utilization,
-               [&] { payload = reader.read_step(step); });
-    arena.reset();
-    snap_codec.decode_into(payload, field);
-    if (snap_codec.active()) {
-      bed.run_compute(codec_work, stage::kRead);
-    }
-    out.snapshot_bytes_read += util::Bytes{payload.size()};
-    visualize_step(bed, vis_pipeline, field, out, options.keep_images, frame);
-  }
-  return out;
-}
-
-SampledOutput run_sampled_post_processing(Testbed& bed,
-                                          const CaseStudyConfig& config,
-                                          std::size_t stride,
-                                          const PipelineOptions& options) {
-  GREENVIS_REQUIRE(stride >= 1);
-  SampledOutput out;
-  out.base.pipeline_name =
-      "Post-processing (sampled 1/" + std::to_string(stride) + ")";
-  util::ThreadPool pool(options.host_threads);
-  heat::HeatSolver solver(config.problem, &pool);
-  vis::VisPipeline vis_pipeline(config.vis, &pool);
-  vis::Image frame;  // reused across visualize steps
-  io::TimestepWriter writer(bed.fs(), config.dataset);
-
-  // Phase 1: simulate; sample and write every io_period-th step. Keep the
-  // exact fields so the reconstruction error can be scored later (an
-  // analysis convenience — the testbed app would not retain them).
-  std::vector<util::Field2D> truths;
-  for (int step = 0; step < config.iterations; ++step) {
-    simulate_step(bed, solver);
-    if (config.is_io_step(step)) {
-      const util::Field2D sampled = vis::downsample(solver.temperature(), stride);
-      const auto payload = sampled.serialize();
-      out.bytes_written += util::Bytes{payload.size()};
-      bed.run_io(stage::kWrite, config.io_stage_cores,
-                 config.io_stage_utilization,
-                 [&] { writer.write_step(step, payload); });
-      truths.push_back(solver.temperature());
-    }
-  }
-  out.base.steps = config.iterations;
-  out.base.final_field = solver.temperature();
-  bed.run_io(stage::kWrite, config.io_stage_cores,
-             config.io_stage_utilization, [&] { bed.fs().drop_caches(); });
-
-  // Phase 2: read the sampled steps back, reconstruct, visualize.
-  io::TimestepReader reader(bed.fs(), config.dataset);
-  double error_sum = 0.0;
-  std::size_t truth_idx = 0;
-  for (int step = 0; step < config.iterations; ++step) {
-    if (!config.is_io_step(step)) {
-      continue;
-    }
-    std::vector<std::uint8_t> payload;
-    bed.run_io(stage::kRead, config.io_stage_cores,
-               config.io_stage_utilization,
-               [&] { payload = reader.read_step(step); });
-    const util::Field2D sampled = util::Field2D::deserialize(payload);
-    const util::Field2D reconstructed =
-        stride == 1 ? sampled
-                    : vis::resample(sampled, config.problem.nx,
-                                    config.problem.ny);
-    error_sum += vis::rms_difference(reconstructed, truths[truth_idx++]);
-    visualize_step(bed, vis_pipeline, reconstructed, out.base,
-                   options.keep_images, frame);
-  }
-  if (truth_idx > 0) {
-    out.mean_rms_error = error_sum / static_cast<double>(truth_idx);
-  }
-  return out;
-}
-
-CompressedOutput run_compressed_post_processing(
-    Testbed& bed, const CaseStudyConfig& config,
-    const io::CompressConfig& codec, const PipelineOptions& options) {
-  CompressedOutput out;
-  out.base.pipeline_name =
-      codec.mode == io::CompressionMode::kLossless
-          ? "Post-processing (lossless compression)"
-          : "Post-processing (lossy, eb=" + std::to_string(codec.error_bound) +
-                ")";
-  util::ThreadPool pool(options.host_threads);
-  heat::HeatSolver solver(config.problem, &pool);
-  vis::VisPipeline vis_pipeline(config.vis, &pool);
-  vis::Image frame;  // reused across visualize steps
-  io::TimestepWriter writer(bed.fs(), config.dataset);
-
-  // Modeled cost of the predictive codec per cell (compress and decompress
-  // are both a predictor + a quantize/unpack).
-  const double cells =
-      static_cast<double>(config.problem.nx * config.problem.ny);
-  machine::ActivityRecord codec_work;
-  codec_work.flops = cells * 60.0;
-  codec_work.active_cores = 1;
-  codec_work.dram_bytes = util::Bytes{static_cast<std::uint64_t>(cells * 16)};
-
-  std::vector<util::Field2D> truths;
-  double ratio_sum = 0.0;
-  for (int step = 0; step < config.iterations; ++step) {
-    simulate_step(bed, solver);
-    if (config.is_io_step(step)) {
-      const auto blob = io::compress_field(solver.temperature(), codec);
-      bed.run_compute(codec_work, stage::kSimulation);
-      ratio_sum += io::compression_ratio(solver.temperature(), blob);
-      out.bytes_written += util::Bytes{blob.size()};
-      bed.run_io(stage::kWrite, config.io_stage_cores,
-                 config.io_stage_utilization,
-                 [&] { writer.write_step(step, blob); });
-      truths.push_back(solver.temperature());
-    }
-  }
-  out.base.steps = config.iterations;
-  out.base.final_field = solver.temperature();
-  bed.run_io(stage::kWrite, config.io_stage_cores,
-             config.io_stage_utilization, [&] { bed.fs().drop_caches(); });
-
-  io::TimestepReader reader(bed.fs(), config.dataset);
-  std::size_t truth_idx = 0;
-  for (int step = 0; step < config.iterations; ++step) {
-    if (!config.is_io_step(step)) {
-      continue;
-    }
-    std::vector<std::uint8_t> blob;
-    bed.run_io(stage::kRead, config.io_stage_cores,
-               config.io_stage_utilization,
-               [&] { blob = reader.read_step(step); });
-    const util::Field2D field = io::decompress_field(blob);
-    bed.run_compute(codec_work, stage::kRead);
-    const util::Field2D& truth = truths[truth_idx++];
-    for (std::size_t k = 0; k < field.size(); ++k) {
-      out.max_abs_error =
-          std::max(out.max_abs_error,
-                   std::abs(field.values()[k] - truth.values()[k]));
-    }
-    visualize_step(bed, vis_pipeline, field, out.base, options.keep_images,
-                   frame);
-  }
-  if (truth_idx > 0) {
-    out.mean_compression_ratio = ratio_sum / static_cast<double>(truth_idx);
-  }
-  return out;
-}
-
-PipelineOutput run_in_situ(Testbed& bed, const CaseStudyConfig& config,
-                           const PipelineOptions& options) {
-  PipelineOutput out;
-  out.pipeline_name = "In-situ";
-  util::ThreadPool pool(options.host_threads);
-  heat::HeatSolver solver(config.problem, &pool);
-  vis::VisPipeline vis_pipeline(config.vis, &pool);
-  vis::Image frame;  // reused across visualize steps
-
-  for (int step = 0; step < config.iterations; ++step) {
-    simulate_step(bed, solver);
-    if (config.is_io_step(step)) {
-      visualize_step(bed, vis_pipeline, solver.temperature(), out,
-                     options.keep_images, frame);
-    }
-  }
-  out.steps = config.iterations;
-  out.final_field = solver.temperature();
   return out;
 }
 

@@ -1,19 +1,29 @@
-// The two visualization pipelines of Fig. 2, plus the in-transit variant.
+// One pipeline driver = data path x snapshot transform.
 //
-//   Post-processing:  [simulation -> disk write]*  sync/drop_caches
-//                     [disk read -> visualization]*
-//   Post-proc async:  [simulation -> stage]* || [staged write]*  (overlapped
-//                     via sched::AsyncStager), then the same read phase
+// The data path (PipelineKind) decides where a visualized step travels:
+//
 //   In-situ:          [simulation -> visualization]*     (no disk at all)
+//   Post-processing:  [simulation -> transform -> disk write]*
+//                     sync/drop_caches
+//                     [disk read -> inverse transform -> visualization]*
+//   Post-proc async:  the same, but writes drain through a bounded
+//                     sched::AsyncStager ring while the solver advances
+//                     (simulate || write), then the same read phase
 //
-// All run the same solver and the same renderer, so for a given case study
-// they produce identical images (asserted via digests); only where the data
-// travels — and what overlaps with what — differs, which is precisely the
-// trade the paper prices.
+// The snapshot transform (SnapshotTransform) decides what a post-processing
+// snapshot looks like on disk: the case study's field codec, spatial
+// sampling, or the predictive compressor. Every combination runs the same
+// solver and the same renderer, so for a given case study and transform the
+// images are identical whatever the data path (asserted via digests); only
+// where the data travels — and what overlaps with what — differs, which is
+// precisely the trade the paper prices. In-transit staging on a separate
+// node and a burst-buffer tier are future PipelineKind values: new data
+// paths through this one driver, not new loops.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/core/testbed.hpp"
@@ -32,6 +42,29 @@ inline constexpr const char* kRead = "Read";
 inline constexpr const char* kVisualization = "Visualization";
 }  // namespace stage
 
+/// The data path a visualized step takes.
+enum class PipelineKind { kPostProcessing, kPostProcessingAsync, kInSitu };
+
+[[nodiscard]] const char* pipeline_kind_name(PipelineKind kind);
+
+/// Snapshot transform: encode with the case study's `snapshot_codec` (raw by
+/// default — byte-identical to the legacy serialization, and no modeled
+/// codec compute is charged).
+struct ConfigCodec {};
+
+/// In-situ data sampling (Woodring et al. [21]): write only every
+/// `stride`-th sample in each dimension and reconstruct by bilinear
+/// resampling before rendering. Cuts I/O volume by ~stride^2 at a
+/// quantifiable quality cost.
+struct Sampling {
+  std::size_t stride{1};
+};
+
+/// ConfigCodec, Sampling, or application-driven compression (Wang et al.
+/// [22]): the Lorenzo-predictive codec, lossless or bounded-error.
+using SnapshotTransform =
+    std::variant<ConfigCodec, Sampling, io::CompressConfig>;
+
 struct PipelineOutput {
   std::string pipeline_name;
   /// One digest per visualized step, in step order.
@@ -41,11 +74,18 @@ struct PipelineOutput {
   int steps{0};
   int visualized_steps{0};
   /// Snapshot payload accounting (post-processing only; zero for in-situ).
-  /// With the raw codec written == raw; with an active codec written < raw
-  /// and the storage counters shrink proportionally.
+  /// `raw` is the untransformed serialization: with the raw codec
+  /// written == raw; with any other transform written < raw and the storage
+  /// counters shrink proportionally.
   util::Bytes snapshot_bytes_written{0};
   util::Bytes snapshot_bytes_read{0};
   util::Bytes snapshot_bytes_raw{0};
+  /// Transform quality, zero when unused: the mean RMS reconstruction error
+  /// across visualized steps (Sampling), and the largest per-value error
+  /// and mean compression ratio (predictive compression).
+  double mean_rms_error{0.0};
+  double max_abs_error{0.0};
+  double mean_compression_ratio{0.0};
   /// Kept only when `keep_images` was requested.
   std::vector<vis::Image> images;
 };
@@ -54,7 +94,7 @@ struct PipelineOptions {
   bool keep_images{false};
   /// Host threads for solver/renderer (0 = hardware concurrency).
   std::size_t host_threads{0};
-  /// Staging ring slots for run_post_processing_async (>= 1).
+  /// Staging ring slots for kPostProcessingAsync (>= 1).
   std::size_t stage_buffers{2};
   /// Snapshots the staging writer claims per wake and submits to storage
   /// as one window (>= 1; capped by stage_buffers). 1 is the legacy
@@ -63,56 +103,14 @@ struct PipelineOptions {
   std::size_t stage_queue_depth{1};
 };
 
-/// Run the traditional pipeline on `bed`. The testbed's clock/timelines
-/// advance; call bed.profile() afterwards for the power trace.
-[[nodiscard]] PipelineOutput run_post_processing(
-    Testbed& bed, const CaseStudyConfig& config,
-    const PipelineOptions& options = {});
-
-/// Run the traditional pipeline with in-transit staging: snapshots land in
-/// a bounded ring (`options.stage_buffers`) and a background writer drains
-/// them to disk while the solver advances — simulate and write overlap in
-/// both host and virtual time (concurrent intervals on the timelines, not
-/// summed serial phases). On-disk bytes, images, and snapshot accounting
-/// are identical to run_post_processing; only where the time goes differs.
-[[nodiscard]] PipelineOutput run_post_processing_async(
-    Testbed& bed, const CaseStudyConfig& config,
-    const PipelineOptions& options = {});
-
-/// Run the in-situ pipeline (never touches the filesystem).
-[[nodiscard]] PipelineOutput run_in_situ(Testbed& bed,
-                                         const CaseStudyConfig& config,
-                                         const PipelineOptions& options = {});
-
-/// In-situ data sampling (Woodring et al. [21]): the simulation writes only
-/// every `stride`-th sample in each dimension; post-hoc visualization
-/// reconstructs by bilinear resampling. Cuts I/O volume by ~stride^2 at a
-/// quantifiable quality cost.
-struct SampledOutput {
-  PipelineOutput base;
-  /// Mean RMS reconstruction error across visualized steps (0 for stride 1).
-  double mean_rms_error{0.0};
-  /// Payload bytes written to storage.
-  util::Bytes bytes_written{0};
-};
-
-[[nodiscard]] SampledOutput run_sampled_post_processing(
-    Testbed& bed, const CaseStudyConfig& config, std::size_t stride,
-    const PipelineOptions& options = {});
-
-/// Application-driven compression (Wang et al. [22]): each written step is
-/// compressed in situ (Lorenzo-predictive codec, lossless or bounded-error)
-/// and decompressed before post-hoc rendering.
-struct CompressedOutput {
-  PipelineOutput base;
-  double mean_compression_ratio{0.0};
-  /// Largest per-value reconstruction error observed (0 when lossless).
-  double max_abs_error{0.0};
-  util::Bytes bytes_written{0};
-};
-
-[[nodiscard]] CompressedOutput run_compressed_post_processing(
-    Testbed& bed, const CaseStudyConfig& config,
-    const io::CompressConfig& codec, const PipelineOptions& options = {});
+/// Run one pipeline on `bed`. The testbed's clock/timelines advance; call
+/// bed.profile() afterwards for the power trace. kInSitu never touches the
+/// filesystem and accepts only the default transform. kPostProcessingAsync
+/// leaves the same on-disk bytes, images, and snapshot accounting as
+/// kPostProcessing for every transform; only where the time goes differs.
+[[nodiscard]] PipelineOutput run_pipeline(
+    Testbed& bed, PipelineKind kind, const CaseStudyConfig& config,
+    const PipelineOptions& options = {},
+    const SnapshotTransform& transform = {});
 
 }  // namespace greenvis::core

@@ -8,7 +8,9 @@
 namespace greenvis::obs {
 
 /// Per-thread span storage: fixed-size blocks written by the owner thread
-/// only; `committed_` publishes fully-written slots to the exporter.
+/// only; `committed_` publishes fully-written slots to the exporter. The
+/// first block is allocated by the first push, so a thread that only labels
+/// itself (every pool worker does, traced or not) costs no block.
 class Tracer::ThreadBuffer {
  public:
   static constexpr std::size_t kBlockEvents = 4096;
@@ -16,7 +18,7 @@ class Tracer::ThreadBuffer {
   /// counted as dropped instead of recorded.
   static constexpr std::size_t kMaxEvents = 1u << 20;
 
-  explicit ThreadBuffer(std::uint32_t tid) : tid_(tid) { add_block(); }
+  explicit ThreadBuffer(std::uint32_t tid) : tid_(tid) {}
 
   [[nodiscard]] std::uint32_t tid() const { return tid_; }
 
@@ -35,7 +37,7 @@ class Tracer::ThreadBuffer {
     if (n >= kMaxEvents) {
       return false;
     }
-    if (write_idx_ == kBlockEvents) {
+    if (tail_ == nullptr || write_idx_ == kBlockEvents) {
       add_block();
       write_idx_ = 0;
     }
@@ -52,6 +54,10 @@ class Tracer::ThreadBuffer {
   /// Exporter: visit every committed event in record order.
   template <typename Fn>
   void for_each(Fn&& fn) const {
+    // Load the count before listing blocks: every committed event's block
+    // was added before its commit, so the listing then covers all n (the
+    // reverse order could see n past the blocks listed).
+    const std::size_t n = committed_.load(std::memory_order_acquire);
     std::vector<const Block*> blocks;
     {
       std::lock_guard lock(blocks_mutex_);
@@ -60,7 +66,6 @@ class Tracer::ThreadBuffer {
         blocks.push_back(b.get());
       }
     }
-    const std::size_t n = committed_.load(std::memory_order_acquire);
     for (std::size_t k = 0; k < n; ++k) {
       fn(blocks[k / kBlockEvents]->slots[k % kBlockEvents]);
     }
@@ -70,8 +75,8 @@ class Tracer::ThreadBuffer {
   void clear() {
     {
       std::lock_guard lock(blocks_mutex_);
-      blocks_.resize(1);
-      tail_ = blocks_.front().get();
+      blocks_.resize(std::min<std::size_t>(blocks_.size(), 1));
+      tail_ = blocks_.empty() ? nullptr : blocks_.front().get();
     }
     write_idx_ = 0;
     committed_.store(0, std::memory_order_release);

@@ -128,10 +128,7 @@ OracleResult pipeline_serial_vs_pool() {
     core::Testbed bed;
     core::PipelineOptions options;
     options.host_threads = threads;
-    core::PipelineOutput out =
-        kind == core::PipelineKind::kInSitu
-            ? core::run_in_situ(bed, config, options)
-            : core::run_post_processing(bed, config, options);
+    core::PipelineOutput out = core::run_pipeline(bed, kind, config, options);
     return std::pair<core::PipelineOutput, util::Seconds>{
         std::move(out), bed.clock().now()};
   };
@@ -172,9 +169,7 @@ OracleResult pipeline_sync_vs_async() {
     options.host_threads = 4;
     options.stage_buffers = 2;
     Run r;
-    r.out = kind == core::PipelineKind::kPostProcessingAsync
-                ? core::run_post_processing_async(bed, config, options)
-                : core::run_post_processing(bed, config, options);
+    r.out = core::run_pipeline(bed, kind, config, options);
     // Checksum what actually landed on disk, independent of the pipeline's
     // own read path.
     io::TimestepReader reader(bed.fs(), config.dataset);
@@ -536,7 +531,8 @@ OracleResult obs_on_vs_off() {
     core::Testbed bed;
     core::PipelineOptions options;
     options.host_threads = 2;
-    auto out = core::run_post_processing(bed, config, options);
+    auto out = core::run_pipeline(bed, core::PipelineKind::kPostProcessing,
+                                  config, options);
     return std::pair<core::PipelineOutput, util::Seconds>{std::move(out),
                                                           bed.clock().now()};
   };

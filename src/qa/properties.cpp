@@ -243,32 +243,39 @@ void register_replay_properties() {
 // ---- async staging: overlap must never change what reaches disk ----
 //
 // For any iteration count / io period / ring size / chunk edge / codec
-// kind, the async pipeline must terminate (no backpressure deadlock),
-// drain fully (every written step readable afterwards), and leave exactly
-// the bytes the sync pipeline leaves.
+// kind / snapshot transform, the async pipeline must terminate (no
+// backpressure deadlock), drain fully (every written step readable
+// afterwards), and leave exactly the bytes, images, byte accounting and
+// transform quality the sync pipeline leaves.
 
 void register_pipeline_properties() {
   using AsyncCase =
       std::tuple<core::CaseStudyConfig, std::uint64_t, std::uint64_t,
-                 std::uint64_t>;
+                 std::uint64_t, std::uint64_t>;
   add_property<AsyncCase>(
       "pipeline.async_matches_sync",
+      // Transform draw: 0 = the config codec (shrink target), 1..4 =
+      // Sampling{1..4}, 5 = predictive lossless, 6 = predictive lossy.
       tuple_of(small_case_config(), uint_in(1, 4),
-               element_of<std::uint64_t>({8, 16, 32}), uint_in(0, 2)),
+               element_of<std::uint64_t>({8, 16, 32}), uint_in(0, 2),
+               uint_in(0, 6)),
       [](const AsyncCase& ac) {
         core::CaseStudyConfig config = std::get<0>(ac);
         const std::uint64_t buffers = std::get<1>(ac);
         config.snapshot_codec.chunk_edge = std::get<2>(ac);
         config.snapshot_codec.kind = static_cast<codec::Kind>(std::get<3>(ac));
-        const auto run = [&](bool async_mode) {
+        const core::SnapshotTransform transforms[] = {
+            core::ConfigCodec{},  core::Sampling{1}, core::Sampling{2},
+            core::Sampling{3},    core::Sampling{4}, io::CompressConfig{},
+            io::CompressConfig{io::CompressionMode::kLossyAbsBound, 0.01}};
+        const core::SnapshotTransform& transform = transforms[std::get<4>(ac)];
+        const auto run = [&](core::PipelineKind kind) {
           core::Testbed bed;
           core::PipelineOptions options;
           options.host_threads = 2;
           options.stage_buffers = buffers;
           core::PipelineOutput out =
-              async_mode
-                  ? core::run_post_processing_async(bed, config, options)
-                  : core::run_post_processing(bed, config, options);
+              core::run_pipeline(bed, kind, config, options, transform);
           std::vector<std::uint64_t> sums;
           io::TimestepReader reader(bed.fs(), config.dataset);
           for (int step = 0; step < config.iterations; ++step) {
@@ -279,8 +286,10 @@ void register_pipeline_properties() {
           return std::pair<core::PipelineOutput, std::vector<std::uint64_t>>{
               std::move(out), std::move(sums)};
         };
-        const auto [sync_out, sync_sums] = run(false);
-        const auto [async_out, async_sums] = run(true);
+        const auto [sync_out, sync_sums] =
+            run(core::PipelineKind::kPostProcessing);
+        const auto [async_out, async_sums] =
+            run(core::PipelineKind::kPostProcessingAsync);
         if (async_sums.size() != sync_sums.size()) {
           return std::string("async drain lost snapshots: ") +
                  std::to_string(async_sums.size()) + " vs " +
@@ -300,6 +309,12 @@ void register_pipeline_properties() {
                 sync_out.snapshot_bytes_raw.value()) {
           return std::string("snapshot accounting differs");
         }
+        if (async_out.mean_rms_error != sync_out.mean_rms_error ||
+            async_out.max_abs_error != sync_out.max_abs_error ||
+            async_out.mean_compression_ratio !=
+                sync_out.mean_compression_ratio) {
+          return std::string("transform quality differs");
+        }
         return ok();
       },
       [](const AsyncCase& ac) {
@@ -307,7 +322,8 @@ void register_pipeline_properties() {
         std::ostringstream os;
         os << "iters=" << config.iterations << " period=" << config.io_period
            << " grid=" << config.problem.nx << " buffers=" << std::get<1>(ac)
-           << " chunk=" << std::get<2>(ac) << " kind=" << std::get<3>(ac);
+           << " chunk=" << std::get<2>(ac) << " kind=" << std::get<3>(ac)
+           << " transform=" << std::get<4>(ac);
         return os.str();
       });
 }

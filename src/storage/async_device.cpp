@@ -1,7 +1,6 @@
 #include "src/storage/async_device.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 
 #include "src/obs/registry.hpp"
@@ -38,14 +37,6 @@ std::optional<IoSchedulerKind> parse_io_scheduler(std::string_view name) {
     return IoSchedulerKind::kDeadline;
   }
   return std::nullopt;
-}
-
-bool AsyncBlockDevice::layer_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("GREENVIS_STORAGE_ASYNC");
-    return env == nullptr || std::string_view{env} != "0";
-  }();
-  return enabled;
 }
 
 AsyncBlockDevice::AsyncBlockDevice(BlockDevice& backend,
@@ -85,7 +76,7 @@ RequestHandle AsyncBlockDevice::submit(const IoRequest& request,
   if (config_.queue_depth > 0) {
     while (pending_.size() >= config_.queue_depth) {
       dispatch_window(config_.queue_depth, resolve(config_.scheduler),
-                      &completed_);
+                      completed_);
     }
   }
   return handle;
@@ -106,7 +97,7 @@ std::size_t AsyncBlockDevice::poll(std::vector<CompletionRecord>& out) {
 Seconds AsyncBlockDevice::drain() {
   while (!pending_.empty()) {
     dispatch_window(config_.queue_depth, resolve(config_.scheduler),
-                    &completed_);
+                    completed_);
   }
   return horizon_;
 }
@@ -117,12 +108,6 @@ Seconds AsyncBlockDevice::drain_checked() {
     if (!record.ok) {
       throw DeviceError(record.error);
     }
-  }
-  if (sticky_error_) {
-    // Layer bookkeeping disabled: the error was noted but no record exists.
-    std::string message = *sticky_error_;
-    sticky_error_.reset();
-    throw DeviceError(message);
   }
   return end;
 }
@@ -142,11 +127,10 @@ Seconds AsyncBlockDevice::execute(const IoRequest& request, Seconds start) {
     ++stats_.errors;
   }
   last_batch_.clear();
-  if (layer_enabled()) {
-    last_batch_.push_back(CompletionRecord{
-        next_handle_++, request.kind, request.offset, request.length, start,
-        start, outcome.end, outcome.ok, outcome.error});
-  }
+  last_batch_.push_back(CompletionRecord{next_handle_++, request.kind,
+                                         request.offset, request.length, start,
+                                         start, outcome.end, outcome.ok,
+                                         outcome.error});
   if (!outcome.ok) {
     throw DeviceError(outcome.error);
   }
@@ -159,7 +143,6 @@ Seconds AsyncBlockDevice::run_batch(std::span<const IoRequest> requests,
       pending_.empty(),
       "run_batch() may not interleave with queued submissions");
   last_batch_.clear();
-  sticky_error_.reset();
   if (requests.empty()) {
     return start;
   }
@@ -174,19 +157,13 @@ Seconds AsyncBlockDevice::run_batch(std::span<const IoRequest> requests,
   const IoSchedulerKind resolved = resolve(scheduler);
   Seconds end = start;
   while (!pending_.empty()) {
-    end = std::max(end, dispatch_window(config_.queue_depth, resolved,
-                                        layer_enabled() ? &last_batch_
-                                                        : nullptr));
+    end = std::max(end,
+                   dispatch_window(config_.queue_depth, resolved, last_batch_));
   }
   for (const CompletionRecord& record : last_batch_) {
     if (!record.ok) {
       throw DeviceError(record.error);
     }
-  }
-  if (sticky_error_) {
-    std::string message = *sticky_error_;
-    sticky_error_.reset();
-    throw DeviceError(message);
   }
   return end;
 }
@@ -200,7 +177,7 @@ Seconds AsyncBlockDevice::flush(Seconds start) {
 
 Seconds AsyncBlockDevice::dispatch_window(std::size_t limit,
                                           IoSchedulerKind scheduler,
-                                          std::vector<CompletionRecord>* sink) {
+                                          std::vector<CompletionRecord>& sink) {
   const std::size_t n =
       limit == 0 ? pending_.size() : std::min(limit, pending_.size());
   if (n == 0) {
@@ -291,7 +268,7 @@ Seconds AsyncBlockDevice::dispatch_window(std::size_t limit,
 }
 
 Seconds AsyncBlockDevice::service_one(const Pending& p,
-                                      std::vector<CompletionRecord>* sink) {
+                                      std::vector<CompletionRecord>& sink) {
   auto slot = std::min_element(channel_free_.begin(), channel_free_.end());
   Seconds start = std::max(*slot, p.submit);
   if (channel_free_.size() > 1) {
@@ -306,9 +283,6 @@ Seconds AsyncBlockDevice::service_one(const Pending& p,
   ++stats_.completed;
   if (!outcome.ok) {
     ++stats_.errors;
-    if ((sink == nullptr || !layer_enabled()) && !sticky_error_) {
-      sticky_error_ = outcome.error;
-    }
   }
   if (obs::enabled()) {
     static obs::Counter& completed =
@@ -320,12 +294,9 @@ Seconds AsyncBlockDevice::service_one(const Pending& p,
       errors.add();
     }
   }
-  if (sink != nullptr && layer_enabled()) {
-    sink->push_back(CompletionRecord{p.handle, p.request.kind,
-                                     p.request.offset, p.request.length,
-                                     p.submit, start, outcome.end, outcome.ok,
-                                     outcome.error});
-  }
+  sink.push_back(CompletionRecord{p.handle, p.request.kind, p.request.offset,
+                                 p.request.length, p.submit, start,
+                                 outcome.end, outcome.ok, outcome.error});
   return outcome.end;
 }
 

@@ -150,11 +150,6 @@ class AsyncBlockDevice {
   /// the backend's preference).
   [[nodiscard]] IoSchedulerKind resolve(IoSchedulerKind kind) const;
 
-  /// False when GREENVIS_STORAGE_ASYNC=0: the layer still orders requests
-  /// identically but skips record-keeping and obs hooks (used by the
-  /// check.sh storage smoke to show the layer is pure bookkeeping).
-  [[nodiscard]] static bool layer_enabled();
-
  private:
   struct Pending {
     RequestHandle handle{0};
@@ -163,13 +158,13 @@ class AsyncBlockDevice {
   };
 
   /// Dispatch up to `limit` queued requests (0 = all) as one scheduler
-  /// window, appending records to `sink` when the layer is enabled.
-  /// Returns the window's last completion time.
+  /// window, appending records to `sink`. Returns the window's last
+  /// completion time.
   Seconds dispatch_window(std::size_t limit, IoSchedulerKind scheduler,
-                          std::vector<CompletionRecord>* sink);
+                          std::vector<CompletionRecord>& sink);
   /// Service one picked request on the earliest-free channel; returns its
   /// completion time.
-  Seconds service_one(const Pending& p, std::vector<CompletionRecord>* sink);
+  Seconds service_one(const Pending& p, std::vector<CompletionRecord>& sink);
   void note_occupancy() const;
 
   BlockDevice* backend_;
@@ -182,9 +177,6 @@ class AsyncBlockDevice {
   RequestHandle next_handle_{1};
   Seconds last_dispatch_start_{0.0};  // activity-log monotonicity clamp
   Seconds horizon_{0.0};              // latest completion ever serviced
-  /// First error seen while record-keeping is off (the records themselves
-  /// carry errors when the layer is enabled).
-  std::optional<std::string> sticky_error_;
 };
 
 }  // namespace greenvis::storage

@@ -639,8 +639,8 @@ PipelineOptions serial_options() {
 TEST(CodecPipeline, RawCodecAccountsFullBytes) {
   Testbed bed;
   const PipelineOutput out =
-      run_post_processing(bed, small_case(codec::Kind::kRaw),
-                          serial_options());
+      run_pipeline(bed, PipelineKind::kPostProcessing,
+                   small_case(codec::Kind::kRaw), serial_options());
   EXPECT_GT(out.snapshot_bytes_raw.value(), 0u);
   EXPECT_EQ(out.snapshot_bytes_written.value(), out.snapshot_bytes_raw.value());
   EXPECT_EQ(out.snapshot_bytes_read.value(), out.snapshot_bytes_raw.value());
@@ -656,14 +656,16 @@ TEST(CodecPipeline, DeltaCodecShrinksBytesTimeAndStorageCounters) {
   const std::uint64_t w0 = written.value();
   const std::uint64_t r0 = read.value();
   Testbed raw_bed;
-  const PipelineOutput raw_out = run_post_processing(
-      raw_bed, small_case(codec::Kind::kRaw), serial_options());
+  const PipelineOutput raw_out =
+      run_pipeline(raw_bed, PipelineKind::kPostProcessing,
+                   small_case(codec::Kind::kRaw), serial_options());
   const std::uint64_t w1 = written.value();
   const std::uint64_t r1 = read.value();
 
   Testbed delta_bed;
-  const PipelineOutput delta_out = run_post_processing(
-      delta_bed, small_case(codec::Kind::kDelta), serial_options());
+  const PipelineOutput delta_out =
+      run_pipeline(delta_bed, PipelineKind::kPostProcessing,
+                   small_case(codec::Kind::kDelta), serial_options());
   const std::uint64_t w2 = written.value();
   const std::uint64_t r2 = read.value();
 
@@ -689,10 +691,12 @@ TEST(CodecPipeline, DeltaCodecShrinksBytesTimeAndStorageCounters) {
 
 TEST(CodecPipeline, DeltaKeepsScienceWithinTolerance) {
   Testbed raw_bed, delta_bed;
-  const PipelineOutput raw_out = run_post_processing(
-      raw_bed, small_case(codec::Kind::kRaw), serial_options());
-  const PipelineOutput delta_out = run_post_processing(
-      delta_bed, small_case(codec::Kind::kDelta), serial_options());
+  const PipelineOutput raw_out =
+      run_pipeline(raw_bed, PipelineKind::kPostProcessing,
+                   small_case(codec::Kind::kRaw), serial_options());
+  const PipelineOutput delta_out =
+      run_pipeline(delta_bed, PipelineKind::kPostProcessing,
+                   small_case(codec::Kind::kDelta), serial_options());
   // The solver never sees the codec: final fields are identical.
   EXPECT_EQ(delta_out.final_field, raw_out.final_field);
 }

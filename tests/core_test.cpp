@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <memory>
+#include <span>
 
 #include "src/core/adaptor.hpp"
 #include "src/core/batch_runner.hpp"
@@ -9,6 +11,7 @@
 #include "src/core/pipeline.hpp"
 #include "src/core/testbed.hpp"
 #include "src/core/workload.hpp"
+#include "src/util/checksum.hpp"
 
 namespace greenvis::core {
 namespace {
@@ -69,10 +72,10 @@ TEST(Testbed, RunIoRecordsSpanOfBody) {
 TEST(Pipelines, ProduceIdenticalImages) {
   const CaseStudyConfig config = fast_case(2);
   Testbed post_bed, insitu_bed;
-  const PipelineOutput post =
-      run_post_processing(post_bed, config, serial_options());
-  const PipelineOutput insitu =
-      run_in_situ(insitu_bed, config, serial_options());
+  const PipelineOutput post = run_pipeline(
+      post_bed, PipelineKind::kPostProcessing, config, serial_options());
+  const PipelineOutput insitu = run_pipeline(
+      insitu_bed, PipelineKind::kInSitu, config, serial_options());
   ASSERT_EQ(post.image_digests.size(), insitu.image_digests.size());
   EXPECT_EQ(post.image_digests, insitu.image_digests);
   EXPECT_EQ(post.final_field, insitu.final_field);
@@ -81,7 +84,7 @@ TEST(Pipelines, ProduceIdenticalImages) {
 TEST(Pipelines, InSituNeverTouchesTheDisk) {
   const CaseStudyConfig config = fast_case(1);
   Testbed bed;
-  (void)run_in_situ(bed, config, serial_options());
+  (void)run_pipeline(bed, PipelineKind::kInSitu, config, serial_options());
   EXPECT_EQ(bed.device().counters().reads, 0u);
   EXPECT_EQ(bed.device().counters().writes, 0u);
 }
@@ -89,7 +92,8 @@ TEST(Pipelines, InSituNeverTouchesTheDisk) {
 TEST(Pipelines, PostProcessingWritesOneFilePerIoStep) {
   const CaseStudyConfig config = fast_case(2);
   Testbed bed;
-  (void)run_post_processing(bed, config, serial_options());
+  (void)run_pipeline(bed, PipelineKind::kPostProcessing, config,
+                     serial_options());
   EXPECT_EQ(bed.fs().list_files().size(),
             static_cast<std::size_t>(config.io_steps()));
   EXPECT_GT(bed.device().counters().bytes_written.value(), 0u);
@@ -98,8 +102,10 @@ TEST(Pipelines, PostProcessingWritesOneFilePerIoStep) {
 TEST(Pipelines, InSituFasterAndPhaseStructureCorrect) {
   const CaseStudyConfig config = fast_case(1);
   Testbed post_bed, insitu_bed;
-  (void)run_post_processing(post_bed, config, serial_options());
-  (void)run_in_situ(insitu_bed, config, serial_options());
+  (void)run_pipeline(post_bed, PipelineKind::kPostProcessing, config,
+                     serial_options());
+  (void)run_pipeline(insitu_bed, PipelineKind::kInSitu, config,
+                     serial_options());
   EXPECT_LT(insitu_bed.clock().now().value(),
             post_bed.clock().now().value());
   // Post-processing has all four stages; in-situ only two.
@@ -121,10 +127,10 @@ TEST(Pipelines, AsyncStagingOverlapsWritesWithoutChangingResults) {
   config.vis.width = 64;
   config.vis.height = 64;
   Testbed sync_bed, async_bed;
-  const PipelineOutput sync_out =
-      run_post_processing(sync_bed, config, serial_options());
-  const PipelineOutput async_out =
-      run_post_processing_async(async_bed, config, serial_options());
+  const PipelineOutput sync_out = run_pipeline(
+      sync_bed, PipelineKind::kPostProcessing, config, serial_options());
+  const PipelineOutput async_out = run_pipeline(
+      async_bed, PipelineKind::kPostProcessingAsync, config, serial_options());
   EXPECT_LT(async_bed.clock().now().value(), sync_bed.clock().now().value());
   EXPECT_EQ(async_out.image_digests, sync_out.image_digests);
   EXPECT_EQ(async_out.final_field, sync_out.final_field);
@@ -149,9 +155,9 @@ TEST(Pipelines, AsyncStagingSingleBufferStillDrainsCorrectly) {
   options.stage_buffers = 1;
   Testbed sync_bed, async_bed;
   const PipelineOutput sync_out =
-      run_post_processing(sync_bed, config, options);
-  const PipelineOutput async_out =
-      run_post_processing_async(async_bed, config, options);
+      run_pipeline(sync_bed, PipelineKind::kPostProcessing, config, options);
+  const PipelineOutput async_out = run_pipeline(
+      async_bed, PipelineKind::kPostProcessingAsync, config, options);
   EXPECT_EQ(async_out.image_digests, sync_out.image_digests);
   EXPECT_EQ(async_out.snapshot_bytes_written.value(),
             sync_out.snapshot_bytes_written.value());
@@ -164,7 +170,8 @@ TEST(Pipelines, VisualizedStepCountsFollowPeriod) {
     CaseStudyConfig config = fast_case(period);
     config.iterations = 9;
     Testbed bed;
-    const PipelineOutput out = run_in_situ(bed, config, serial_options());
+    const PipelineOutput out =
+        run_pipeline(bed, PipelineKind::kInSitu, config, serial_options());
     EXPECT_EQ(out.visualized_steps, config.io_steps());
   }
 }
@@ -281,13 +288,14 @@ TEST(Experiment, StageRunsProduceIoBoundPower) {
 TEST(Pipelines, SampledVariantWritesLessAndErrsBounded) {
   const CaseStudyConfig config = fast_case(1);
   Testbed exact_bed, sampled_bed;
-  const auto exact =
-      run_sampled_post_processing(exact_bed, config, 1, serial_options());
-  const auto sampled =
-      run_sampled_post_processing(sampled_bed, config, 4, serial_options());
+  const auto exact = run_pipeline(exact_bed, PipelineKind::kPostProcessing,
+                                  config, serial_options(), Sampling{1});
+  const auto sampled = run_pipeline(sampled_bed, PipelineKind::kPostProcessing,
+                                    config, serial_options(), Sampling{4});
   EXPECT_DOUBLE_EQ(exact.mean_rms_error, 0.0);
   EXPECT_GT(sampled.mean_rms_error, 0.0);
-  EXPECT_LT(sampled.bytes_written.value(), exact.bytes_written.value() / 8);
+  EXPECT_LT(sampled.snapshot_bytes_written.value(),
+            exact.snapshot_bytes_written.value() / 8);
   EXPECT_LT(sampled_bed.clock().now().value(),
             exact_bed.clock().now().value());
 }
@@ -295,22 +303,101 @@ TEST(Pipelines, SampledVariantWritesLessAndErrsBounded) {
 TEST(Pipelines, CompressedVariantLosslessMatchesExactImages) {
   const CaseStudyConfig config = fast_case(2);
   Testbed plain_bed, comp_bed;
-  const auto plain =
-      run_post_processing(plain_bed, config, serial_options());
-  const auto comp = run_compressed_post_processing(
-      comp_bed, config, io::CompressConfig{}, serial_options());
+  const auto plain = run_pipeline(plain_bed, PipelineKind::kPostProcessing,
+                                  config, serial_options());
+  const auto comp = run_pipeline(comp_bed, PipelineKind::kPostProcessing,
+                                 config, serial_options(), io::CompressConfig{});
   EXPECT_DOUBLE_EQ(comp.max_abs_error, 0.0);
-  EXPECT_EQ(comp.base.image_digests, plain.image_digests);
+  EXPECT_EQ(comp.image_digests, plain.image_digests);
 }
 
 TEST(Pipelines, CompressedVariantLossyBoundedAndSmaller) {
   const CaseStudyConfig config = fast_case(2);
   Testbed bed;
   const io::CompressConfig codec{io::CompressionMode::kLossyAbsBound, 0.01};
-  const auto out =
-      run_compressed_post_processing(bed, config, codec, serial_options());
+  const auto out = run_pipeline(bed, PipelineKind::kPostProcessing, config,
+                                serial_options(), codec);
   EXPECT_LE(out.max_abs_error, 0.01 * (1.0 + 1e-9));
   EXPECT_GT(out.mean_compression_ratio, 2.0);
+}
+
+TEST(Pipelines, InSituRejectsSnapshotTransforms) {
+  Testbed bed;
+  EXPECT_THROW((void)run_pipeline(bed, PipelineKind::kInSitu, fast_case(1),
+                                  serial_options(), Sampling{2}),
+               util::ContractViolation);
+}
+
+TEST(Pipelines, OnlyTheConfigCodecPathValidatesSnapshotCodec) {
+  // Delta with tolerance 0 is an invalid codec, but only runs that encode
+  // with it may reject it.
+  CaseStudyConfig config = fast_case(2);
+  config.snapshot_codec.kind = codec::Kind::kDelta;
+  config.snapshot_codec.tolerance = 0.0;
+  for (const PipelineKind kind :
+       {PipelineKind::kPostProcessing, PipelineKind::kPostProcessingAsync}) {
+    Testbed bed;
+    EXPECT_THROW((void)run_pipeline(bed, kind, config, serial_options()),
+                 util::ContractViolation);
+  }
+  Testbed insitu_bed, sampled_bed, predictive_bed;
+  EXPECT_EQ(run_pipeline(insitu_bed, PipelineKind::kInSitu, config,
+                         serial_options())
+                .visualized_steps,
+            2);
+  EXPECT_EQ(run_pipeline(sampled_bed, PipelineKind::kPostProcessing, config,
+                         serial_options(), Sampling{2})
+                .visualized_steps,
+            2);
+  EXPECT_EQ(run_pipeline(predictive_bed, PipelineKind::kPostProcessing, config,
+                         serial_options(), io::CompressConfig{})
+                .visualized_steps,
+            2);
+}
+
+// The sampling and predictive transforms, pinned exactly: virtual clock
+// bits, bytes written, quality fields and an FNV-1a over the image digests
+// for case 1 (4 iterations, every step written).
+TEST(Pipelines, TransformResultsPinned) {
+  struct Pinned {
+    SnapshotTransform transform;
+    const char* name;
+    std::uint64_t clock_bits;
+    std::uint64_t bytes_written;
+    std::uint64_t rms_bits;
+    std::uint64_t max_err_bits;
+    std::uint64_t ratio_bits;
+    std::uint64_t digests_fnv;
+  };
+  const Pinned cases[] = {
+      {Sampling{4}, "Post-processing (sampled 1/4)", 0x401ffd89bdb9a2beULL,
+       32832, 0x4014a1938e68d1a2ULL, 0, 0, 0x338f8176b85dbc77ULL},
+      {io::CompressConfig{}, "Post-processing (lossless compression)",
+       0x4031af2dd3d051b4ULL, 476025, 0, 0, 0x3ff23c48bf69ca5fULL,
+       0x7fcc1f91ae3eceabULL},
+      {io::CompressConfig{io::CompressionMode::kLossyAbsBound, 0.01},
+       "Post-processing (lossy, eb=0.010000)", 0x40217bc83fbcc5bbULL, 66800, 0,
+       0x3f84658c52553a70ULL, 0x401f66046a21ce28ULL, 0x8dc991b76c381855ULL},
+  };
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (const Pinned& p : cases) {
+    Testbed bed;
+    const PipelineOutput out = run_pipeline(
+        bed, PipelineKind::kPostProcessing, fast_case(1), serial_options(),
+        p.transform);
+    EXPECT_EQ(out.pipeline_name, p.name);
+    EXPECT_EQ(bits(bed.clock().now().value()), p.clock_bits) << p.name;
+    EXPECT_EQ(out.snapshot_bytes_written.value(), p.bytes_written) << p.name;
+    EXPECT_EQ(bits(out.mean_rms_error), p.rms_bits) << p.name;
+    EXPECT_EQ(bits(out.max_abs_error), p.max_err_bits) << p.name;
+    EXPECT_EQ(bits(out.mean_compression_ratio), p.ratio_bits) << p.name;
+    const auto& digests = out.image_digests;
+    EXPECT_EQ(util::fnv1a64(std::span<const std::uint8_t>(
+                  reinterpret_cast<const std::uint8_t*>(digests.data()),
+                  digests.size() * sizeof(std::uint64_t))),
+              p.digests_fnv)
+        << p.name;
+  }
 }
 
 // ---------- in-situ adaptor ----------

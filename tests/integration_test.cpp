@@ -47,7 +47,8 @@ TEST(Integration, FullComparisonHasPaperShape) {
 TEST(Integration, TimelineCoversWholeRun) {
   core::Testbed bed;
   const auto config = small_case(2);
-  (void)core::run_post_processing(bed, config, opts());
+  (void)core::run_pipeline(bed, core::PipelineKind::kPostProcessing, config,
+                           opts());
   const double recorded = bed.phases().total_recorded().value();
   const double total = bed.clock().now().value();
   // Phases account for essentially all wall time (no hidden gaps).

@@ -26,11 +26,13 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_allocated_bytes{0};
 }  // namespace
 
 namespace {
 void* counted_alloc(std::size_t n) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(n, std::memory_order_relaxed);
   if (void* p = std::malloc(n == 0 ? 1 : n)) {
     return p;
   }
@@ -45,6 +47,7 @@ void* operator new[](std::size_t n) { return counted_alloc(n); }
 // with the replaced delete is an alloc/dealloc mismatch under ASan.
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_allocated_bytes.fetch_add(n, std::memory_order_relaxed);
   return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
@@ -439,6 +442,19 @@ TEST(DisabledMode, ScopedSpansAllocateNothing) {
                  kCatHeat);
   }
   EXPECT_EQ(g_allocations.load(), before);
+}
+
+TEST(DisabledMode, ShortLivedPoolThreadsDoNotPinSpanBlocks) {
+  // Every pool worker labels itself for the trace, so each new host thread
+  // registers a tracer buffer that lives as long as the process. With obs
+  // off that registration must stay small: no span block until a span is
+  // actually recorded.
+  set_enabled(false);
+  const std::uint64_t before = g_allocated_bytes.load();
+  for (int i = 0; i < 16; ++i) {
+    util::ThreadPool pool(4);
+  }
+  EXPECT_LT(g_allocated_bytes.load() - before, 256u * 1024u);
 }
 
 TEST(DisabledMode, EnabledIsASingleRelaxedLoad) {

@@ -340,8 +340,10 @@ TEST_P(IoPeriodSweep, InSituAlwaysFasterNeverDifferentScience) {
   options.host_threads = 2;
 
   core::Testbed post_bed, insitu_bed;
-  const auto post = core::run_post_processing(post_bed, config, options);
-  const auto insitu = core::run_in_situ(insitu_bed, config, options);
+  const auto post = core::run_pipeline(
+      post_bed, core::PipelineKind::kPostProcessing, config, options);
+  const auto insitu = core::run_pipeline(
+      insitu_bed, core::PipelineKind::kInSitu, config, options);
   EXPECT_LT(insitu_bed.clock().now().value(),
             post_bed.clock().now().value());
   EXPECT_EQ(post.image_digests, insitu.image_digests);

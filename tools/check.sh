@@ -41,12 +41,7 @@
 #                 vary run to run).
 #   --storage-smoke after the suite, run the storage-labeled ctest slice,
 #                 the storage.async_vs_sync differential oracle and the
-#                 storage.scheduler_invariants generative property, then
-#                 require `greenvis compare` output to be byte-for-byte
-#                 identical with the async block-device layer's
-#                 record-keeping on and off (GREENVIS_STORAGE_ASYNC=1/0) —
-#                 the end-to-end statement that the queue layer is pure
-#                 bookkeeping and moves no figure.
+#                 storage.scheduler_invariants generative property.
 #   --simd        after the suite, re-run the full tier-1 suite once under
 #                 GREENVIS_SIMD=scalar and once under GREENVIS_SIMD=auto
 #                 (the dispatcher's best native path), then require
@@ -176,24 +171,6 @@ if [[ "$STORAGE_SMOKE" == 1 ]]; then
   "$BUILD_DIR"/tests/test_qa --gtest_filter='Oracles.StorageAsyncVsSync'
   "$BUILD_DIR"/tests/test_property \
     --gtest_filter='*storage_scheduler_invariants*'
-  # End-to-end bit-identity: the async layer with record-keeping disabled
-  # (GREENVIS_STORAGE_ASYNC=0) must print byte-for-byte the same comparison
-  # report as with the full bookkeeping on — for the sync pipeline and the
-  # queue-depth-aware async staging pipeline alike.
-  STORAGE_DIR="$BUILD_DIR"/storage-smoke
-  rm -rf "$STORAGE_DIR" && mkdir -p "$STORAGE_DIR"
-  for pipe_args in "" "--pipeline=async --stage-buffers=2"; do
-    tag=${pipe_args:+async}; tag=${tag:-sync}
-    # shellcheck disable=SC2086
-    GREENVIS_STORAGE_ASYNC=1 "$BUILD_DIR"/tools/greenvis compare --case 1 \
-      $pipe_args > "$STORAGE_DIR/compare_${tag}_on.txt"
-    # shellcheck disable=SC2086
-    GREENVIS_STORAGE_ASYNC=0 "$BUILD_DIR"/tools/greenvis compare --case 1 \
-      $pipe_args > "$STORAGE_DIR/compare_${tag}_off.txt"
-    cmp "$STORAGE_DIR/compare_${tag}_on.txt" \
-        "$STORAGE_DIR/compare_${tag}_off.txt"
-  done
-  echo "storage smoke: async layer on/off byte-identical"
 fi
 
 if [[ "$CONFORMANCE" == 1 ]]; then
