@@ -9,7 +9,9 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <utility>
 
@@ -30,7 +32,10 @@
 #include "src/util/checksum.hpp"
 #include "src/util/rng.hpp"
 #include "src/util/simd/simd.hpp"
+#include "src/util/thread_pool.hpp"
 #include "src/util/units.hpp"
+#include "src/vis/pipeline.hpp"
+#include "src/vis/rasterizer.hpp"
 
 namespace greenvis::qa {
 
@@ -1030,6 +1035,119 @@ void register_serve_properties() {
       });
 }
 
+// ---- vis: the table-driven raster is the per-pixel definition ----
+//
+// render_pseudocolor_into must give, bit for bit, what sampling every pixel
+// through the public bilinear_sample + ColorMap::map_range gives: over
+// 1-pixel and 1-cell axes, every palette, empty and inverted ranges, fields
+// holding NaN, ±Inf and ±1e300, serial and pooled, with the column table
+// allocated per call or passed in as scratch.
+
+void register_vis_properties() {
+  struct RasterCase {
+    std::size_t nx{1}, ny{1}, width{1}, height{1};
+    std::vector<double> values;
+    vis::Palette palette{vis::Palette::kCoolWarm};
+    double lo{0.0};
+    double hi{1.0};
+    bool pooled{false};
+  };
+  const Gen<RasterCase> gen = [](Choices& c) {
+    RasterCase rc;
+    rc.nx = static_cast<std::size_t>(c.draw_range(1, 40));
+    rc.ny = static_cast<std::size_t>(c.draw_range(1, 40));
+    rc.width = static_cast<std::size_t>(c.draw_range(1, 80));
+    rc.height = static_cast<std::size_t>(c.draw_range(1, 80));
+    rc.palette = static_cast<vis::Palette>(c.draw_below(3));
+    // 0: finite fields only; otherwise about k/16 of the cells are special.
+    const std::uint64_t special_per_16 = c.draw_below(4);
+    util::Xoshiro256 rng{c.draw_below(1ULL << 32)};
+    const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                               std::numeric_limits<double>::infinity(),
+                               -std::numeric_limits<double>::infinity(),
+                               1e300, -1e300};
+    rc.values.resize(rc.nx * rc.ny);
+    for (double& v : rc.values) {
+      v = rng.uniform(-20.0, 120.0);
+      if (rng.uniform_index(16) < special_per_16) {
+        v = specials[rng.uniform_index(5)];
+      }
+    }
+    switch (c.draw_below(3)) {
+      case 0:  // an ordinary range
+        rc.lo = c.draw_real(-20.0, 50.0);
+        rc.hi = rc.lo + c.draw_real(1e-3, 150.0);
+        break;
+      case 1:  // lo >= hi: the degenerate range
+        rc.hi = c.draw_real(-20.0, 100.0);
+        rc.lo = rc.hi + c.draw_real(0.0, 50.0);
+        break;
+      default:  // the field's own extremes, as auto-ranging would pick
+        rc.lo = *std::min_element(rc.values.begin(), rc.values.end());
+        rc.hi = *std::max_element(rc.values.begin(), rc.values.end());
+        break;
+    }
+    rc.pooled = c.draw_bool();
+    return rc;
+  };
+  add_property<RasterCase>(
+      "vis.raster_matches_reference", gen,
+      [](const RasterCase& rc) {
+        util::Field2D field(rc.nx, rc.ny);
+        std::copy(rc.values.begin(), rc.values.end(), field.values().begin());
+        const vis::ColorMap cmap = vis::make_palette(rc.palette);
+
+        // The reference: one bilinear_sample + map_range per pixel, with
+        // the raster's pixel -> field-coordinate mapping (a 1-pixel axis
+        // samples the field-axis center).
+        const auto coord = [](std::size_t pixel, std::size_t pixels,
+                              std::size_t cells) {
+          const double extent = static_cast<double>(cells - 1);
+          if (pixels <= 1) {
+            return extent / 2.0;
+          }
+          return static_cast<double>(pixel) *
+                 (extent / static_cast<double>(pixels - 1));
+        };
+        vis::Image want(rc.width, rc.height);
+        for (std::size_t y = 0; y < rc.height; ++y) {
+          for (std::size_t x = 0; x < rc.width; ++x) {
+            want.at(x, y) = cmap.map_range(
+                vis::bilinear_sample(field, coord(x, rc.width, rc.nx),
+                                     coord(y, rc.height, rc.ny)),
+                rc.lo, rc.hi);
+          }
+        }
+
+        std::unique_ptr<util::ThreadPool> pool;
+        if (rc.pooled) {
+          pool = std::make_unique<util::ThreadPool>(4);
+        }
+        vis::Image got;
+        vis::render_pseudocolor_into(field, cmap, rc.width, rc.height, rc.lo,
+                                     rc.hi, pool.get(), got);
+        if (!(got == want)) {
+          return std::string("raster differs from the per-pixel reference");
+        }
+        std::vector<vis::ColumnTap> taps(rc.width + 3);
+        vis::render_pseudocolor_into(field, cmap, rc.width, rc.height, rc.lo,
+                                     rc.hi, pool.get(), got, taps);
+        if (!(got == want)) {
+          return std::string("raster with caller scratch differs from the "
+                             "per-pixel reference");
+        }
+        return ok();
+      },
+      [](const RasterCase& rc) {
+        std::ostringstream os;
+        os << rc.nx << "x" << rc.ny << " -> " << rc.width << "x"
+           << rc.height << " palette=" << vis::palette_name(rc.palette)
+           << " lo=" << rc.lo << " hi=" << rc.hi
+           << " pooled=" << (rc.pooled ? 1 : 0);
+        return os.str();
+      });
+}
+
 }  // namespace
 
 void register_builtin_properties() {
@@ -1042,6 +1160,7 @@ void register_builtin_properties() {
   register_simd_properties();
   register_storage_properties();
   register_serve_properties();
+  register_vis_properties();
 }
 
 }  // namespace greenvis::qa

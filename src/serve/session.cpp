@@ -19,7 +19,6 @@
 #include "src/util/error.hpp"
 #include "src/util/sharded.hpp"
 #include "src/util/thread_pool.hpp"
-#include "src/vis/filters.hpp"
 
 namespace greenvis::serve {
 
@@ -39,9 +38,11 @@ machine::ActivityRecord encode_activity(const ViewParams& params) {
 }
 
 /// A unique view's host-side state: its renderer (whose internal arena is
-/// the per-view scratch) and a frame buffer reused across steps.
+/// the per-view scratch), its cropped region of interest and a frame
+/// buffer, both reused across steps.
 struct ViewPipe {
   std::unique_ptr<vis::VisPipeline> pipe;
+  util::Field2D roi;
   vis::Image frame;
   // Digest of `frame`, computed once per render (or cache copy-out) and
   // reused by every sharing viewer's delivery — hashing the same pixels
@@ -56,17 +57,6 @@ struct Group {
   ViewPipe* pipe{nullptr};
   bool needs_render{false};
 };
-
-void render_view(const ViewParams& params, const util::Field2D& field,
-                 const vis::VisPipeline& pipe, vis::Image& out) {
-  const CropRect r = crop_rect(params, field.nx(), field.ny());
-  if (r.full(field.nx(), field.ny())) {
-    pipe.render_into(field, out);
-  } else {
-    const util::Field2D sub = vis::crop(field, r.i0, r.j0, r.nx, r.ny);
-    pipe.render_into(sub, out);
-  }
-}
 
 }  // namespace
 
@@ -130,6 +120,7 @@ ServeReport run_serve_session(const ServeConfig& config,
   struct OffPipe {
     std::string text;
     std::unique_ptr<vis::VisPipeline> pipe;
+    util::Field2D roi;
     vis::Image frame;
     std::uint64_t frame_digest{0};
   };
@@ -237,7 +228,8 @@ ServeReport run_serve_session(const ServeConfig& config,
             pool, to_render.size(),
             [&](std::size_t i) {
               Group& g = *to_render[i];
-              render_view(g.params, field, *g.pipe->pipe, g.pipe->frame);
+              render_view(g.params, field, *g.pipe->pipe, g.pipe->roi,
+                          g.pipe->frame);
               g.pipe->frame_digest = g.pipe->frame.digest();
             },
             opts);
@@ -268,9 +260,9 @@ ServeReport run_serve_session(const ServeConfig& config,
       util::run_sharded(
           pool, jobs.size(),
           [&](std::size_t i) {
-            render_view(*jobs[i].second, field, *jobs[i].first->pipe,
-                        jobs[i].first->frame);
-            jobs[i].first->frame_digest = jobs[i].first->frame.digest();
+            OffPipe& op = *jobs[i].first;
+            render_view(*jobs[i].second, field, *op.pipe, op.roi, op.frame);
+            op.frame_digest = op.frame.digest();
           },
           opts);
       report.host_renders += jobs.size();

@@ -7,6 +7,7 @@
 
 #include "src/util/checksum.hpp"
 #include "src/util/error.hpp"
+#include "src/vis/filters.hpp"
 
 namespace greenvis::serve {
 namespace {
@@ -138,6 +139,18 @@ CropRect crop_rect(const ViewParams& raw, std::size_t nx, std::size_t ny) {
   r.nx = i1 - r.i0;
   r.ny = j1 - r.j0;
   return r;
+}
+
+void render_view(const ViewParams& params, const util::Field2D& field,
+                 const vis::VisPipeline& pipe, util::Field2D& roi,
+                 vis::Image& out) {
+  const CropRect r = crop_rect(params, field.nx(), field.ny());
+  if (r.full(field.nx(), field.ny())) {
+    pipe.render_into(field, out);
+  } else {
+    vis::crop_into(field, r.i0, r.j0, r.nx, r.ny, roi);
+    pipe.render_into(roi, out);
+  }
 }
 
 std::vector<ViewerSchedule> default_fleet(int count, int groups,

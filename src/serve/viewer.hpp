@@ -106,6 +106,14 @@ struct CropRect {
 [[nodiscard]] CropRect crop_rect(const ViewParams& params, std::size_t nx,
                                  std::size_t ny);
 
+/// Render `params`' view of `field` with `pipe` (built by vis_config_for)
+/// into `out`. A region of interest is cropped into `roi` first; `roi` is
+/// per-view scratch kept across frames, so a view's steady-state renders
+/// allocate nothing.
+void render_view(const ViewParams& params, const util::Field2D& field,
+                 const vis::VisPipeline& pipe, util::Field2D& roi,
+                 vis::Image& out);
+
 /// The acceptance scenario's fleet: `count` viewers in `groups` distinct
 /// view-parameter groups (viewer i belongs to group i % groups), each group
 /// with its own iso count/palette/region so the groups' frame keys are

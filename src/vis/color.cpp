@@ -7,36 +7,21 @@
 
 namespace greenvis::vis {
 
-ColorMap::ColorMap(std::vector<Stop> stops) : stops_(std::move(stops)) {
-  GREENVIS_REQUIRE(stops_.size() >= 2);
-  GREENVIS_REQUIRE(stops_.front().position == 0.0);
-  GREENVIS_REQUIRE(stops_.back().position == 1.0);
-  for (std::size_t i = 1; i < stops_.size(); ++i) {
-    GREENVIS_REQUIRE(stops_[i].position > stops_[i - 1].position);
+ColorMap::ColorMap(const std::vector<Stop>& stops) {
+  GREENVIS_REQUIRE(stops.size() >= 2);
+  GREENVIS_REQUIRE(stops.front().position == 0.0);
+  GREENVIS_REQUIRE(stops.back().position == 1.0);
+  for (std::size_t i = 1; i < stops.size(); ++i) {
+    GREENVIS_REQUIRE(stops[i].position > stops[i - 1].position);
   }
-}
-
-Rgb ColorMap::map(double t) const {
-  t = std::clamp(t, 0.0, 1.0);
-  std::size_t hi = 1;
-  while (hi + 1 < stops_.size() && stops_[hi].position < t) {
-    ++hi;
+  const std::size_t n = stops.size();
+  soa_.resize(4 * n);
+  for (std::size_t i = 0; i < n; ++i) {
+    soa_[i] = stops[i].position;
+    soa_[n + i] = stops[i].r;
+    soa_[2 * n + i] = stops[i].g;
+    soa_[3 * n + i] = stops[i].b;
   }
-  const Stop& a = stops_[hi - 1];
-  const Stop& b = stops_[hi];
-  const double f = (t - a.position) / (b.position - a.position);
-  auto chan = [f](double x, double y) {
-    const double v = x + f * (y - x);
-    return static_cast<std::uint8_t>(std::lround(std::clamp(v, 0.0, 1.0) * 255.0));
-  };
-  return Rgb{chan(a.r, b.r), chan(a.g, b.g), chan(a.b, b.b)};
-}
-
-Rgb ColorMap::map_range(double v, double lo, double hi) const {
-  if (hi <= lo) {
-    return map(0.0);
-  }
-  return map((v - lo) / (hi - lo));
 }
 
 ColorMap ColorMap::cool_warm() {

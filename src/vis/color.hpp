@@ -1,6 +1,9 @@
 // Colors and transfer functions for pseudocolor rendering.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -16,6 +19,19 @@ struct Rgb {
   }
 };
 
+/// Quantize a channel value `c` in [0, 255] to the nearest integer, halves
+/// away from zero: exactly std::lround on that interval (c - int(c) is
+/// exact there, see DESIGN.md §3j), but inline. NaN maps to 0 explicitly;
+/// the float-to-int cast would be undefined for it.
+[[nodiscard]] inline std::uint8_t round_channel(double c) {
+  if (std::isnan(c)) {
+    return 0;
+  }
+  const int i = static_cast<int>(c);
+  return static_cast<std::uint8_t>(
+      i + (c - static_cast<double>(i) >= 0.5 ? 1 : 0));
+}
+
 /// Piecewise-linear colormap over normalized [0, 1].
 class ColorMap {
  public:
@@ -24,13 +40,45 @@ class ColorMap {
     double r, g, b;   // in [0, 1]
   };
 
-  explicit ColorMap(std::vector<Stop> stops);
+  /// The stops as structure-of-arrays views into the owning ColorMap: the
+  /// form the raster loop and the volume compositing kernel read. Copy it
+  /// into a local before a pixel loop, so its pointers stay in registers
+  /// across the loop's byte stores.
+  struct Flat {
+    const double* pos;
+    const double* r;
+    const double* g;
+    const double* b;
+    std::size_t count;
 
-  /// Map a normalized value (clamped to [0, 1]).
-  [[nodiscard]] Rgb map(double t) const;
+    /// Map a normalized value (clamped to [0, 1]; NaN maps to channel 0).
+    [[nodiscard]] Rgb map(double t) const {
+      t = std::clamp(t, 0.0, 1.0);
+      std::size_t hi = 1;
+      while (hi + 1 < count && pos[hi] < t) {
+        ++hi;
+      }
+      const double f = (t - pos[hi - 1]) / (pos[hi] - pos[hi - 1]);
+      const auto chan = [f, hi](const double* c) {
+        const double v = c[hi - 1] + f * (c[hi] - c[hi - 1]);
+        return round_channel(std::clamp(v, 0.0, 1.0) * 255.0);
+      };
+      return Rgb{chan(r), chan(g), chan(b)};
+    }
+  };
+
+  explicit ColorMap(const std::vector<Stop>& stops);
+
+  /// Map a normalized value (clamped to [0, 1]; NaN maps to channel 0).
+  [[nodiscard]] Rgb map(double t) const { return flat().map(t); }
 
   /// Map a raw value given a data range (degenerate range maps to 0).
-  [[nodiscard]] Rgb map_range(double v, double lo, double hi) const;
+  [[nodiscard]] Rgb map_range(double v, double lo, double hi) const {
+    if (hi <= lo) {
+      return map(0.0);
+    }
+    return map((v - lo) / (hi - lo));
+  }
 
   /// The classic blue-white-red diverging map (ParaView's default look for
   /// temperature fields).
@@ -39,11 +87,15 @@ class ColorMap {
   [[nodiscard]] static ColorMap hot();
   [[nodiscard]] static ColorMap grayscale();
 
-  /// The validated stop list (for flattening into kernel-friendly arrays).
-  [[nodiscard]] const std::vector<Stop>& stops() const { return stops_; }
+  [[nodiscard]] Flat flat() const {
+    const std::size_t n = soa_.size() / 4;
+    const double* p = soa_.data();
+    return Flat{p, p + n, p + 2 * n, p + 3 * n, n};
+  }
 
  private:
-  std::vector<Stop> stops_;
+  /// The validated stops, once: n positions, then n reds, greens, blues.
+  std::vector<double> soa_;
 };
 
 }  // namespace greenvis::vis

@@ -1,5 +1,6 @@
 #include "src/vis/filters.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "src/util/error.hpp"
@@ -57,17 +58,17 @@ double fraction_above(const util::Field2D& field, double value) {
   return static_cast<double>(n) / static_cast<double>(field.size());
 }
 
-util::Field2D crop(const util::Field2D& field, std::size_t i0, std::size_t j0,
-                   std::size_t nx, std::size_t ny) {
+void crop_into(const util::Field2D& field, std::size_t i0, std::size_t j0,
+               std::size_t nx, std::size_t ny, util::Field2D& out) {
   GREENVIS_REQUIRE(nx >= 1 && ny >= 1);
   GREENVIS_REQUIRE(i0 + nx <= field.nx() && j0 + ny <= field.ny());
-  util::Field2D out(nx, ny);
-  for (std::size_t j = 0; j < ny; ++j) {
-    for (std::size_t i = 0; i < nx; ++i) {
-      out.at(i, j) = field.at(i0 + i, j0 + j);
-    }
+  if (out.nx() != nx || out.ny() != ny) {
+    out = util::Field2D(nx, ny);
   }
-  return out;
+  const double* src = field.values().data() + j0 * field.nx() + i0;
+  for (std::size_t j = 0; j < ny; ++j) {
+    std::copy_n(src + j * field.nx(), nx, &out.at(0, j));
+  }
 }
 
 util::Field2D slice_row(const util::Field2D& field, std::size_t j) {

@@ -34,11 +34,12 @@ namespace greenvis::vis {
 [[nodiscard]] util::Field2D slice_row(const util::Field2D& field,
                                       std::size_t j);
 
-/// Copy the sub-rectangle [i0, i0+nx) x [j0, j0+ny) — the serving layer's
-/// region-of-interest selection (a steerable pan/zoom on the 2-D field).
-[[nodiscard]] util::Field2D crop(const util::Field2D& field, std::size_t i0,
-                                 std::size_t j0, std::size_t nx,
-                                 std::size_t ny);
+/// Copy the sub-rectangle [i0, i0+nx) x [j0, j0+ny) into `out` — the
+/// serving layer's region-of-interest selection (a steerable pan/zoom on
+/// the 2-D field). `out` keeps its storage when it already has the shape
+/// nx-by-ny, so a view cropping every frame allocates only once.
+void crop_into(const util::Field2D& field, std::size_t i0, std::size_t j0,
+               std::size_t nx, std::size_t ny, util::Field2D& out);
 
 /// Root-mean-square difference between two equally sized fields —
 /// reconstruction error metric for the sampling ablation.

@@ -48,7 +48,7 @@ void VisPipeline::render_into(const util::Field2D& field, Image& image) const {
   {
     obs::ScopedSpan raster_span("vis.raster", obs::kCatVis);
     render_pseudocolor_into(field, cmap_, config_.width, config_.height, lo,
-                            hi, pool_, image);
+                            hi, pool_, image, column_taps_);
   }
   {
     obs::ScopedSpan contour_span("vis.contour", obs::kCatVis);

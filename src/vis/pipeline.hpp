@@ -53,7 +53,10 @@ struct VisConfig {
 class VisPipeline {
  public:
   VisPipeline(const VisConfig& config, util::ThreadPool* pool)
-      : config_(config), pool_(pool), cmap_(make_palette(config.palette)) {}
+      : config_(config),
+        pool_(pool),
+        cmap_(make_palette(config.palette)),
+        column_taps_(config.width) {}
 
   /// Render one frame: pseudocolor + contour overlay.
   [[nodiscard]] Image render(const util::Field2D& field) const;
@@ -75,6 +78,9 @@ class VisPipeline {
   /// Per-frame temporaries (iso levels, contour segments); reset at the
   /// start of every render. Mutable: scratch reuse is not observable state.
   mutable util::ScratchArena arena_;
+  /// The raster's column table, rewritten every frame; sized once here so
+  /// frames never allocate it.
+  mutable std::vector<ColumnTap> column_taps_;
 };
 
 }  // namespace greenvis::vis

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "src/util/error.hpp"
 
@@ -50,6 +51,48 @@ bool worth_parallel(const util::ThreadPool* pool, std::size_t rows) {
   return pool != nullptr && pool->size() > 1 && rows >= 4 * pool->size();
 }
 
+/// Everything the row loop reads, passed by value so it stays in registers
+/// across the loop's byte stores (which may alias anything).
+struct RowPlan {
+  const double* field;
+  std::size_t nx;
+  std::size_t ny;
+  AxisMap my;
+  const ColumnTap* taps;
+  std::size_t width;
+  ColorMap::Flat colors;
+  double lo;
+  double range;  // hi - lo; ranges with hi <= lo never reach the row loop
+  Rgb* pixels;
+};
+
+/// Rows [y_begin, y_end): one row tap, then per pixel the two column taps
+/// of each row and the colormap. The interpolation is bilinear_sample's
+/// expression term for term, and (v - lo) / range is map_range's, so every
+/// pixel is bit-identical to the per-pixel definition.
+void raster_rows(const RowPlan p, std::size_t y_begin, std::size_t y_end) {
+  const double max_y = static_cast<double>(p.ny - 1);
+  for (std::size_t y = y_begin; y < y_end; ++y) {
+    const double cy =
+        std::clamp(static_cast<double>(y) * p.my.scale + p.my.offset, 0.0,
+                   max_y);
+    const auto j0 = static_cast<std::size_t>(cy);
+    const std::size_t j1 = std::min(j0 + 1, p.ny - 1);
+    const double fy = cy - static_cast<double>(j0);
+    const double gy = 1.0 - fy;
+    const double* row0 = p.field + j0 * p.nx;
+    const double* row1 = p.field + j1 * p.nx;
+    Rgb* out = p.pixels + y * p.width;
+    for (std::size_t x = 0; x < p.width; ++x) {
+      const ColumnTap t = p.taps[x];
+      const double a = row0[t.i0] * t.gx + row0[t.i1] * t.fx;
+      const double b = row1[t.i0] * t.gx + row1[t.i1] * t.fx;
+      const double v = a * gy + b * fy;
+      out[x] = p.colors.map((v - p.lo) / p.range);
+    }
+  }
+}
+
 }  // namespace
 
 Image render_pseudocolor(const util::Field2D& field, const ColorMap& cmap,
@@ -62,27 +105,49 @@ Image render_pseudocolor(const util::Field2D& field, const ColorMap& cmap,
 
 void render_pseudocolor_into(const util::Field2D& field, const ColorMap& cmap,
                              std::size_t width, std::size_t height, double lo,
-                             double hi, util::ThreadPool* pool, Image& image) {
+                             double hi, util::ThreadPool* pool, Image& image,
+                             std::span<ColumnTap> taps) {
   GREENVIS_REQUIRE(width > 0 && height > 0);
   GREENVIS_REQUIRE(field.nx() > 0 && field.ny() > 0);
+  if (hi <= lo) {
+    // Degenerate range: map_range sends every sample to the low end.
+    image.reset(width, height, cmap.map(0.0));
+    return;
+  }
   image.reset(width, height);
-  const AxisMap mx = axis_map(field.nx(), width);
-  const AxisMap my = axis_map(field.ny(), height);
 
-  auto rows = [&](std::size_t y_begin, std::size_t y_end) {
-    for (std::size_t y = y_begin; y < y_end; ++y) {
-      const double fy = static_cast<double>(y) * my.scale + my.offset;
-      for (std::size_t x = 0; x < width; ++x) {
-        const double v = bilinear_sample(
-            field, static_cast<double>(x) * mx.scale + mx.offset, fy);
-        image.at(x, y) = cmap.map_range(v, lo, hi);
-      }
-    }
-  };
+  std::vector<ColumnTap> owned;
+  if (taps.size() < width) {
+    owned.resize(width);
+    taps = owned;
+  }
+  const std::size_t nx = field.nx();
+  const AxisMap mx = axis_map(nx, width);
+  const double max_x = static_cast<double>(nx - 1);
+  for (std::size_t x = 0; x < width; ++x) {
+    const double cx = std::clamp(
+        static_cast<double>(x) * mx.scale + mx.offset, 0.0, max_x);
+    const auto i0 = static_cast<std::size_t>(cx);
+    const double fx = cx - static_cast<double>(i0);
+    taps[x] = ColumnTap{i0, std::min(i0 + 1, nx - 1), fx, 1.0 - fx};
+  }
+
+  const RowPlan plan{.field = field.values().data(),
+                     .nx = nx,
+                     .ny = field.ny(),
+                     .my = axis_map(field.ny(), height),
+                     .taps = taps.data(),
+                     .width = width,
+                     .colors = cmap.flat(),
+                     .lo = lo,
+                     .range = hi - lo,
+                     .pixels = &image.at(0, 0)};
   if (worth_parallel(pool, height)) {
-    pool->parallel_for(0, height, rows);
+    pool->parallel_for(0, height, [&plan](std::size_t y0, std::size_t y1) {
+      raster_rows(plan, y0, y1);
+    });
   } else {
-    rows(0, height);
+    raster_rows(plan, 0, height);
   }
 }
 

@@ -15,11 +15,21 @@ namespace greenvis::vis {
 [[nodiscard]] double bilinear_sample(const util::Field2D& field, double x,
                                      double y);
 
+/// Horizontal interpolation of one output column: the two field columns it
+/// blends and their weights, `fx` on i1 and `gx = 1 - fx` on i0.
+struct ColumnTap {
+  std::size_t i0;
+  std::size_t i1;
+  double fx;
+  double gx;
+};
+
 /// Render `field` as a pseudocolor image of the given size using bilinear
 /// resampling. `lo`/`hi` fix the transfer-function range (pass min/max for
 /// auto). Row-parallel over `pool` when it has >1 worker and enough rows to
 /// amortize dispatch; otherwise the serial path runs (identical pixels —
-/// rows are disjoint).
+/// rows are disjoint). Every pixel equals
+/// `cmap.map_range(bilinear_sample(field, x', y'), lo, hi)` bit for bit.
 [[nodiscard]] Image render_pseudocolor(const util::Field2D& field,
                                        const ColorMap& cmap, std::size_t width,
                                        std::size_t height, double lo,
@@ -27,10 +37,13 @@ namespace greenvis::vis {
                                        util::ThreadPool* pool = nullptr);
 
 /// In-place variant for the hot loop: renders into `image` (reset to the
-/// given size first), allocating nothing once the image has capacity.
+/// given size first). `taps` is scratch for the per-frame column table;
+/// when it holds at least `width` entries the render allocates nothing once
+/// the image has capacity, otherwise a table is allocated for this call.
 void render_pseudocolor_into(const util::Field2D& field, const ColorMap& cmap,
                              std::size_t width, std::size_t height, double lo,
-                             double hi, util::ThreadPool* pool, Image& image);
+                             double hi, util::ThreadPool* pool, Image& image,
+                             std::span<ColumnTap> taps = {});
 
 /// Draw contour segments (field coordinates) onto an image rendered from an
 /// nx-by-ny field — coordinates scale accordingly. DDA line drawing.

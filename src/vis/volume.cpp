@@ -134,21 +134,12 @@ Image render_volume(const util::Field3D& field, const VolumeConfig& config,
   const double* fdata = field.values().data();
   const std::size_t fnx = field.nx(), fny = field.ny(), fnz = field.nz();
 
-  // Flatten the transfer function + colormap stops once per render so the
-  // compositing kernel reads plain SoA arrays.
-  const auto& stops = config.tf.color.stops();
-  std::vector<double> stop_pos(stops.size()), stop_r(stops.size()),
-      stop_g(stops.size()), stop_b(stops.size());
-  for (std::size_t i = 0; i < stops.size(); ++i) {
-    stop_pos[i] = stops[i].position;
-    stop_r[i] = stops[i].r;
-    stop_g[i] = stops[i].g;
-    stop_b[i] = stops[i].b;
-  }
+  // The compositing kernel reads the colormap's own SoA stop arrays.
+  const ColorMap::Flat stops = config.tf.color.flat();
   const util::simd::CompositeTf ctf{
-      config.tf.lo,    config.tf.hi,    config.tf.opacity_scale,
-      config.tf.gamma, stop_pos.data(), stop_r.data(),
-      stop_g.data(),   stop_b.data(),   stops.size()};
+      config.tf.lo, config.tf.hi, config.tf.opacity_scale, config.tf.gamma,
+      stops.pos,    stops.r,      stops.g,                 stops.b,
+      stops.count};
 
   auto rows = [&](std::size_t y_begin, std::size_t y_end) {
     // Sample positions are generated in blocks of 8 so both the trilinear

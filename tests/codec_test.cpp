@@ -20,6 +20,7 @@
 #include "src/core/workload.hpp"
 #include "src/heat/solver.hpp"
 #include "src/obs/registry.hpp"
+#include "src/serve/viewer.hpp"
 #include "src/util/arena.hpp"
 #include "src/util/error.hpp"
 #include "src/util/field.hpp"
@@ -60,6 +61,26 @@ void operator delete(void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
+// Over-aligned allocations too: Field2D storage is 64-byte aligned.
+void* operator new(std::size_t n, std::align_val_t al) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  const auto align = static_cast<std::size_t>(al);
+  if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align)) {
+    return p;
+  }
+  throw std::bad_alloc{};
+}
+void* operator new[](std::size_t n, std::align_val_t al) {
+  return operator new(n, al);
+}
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 
@@ -567,7 +588,8 @@ TEST(ArenaVec, GrowthPreservesContents) {
 
 // The tentpole's steady-state guarantee: one timestep of the hot loop —
 // solver step, codec encode + decode through the arena, render into a
-// reused frame — performs zero heap allocations after warm-up.
+// reused frame, plus a steered serve view (region-of-interest crop and a
+// non-square resize) — performs zero heap allocations after warm-up.
 TEST(ScratchArena, TimestepHotLoopIsAllocationFreeAtSteadyState) {
   heat::HeatProblem problem;
   problem.nx = 64;
@@ -581,6 +603,18 @@ TEST(ScratchArena, TimestepHotLoopIsAllocationFreeAtSteadyState) {
   vis_config.height = 64;
   vis::VisPipeline vis_pipeline(vis_config, nullptr);
   vis::Image frame;
+
+  serve::ViewParams view;
+  view.width = 48;
+  view.height = 80;
+  view.roi_x0 = 0.25;
+  view.roi_y0 = 0.1;
+  view.roi_x1 = 0.8;
+  view.roi_y1 = 0.7;
+  const vis::VisPipeline view_pipeline(serve::vis_config_for(view, vis_config),
+                                       nullptr);
+  Field2D roi;
+  vis::Image view_frame;
 
   ScratchArena arena;
   codec::CodecConfig codec_config;
@@ -597,6 +631,7 @@ TEST(ScratchArena, TimestepHotLoopIsAllocationFreeAtSteadyState) {
     codec.encode(solver.temperature(), payload);
     codec.decode_into(payload, decoded);
     vis_pipeline.render_into(decoded, frame);
+    serve::render_view(view, decoded, view_pipeline, roi, view_frame);
   };
 
   for (int i = 0; i < 3; ++i) {

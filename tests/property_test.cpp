@@ -52,7 +52,8 @@ INSTANTIATE_TEST_SUITE_P(
                       "simd.codec_kernels_match_scalar",
                       "simd.trilinear_match_scalar",
                       "storage.scheduler_invariants",
-                      "serve.schedule_invariants"),
+                      "serve.schedule_invariants",
+                      "vis.raster_matches_reference"),
     [](const ::testing::TestParamInfo<const char*>& param_info) {
       std::string name = param_info.param;
       for (char& c : name) {

@@ -1,8 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <span>
 #include <sstream>
+#include <vector>
 
+#include "src/core/pipeline.hpp"
+#include "src/core/testbed.hpp"
+#include "src/core/workload.hpp"
+#include "src/heat/solver.hpp"
+#include "src/serve/viewer.hpp"
+#include "src/util/checksum.hpp"
 #include "src/util/error.hpp"
 #include "src/vis/color.hpp"
 #include "src/vis/contour.hpp"
@@ -68,6 +78,33 @@ TEST(ColorMap, CoolWarmIsDiverging) {
   const ColorMap cw = ColorMap::cool_warm();
   EXPECT_GT(cw.map(0.0).b, cw.map(0.0).r);  // cold end is blue
   EXPECT_GT(cw.map(1.0).r, cw.map(1.0).b);  // hot end is red
+}
+
+TEST(ColorMap, NaNMapsToChannelZero) {
+  // Channel 0 is what the lround-based quantizer produced on x86-64/glibc
+  // (a NaN's unspecified lround, cast to uint8); it is now explicit.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const ColorMap& cmap :
+       {ColorMap::cool_warm(), ColorMap::hot(), ColorMap::grayscale()}) {
+    EXPECT_EQ(cmap.map(nan), (Rgb{0, 0, 0}));
+    EXPECT_EQ(cmap.map_range(nan, 0.0, 1.0), (Rgb{0, 0, 0}));
+  }
+}
+
+TEST(ColorMap, RoundChannelMatchesLround) {
+  // Every integer and half-integer of [0, 255] and their neighbours one ulp
+  // away: the ties and the values either side of them.
+  for (int k = 0; k <= 510; ++k) {
+    const double c = 0.5 * k;
+    for (const double v :
+         {std::nextafter(c, -1.0), c, std::nextafter(c, 256.0)}) {
+      if (v < 0.0 || v > 255.0) {
+        continue;
+      }
+      EXPECT_EQ(round_channel(v), static_cast<std::uint8_t>(std::lround(v)))
+          << v;
+    }
+  }
 }
 
 TEST(ColorMap, RejectsBadStops) {
@@ -173,6 +210,76 @@ TEST(Rasterizer, OneCellFieldAxisRendersUniformly) {
                                           ColorMap::grayscale(), 3, 3, 0.0,
                                           4.0, nullptr);
   EXPECT_EQ(single.at(1, 1), (Rgb{128, 128, 128}));
+}
+
+// ---------- pixel pins ----------
+//
+// FNV-1a over the per-frame image digests, captured from the per-pixel
+// raster (bilinear_sample + ColorMap::map_range at every pixel) before the
+// table-driven row loop replaced it. A single pixel of any frame moving
+// changes them.
+
+std::uint64_t digests_fnv(const std::vector<std::uint64_t>& digests) {
+  return util::fnv1a64(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(digests.data()),
+      digests.size() * sizeof(std::uint64_t)));
+}
+
+TEST(PixelPins, CaseOneFramesPerPalette) {
+  struct Pin {
+    Palette palette;
+    std::uint64_t fnv;
+  };
+  const Pin pins[] = {{Palette::kCoolWarm, 0x35b7c341ab27015cULL},
+                      {Palette::kHot, 0x37fd466a3ad6c5edULL},
+                      {Palette::kGrayscale, 0x0a8ee936d83de8c3ULL}};
+  for (const Pin& pin : pins) {
+    core::CaseStudyConfig config = core::case_study(1);
+    config.vis.palette = pin.palette;
+    core::Testbed bed;
+    core::PipelineOptions options;
+    options.host_threads = 2;
+    const core::PipelineOutput out =
+        core::run_pipeline(bed, core::PipelineKind::kInSitu, config, options);
+    ASSERT_EQ(out.image_digests.size(), 50u);
+    EXPECT_EQ(digests_fnv(out.image_digests), pin.fnv)
+        << palette_name(pin.palette);
+  }
+}
+
+TEST(PixelPins, SteeredServeView) {
+  // A viewer steered to a region of interest, a 96x160 non-square frame and
+  // the hot palette, over the first 10 case-1 timesteps.
+  serve::ViewParams view;
+  serve::SteerCommand cmd;
+  cmd.kind = serve::SteerKind::kRegion;
+  cmd.x0 = 0.2;
+  cmd.y0 = 0.15;
+  cmd.x1 = 0.85;
+  cmd.y1 = 0.7;
+  view = serve::apply_steer(view, cmd);
+  cmd.kind = serve::SteerKind::kResolution;
+  cmd.width = 96;
+  cmd.height = 160;
+  view = serve::apply_steer(view, cmd);
+  cmd.kind = serve::SteerKind::kPalette;
+  cmd.palette = Palette::kHot;
+  view = serve::apply_steer(view, cmd);
+
+  const core::CaseStudyConfig config = core::case_study(1);
+  const VisPipeline pipe(serve::vis_config_for(view, config.vis), nullptr);
+  heat::HeatSolver solver(config.problem, nullptr);
+  util::Field2D roi;
+  Image frame;
+  std::vector<std::uint64_t> digests;
+  for (int step = 0; step < 10; ++step) {
+    (void)solver.step();
+    serve::render_view(view, solver.temperature(), pipe, roi, frame);
+    digests.push_back(frame.digest());
+  }
+  EXPECT_EQ(frame.width(), 96u);
+  EXPECT_EQ(frame.height(), 160u);
+  EXPECT_EQ(digests_fnv(digests), 0x92403292e9aba6c9ULL);
 }
 
 TEST(Rasterizer, DrawSegmentsLeavesMarks) {
