@@ -163,9 +163,6 @@ class Filesystem {
   [[nodiscard]] double fragmentation(const std::string& name) const;
 
   [[nodiscard]] BlockDevice& device() { return device_; }
-  /// The submission queue all filesystem/cache requests flow through.
-  [[nodiscard]] AsyncBlockDevice& io_queue() { return queue_; }
-  [[nodiscard]] const AsyncBlockDevice& io_queue() const { return queue_; }
   [[nodiscard]] PageCache& cache() { return cache_; }
   [[nodiscard]] const FsCounters& counters() const { return counters_; }
   [[nodiscard]] const FsParams& params() const { return params_; }

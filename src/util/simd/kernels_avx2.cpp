@@ -378,11 +378,10 @@ void trilinear_block_avx2(const double* field, std::size_t nx, std::size_t ny,
 bool composite_block_avx2(const double* vs, std::size_t n,
                           const CompositeTf* tf, double step, double early,
                           double* acc) {
-  // Same structure as the SSE2 row at 4-wide: the alpha chain stays
-  // sequential through the shared reference op; the vector lanes produce
-  // the clamped intensities and skip whole transparent (all v <= lo)
-  // blocks. NaN lanes fall back to the reference op — the branch clamp and
-  // min/max disagree on NaN.
+  // The alpha chain stays sequential through the shared reference op; the
+  // 4-wide vector lanes produce the clamped intensities and skip whole
+  // transparent (all v <= lo) blocks. NaN lanes fall back to the reference
+  // op — the branch clamp and min/max disagree on NaN.
   std::size_t s = 0;
   if (tf->hi > tf->lo) {
     const bool zero_transparent =

@@ -1,8 +1,8 @@
 // Internal glue between the dispatch shim and the per-ISA kernel TUs.
 //
 // `detail` holds the per-element reference operations — the single source of
-// truth for the arithmetic every path must reproduce bit-for-bit. Vector
-// TUs use them for their remainder loops, so a tail element goes through
+// truth for the arithmetic every path must reproduce bit-for-bit. The AVX2
+// TU uses them for its remainder loops, so a tail element goes through
 // literally the same inline function as the scalar path.
 //
 // Not installed API: include only from src/util/simd/*.cpp and tests.
@@ -18,9 +18,7 @@ namespace greenvis::util::simd {
 
 /// Scalar reference table (always available).
 [[nodiscard]] const KernelTable& scalar_table();
-/// Per-ISA tables; nullptr when the TU was compiled without that ISA.
-[[nodiscard]] const KernelTable* sse2_table();
-[[nodiscard]] const KernelTable* neon_table();
+/// AVX2 table; nullptr when the TU was compiled without AVX2.
 [[nodiscard]] const KernelTable* avx2_table();
 
 namespace detail {

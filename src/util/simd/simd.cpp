@@ -19,36 +19,49 @@ const KernelTable* table_or_null(IsaPath path) {
   switch (path) {
     case IsaPath::kScalar:
       return &scalar_table();
-    case IsaPath::kSse2:
-      return sse2_table();
-    case IsaPath::kNeon:
-      return neon_table();
     case IsaPath::kAvx2:
       return avx2_table();
   }
   return nullptr;
 }
 
-/// Best path the hardware supports: the TU must be compiled for the ISA and
-/// the CPU must report the feature (compile-time baselines need no probe).
+/// Best path the hardware supports: AVX2 when its TU was compiled for the
+/// ISA and the CPU reports the feature, scalar otherwise.
 IsaPath probe_best() {
 #if defined(__AVX2__)
-  // Built with AVX2 as baseline: no runtime check needed.
-  if (avx2_table() != nullptr) {
-    return IsaPath::kAvx2;
-  }
+  const bool cpu_avx2 = true;  // AVX2 baseline build: no probe needed.
 #elif defined(__x86_64__) || defined(__i386__)
-  if (avx2_table() != nullptr && __builtin_cpu_supports("avx2")) {
+  const bool cpu_avx2 = __builtin_cpu_supports("avx2");
+#else
+  const bool cpu_avx2 = false;
+#endif
+  return cpu_avx2 && avx2_table() != nullptr ? IsaPath::kAvx2
+                                             : IsaPath::kScalar;
+}
+
+/// Scalar always runs; the only other path a host can run is the one the
+/// probe found.
+bool supported_on(IsaPath path, IsaPath detected) {
+  return path == IsaPath::kScalar || path == detected;
+}
+
+/// The one name parser behind parse_path() and GREENVIS_SIMD. `detected`
+/// resolves "auto", so the dispatcher can parse its own override without
+/// re-entering dispatcher() mid-construction.
+IsaPath parse_name(const std::string& name, IsaPath detected,
+                   const std::string& source) {
+  if (name == "auto") {
+    return detected;
+  }
+  if (name == "scalar") {
+    return IsaPath::kScalar;
+  }
+  if (name == "avx2") {
     return IsaPath::kAvx2;
   }
-#endif
-  if (sse2_table() != nullptr) {
-    return IsaPath::kSse2;
-  }
-  if (neon_table() != nullptr) {
-    return IsaPath::kNeon;
-  }
-  return IsaPath::kScalar;
+  GREENVIS_REQUIRE_MSG(false, source + ": unknown path '" + name +
+                                  "' (scalar|avx2|auto)");
+  return IsaPath::kScalar;  // unreachable
 }
 
 struct Dispatcher {
@@ -61,30 +74,16 @@ struct Dispatcher {
       return;
     }
     const std::string name(env);
-    IsaPath forced = detected;
-    if (name == "auto") {
-      return;
-    } else if (name == "scalar") {
-      forced = IsaPath::kScalar;
-    } else if (name == "sse2") {
-      forced = IsaPath::kSse2;
-    } else if (name == "neon") {
-      forced = IsaPath::kNeon;
-    } else if (name == "avx2") {
-      forced = IsaPath::kAvx2;
-    } else {
-      GREENVIS_REQUIRE_MSG(false, "GREENVIS_SIMD: unknown path '" + name +
-                                      "' (scalar|sse2|neon|avx2|auto)");
-    }
-    const KernelTable* t = table_or_null(forced);
-    GREENVIS_REQUIRE_MSG(t != nullptr,
+    const IsaPath forced = parse_name(name, detected, "GREENVIS_SIMD");
+    GREENVIS_REQUIRE_MSG(supported_on(forced, detected),
                          "GREENVIS_SIMD=" + name +
-                             " is not supported on this host");
+                             " is not supported on this host (detected " +
+                             path_name(detected) + ")");
     if (forced != detected) {
       log_debug() << "simd: GREENVIS_SIMD forces " << path_name(forced)
                   << " (detected " << path_name(detected) << ")";
     }
-    active.store(t, std::memory_order_relaxed);
+    active.store(table_or_null(forced), std::memory_order_relaxed);
   }
 };
 
@@ -99,10 +98,6 @@ const char* path_name(IsaPath path) {
   switch (path) {
     case IsaPath::kScalar:
       return "scalar";
-    case IsaPath::kSse2:
-      return "sse2";
-    case IsaPath::kNeon:
-      return "neon";
     case IsaPath::kAvx2:
       return "avx2";
   }
@@ -110,51 +105,16 @@ const char* path_name(IsaPath path) {
 }
 
 IsaPath parse_path(const std::string& name) {
-  if (name == "auto") {
-    return detected_path();
-  }
-  if (name == "scalar") {
-    return IsaPath::kScalar;
-  }
-  if (name == "sse2") {
-    return IsaPath::kSse2;
-  }
-  if (name == "neon") {
-    return IsaPath::kNeon;
-  }
-  if (name == "avx2") {
-    return IsaPath::kAvx2;
-  }
-  GREENVIS_REQUIRE_MSG(
-      false, "unknown SIMD path '" + name + "' (scalar|sse2|neon|avx2|auto)");
-  return IsaPath::kScalar;  // unreachable
+  return parse_name(name, detected_path(), "SIMD path");
 }
 
 bool path_supported(IsaPath path) {
-  if (path == IsaPath::kScalar) {
-    return true;
-  }
-  if (table_or_null(path) == nullptr) {
-    return false;
-  }
-  // The table existing means the TU was compiled for the ISA; it is usable
-  // only when the probe would pick it or a weaker baseline covers it.
-  switch (path) {
-    case IsaPath::kSse2:
-    case IsaPath::kNeon:
-      return true;  // compile-time baselines on their targets
-    case IsaPath::kAvx2:
-      return dispatcher().detected == IsaPath::kAvx2;
-    case IsaPath::kScalar:
-      return true;
-  }
-  return false;
+  return supported_on(path, dispatcher().detected);
 }
 
 std::vector<IsaPath> supported_paths() {
   std::vector<IsaPath> out;
-  for (IsaPath p : {IsaPath::kScalar, IsaPath::kSse2, IsaPath::kNeon,
-                    IsaPath::kAvx2}) {
+  for (IsaPath p : {IsaPath::kScalar, IsaPath::kAvx2}) {
     if (path_supported(p)) {
       out.push_back(p);
     }

@@ -3,17 +3,18 @@
 // scan/quantize/zigzag/unpack loops, and the volume ray-marcher's trilinear
 // sample blocks.
 //
-// Dispatch model: the CPU is probed once at first use (AVX2 on x86 when the
-// CPUID feature bit is set, SSE2 as the x86-64 baseline, NEON on aarch64,
-// scalar everywhere else) and a kernel table for the best supported path is
-// published through one atomic pointer. `GREENVIS_SIMD=scalar|sse2|neon|
-// avx2|auto` overrides the choice at startup; `set_path()` swaps it at
-// runtime so oracles and tests can compare paths inside one process.
+// Dispatch model: two paths. The CPU is probed once at first use (AVX2 on
+// x86 when the CPUID feature bit is set, the scalar reference everywhere
+// else) and the chosen kernel table is published through one atomic
+// pointer. `GREENVIS_SIMD=scalar|avx2|auto` overrides the choice at startup;
+// a path the host cannot run is rejected, never installed. `set_path()`
+// swaps the table at runtime so oracles and tests can compare paths inside
+// one process.
 //
-// Bit-identity contract: every vector implementation performs exactly the
+// Bit-identity contract: the AVX2 implementation performs exactly the
 // per-element operation sequence of the scalar reference — same association,
 // same rounding, no FMA contraction (the kernel TUs are compiled with
-// -ffp-contract=off and without -mfma) — so all paths produce bit-identical
+// -ffp-contract=off and without -mfma) — so both paths produce bit-identical
 // results. The `simd.scalar_vs_vector` differential oracle and the per-ISA
 // generative properties in src/qa enforce this.
 #pragma once
@@ -25,7 +26,7 @@
 
 namespace greenvis::util::simd {
 
-enum class IsaPath : int { kScalar = 0, kSse2 = 1, kNeon = 2, kAvx2 = 3 };
+enum class IsaPath : int { kScalar = 0, kAvx2 = 1 };
 
 /// Result of the codec's combined max-abs/finiteness prescan.
 struct ScanResult {
@@ -118,11 +119,11 @@ struct KernelTable {
 };
 
 [[nodiscard]] const char* path_name(IsaPath path);
-/// Parse "scalar|sse2|neon|avx2|auto" ("auto" = detected best); REQUIREs a
-/// known name.
+/// Parse "scalar|avx2|auto" ("auto" = detected best); REQUIREs a known
+/// name.
 [[nodiscard]] IsaPath parse_path(const std::string& name);
-/// A path is supported when its TU was compiled for this target AND the CPU
-/// reports the feature (scalar is always supported).
+/// Scalar is always supported; AVX2 when its TU was compiled for this target
+/// AND the CPU reports the feature (i.e. it is the detected path).
 [[nodiscard]] bool path_supported(IsaPath path);
 [[nodiscard]] std::vector<IsaPath> supported_paths();
 /// Best supported path on this host (ignores overrides).

@@ -67,12 +67,24 @@ TEST(SimdDispatch, ProbeSanity) {
 #endif
 }
 
+TEST(SimdDispatch, SupportedPathsAreScalarPlusDetected) {
+  // Two paths exist: the scalar reference, plus AVX2 exactly when the probe
+  // found it.
+  const bool avx2 = simd::detected_path() == simd::IsaPath::kAvx2;
+  const std::vector<simd::IsaPath> want =
+      avx2 ? std::vector<simd::IsaPath>{simd::IsaPath::kScalar,
+                                        simd::IsaPath::kAvx2}
+           : std::vector<simd::IsaPath>{simd::IsaPath::kScalar};
+  EXPECT_EQ(simd::supported_paths(), want);
+  EXPECT_EQ(simd::path_supported(simd::IsaPath::kAvx2), avx2);
+}
+
 TEST(SimdDispatch, ParsePathNames) {
   EXPECT_EQ(simd::parse_path("scalar"), simd::IsaPath::kScalar);
-  EXPECT_EQ(simd::parse_path("sse2"), simd::IsaPath::kSse2);
-  EXPECT_EQ(simd::parse_path("neon"), simd::IsaPath::kNeon);
   EXPECT_EQ(simd::parse_path("avx2"), simd::IsaPath::kAvx2);
   EXPECT_EQ(simd::parse_path("auto"), simd::detected_path());
+  EXPECT_THROW((void)simd::parse_path("sse2"), util::ContractViolation);
+  EXPECT_THROW((void)simd::parse_path("neon"), util::ContractViolation);
   EXPECT_THROW((void)simd::parse_path("avx512"), util::ContractViolation);
   EXPECT_THROW((void)simd::parse_path(""), util::ContractViolation);
   for (const simd::IsaPath p : simd::supported_paths()) {
@@ -92,14 +104,13 @@ TEST(SimdDispatch, SetPathSwitchesActiveTable) {
 }
 
 TEST(SimdDispatch, UnsupportedPathIsRejected) {
-  // At most one of NEON/AVX2 can be supported on one target; the other
-  // must be rejected by set_path/table_for rather than dispatched.
-  for (const simd::IsaPath p :
-       {simd::IsaPath::kSse2, simd::IsaPath::kNeon, simd::IsaPath::kAvx2}) {
-    if (!simd::path_supported(p)) {
-      EXPECT_THROW(simd::set_path(p), util::ContractViolation);
-      EXPECT_THROW((void)simd::table_for(p), util::ContractViolation);
-    }
+  // On a host without AVX2 the path must be rejected by set_path/table_for
+  // rather than dispatched.
+  if (!simd::path_supported(simd::IsaPath::kAvx2)) {
+    EXPECT_THROW(simd::set_path(simd::IsaPath::kAvx2),
+                 util::ContractViolation);
+    EXPECT_THROW((void)simd::table_for(simd::IsaPath::kAvx2),
+                 util::ContractViolation);
   }
 }
 

@@ -4,14 +4,13 @@
 #
 # Usage: tools/check.sh [--asan] [--bench-smoke] [--campaign-smoke]
 #                       [--conformance] [--energy-smoke] [--serve-smoke]
-#                       [--simd] [--storage-smoke] [build-dir]
+#                       [--simd] [build-dir]
 #   --asan        build with AddressSanitizer + UndefinedBehaviorSanitizer
 #                 (RelWithDebInfo, default build dir: build-asan) and run the
 #                 full suite under them — including the obs/pool concurrency
 #                 tests, which is where a data race would surface as UB, and
-#                 the intrinsics TUs (kernels_{sse2,avx2,neon}.cpp), where
-#                 UBSan checks the lane-math shifts/casts the vector paths
-#                 lean on.
+#                 the intrinsics TU (kernels_avx2.cpp), where UBSan checks
+#                 the lane-math shifts/casts the vector path leans on.
 #   --bench-smoke after the suite, run the ~5 s perf-harness subset and fail
 #                 on a >10% regression vs the committed BENCH_perf.json
 #                 (heat2d_512 serial MCUPS and codec MB/s).
@@ -30,18 +29,13 @@
 #                 tools/golden/ENERGY_profile_case1.json (the profile is a
 #                 pure function of the virtual timelines, so it must never
 #                 drift without an intentional regeneration).
-#   --serve-smoke after the suite, run the serving-layer slice: the serve
-#                 unit tests, the serve.cached_vs_uncached differential
-#                 oracle and the serve.schedule_invariants generative
-#                 property, then `greenvis serve` twice with pinned flags —
-#                 the two profiles must be byte-identical to each other
-#                 (determinism) and to the committed golden
+#   --serve-smoke after the suite (which already runs the serve unit tests,
+#                 oracle and property), run `greenvis serve` twice with
+#                 pinned flags — the two profiles must be byte-identical to
+#                 each other (determinism) and to the committed golden
 #                 tools/golden/SERVE_profile_case1.json (the modeled results
 #                 are a pure function of the config; only host wall-clock may
 #                 vary run to run).
-#   --storage-smoke after the suite, run the storage-labeled ctest slice,
-#                 the storage.async_vs_sync differential oracle and the
-#                 storage.scheduler_invariants generative property.
 #   --simd        after the suite, re-run the full tier-1 suite once under
 #                 GREENVIS_SIMD=scalar and once under GREENVIS_SIMD=auto
 #                 (the dispatcher's best native path), then require
@@ -59,7 +53,6 @@ CONFORMANCE=0
 ENERGY_SMOKE=0
 SERVE_SMOKE=0
 SIMD=0
-STORAGE_SMOKE=0
 while [[ "${1:-}" == --* ]]; do
   case "$1" in
     --asan) ASAN=1 ;;
@@ -69,7 +62,6 @@ while [[ "${1:-}" == --* ]]; do
     --energy-smoke) ENERGY_SMOKE=1 ;;
     --serve-smoke) SERVE_SMOKE=1 ;;
     --simd) SIMD=1 ;;
-    --storage-smoke) STORAGE_SMOKE=1 ;;
     *) echo "unknown flag: $1" >&2; exit 2 ;;
   esac
   shift
@@ -161,18 +153,6 @@ if [[ "$SIMD" == 1 ]]; then
   echo "simd differential: scalar and auto paths byte-identical"
 fi
 
-if [[ "$STORAGE_SMOKE" == 1 ]]; then
-  echo "== storage smoke =="
-  # The storage-labeled unit slice (devices, cache, fs, faults, async queue).
-  ctest --test-dir "$BUILD_DIR" -L storage --output-on-failure -j
-  # The differential oracle (async qd=1/noop == chained sync, bit for bit)
-  # and the generative scheduler property (exactly-once completion, causal
-  # timestamps, byte conservation, deadline starvation bound).
-  "$BUILD_DIR"/tests/test_qa --gtest_filter='Oracles.StorageAsyncVsSync'
-  "$BUILD_DIR"/tests/test_property \
-    --gtest_filter='*storage_scheduler_invariants*'
-fi
-
 if [[ "$CONFORMANCE" == 1 ]]; then
   echo "== conformance =="
   "$BUILD_DIR"/tools/greenvis verify --out="$BUILD_DIR/QA_conformance.json"
@@ -204,9 +184,6 @@ fi
 
 if [[ "$SERVE_SMOKE" == 1 ]]; then
   echo "== serve smoke =="
-  "$BUILD_DIR"/tests/test_serve
-  "$BUILD_DIR"/tests/test_qa --gtest_filter='Oracles.ServeCachedVsUncached'
-  "$BUILD_DIR"/tests/test_property --gtest_filter='*serve_schedule_invariants*'
   SERVE_A="$BUILD_DIR/SERVE_profile_case1.json"
   SERVE_B="$BUILD_DIR/SERVE_profile_case1.rerun.json"
   "$BUILD_DIR"/tools/greenvis serve --case=1 --viewers=8 --views=4 \
