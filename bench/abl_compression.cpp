@@ -16,13 +16,10 @@ int main() {
   };
   const Codec codecs[] = {
       {"none", core::ConfigCodec{}},
-      {"lossless", io::CompressConfig{io::CompressionMode::kLossless, 0.0}},
-      {"lossy eb=1e-3",
-       io::CompressConfig{io::CompressionMode::kLossyAbsBound, 1e-3}},
-      {"lossy eb=1e-1",
-       io::CompressConfig{io::CompressionMode::kLossyAbsBound, 0.1}},
-      {"lossy eb=1",
-       io::CompressConfig{io::CompressionMode::kLossyAbsBound, 1.0}},
+      {"lossless", core::Predictive{0.0}},
+      {"lossy eb=1e-3", core::Predictive{1e-3}},
+      {"lossy eb=1e-1", core::Predictive{0.1}},
+      {"lossy eb=1", core::Predictive{1.0}},
   };
 
   util::TextTable t({"Codec", "Ratio", "Bytes written (MB)", "Time (s)",

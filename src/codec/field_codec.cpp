@@ -44,6 +44,16 @@ constexpr std::int64_t unzigzag(std::uint64_t u) {
   return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
 }
 
+// Lorenzo stream (Kind::kLorenzo), little-endian: u32 magic "GVZ1", u8 mode
+// (0 lossless, 1 bounded), varint nx, varint ny, f64 bound = tolerance/2,
+// then one LEB128 varint per cell, row-major: the value's bits XOR the
+// prediction's (lossless) or the zigzagged quantum of the residual (bounded).
+constexpr std::uint32_t kLorenzoMagic = 0x47565A31;  // "GVZ1"
+constexpr std::size_t kMaxVarint = 10;
+constexpr std::size_t kLorenzoMaxHeader = 4 + 1 + 2 * kMaxVarint + 8;
+/// Bounded-error quanta at or above this magnitude would overflow int64.
+constexpr double kMaxLorenzoQuantum = 9.0e18;
+
 void put_u64(std::uint8_t* dst, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     dst[i] = static_cast<std::uint8_t>(v >> (8 * i));
@@ -54,6 +64,16 @@ void put_u32(std::uint8_t* dst, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) {
     dst[i] = static_cast<std::uint8_t>(v >> (8 * i));
   }
+}
+
+/// LEB128 varint (at most kMaxVarint bytes); returns one past the last.
+std::uint8_t* put_varint(std::uint8_t* dst, std::uint64_t v) {
+  while (v >= 0x80) {
+    *dst++ = static_cast<std::uint8_t>(v) | 0x80;
+    v >>= 7;
+  }
+  *dst++ = static_cast<std::uint8_t>(v);
+  return dst;
 }
 
 std::uint64_t get_u64(const std::uint8_t* src) {
@@ -143,7 +163,35 @@ struct Reader {
     pos += n;
     return p;
   }
+  /// LEB128 varint; a 10th byte may carry only bit 63.
+  std::uint64_t varint() {
+    std::uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+      const std::uint8_t byte = u8();
+      GREENVIS_REQUIRE_MSG(shift < 63 || byte <= 0x01,
+                           "codec: over-long varint");
+      v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
+      if ((byte & 0x80) == 0) {
+        return v;
+      }
+    }
+  }
 };
+
+bool is_lorenzo(std::span<const std::uint8_t> blob) {
+  return blob.size() >= 4 && Reader{blob}.u32() == kLorenzoMagic;
+}
+
+/// Lorenzo prediction of cell (i, j) of a row-major, nx-wide field from its
+/// already-visited west, north and northwest neighbors (0 outside).
+double lorenzo(const double* f, std::size_t nx, std::size_t i,
+               std::size_t j) {
+  const std::size_t k = j * nx + i;
+  const double west = i > 0 ? f[k - 1] : 0.0;
+  const double north = j > 0 ? f[k - nx] : 0.0;
+  const double northwest = (i > 0 && j > 0) ? f[k - nx - 1] : 0.0;
+  return west + north - northwest;
+}
 
 /// RLE size (bytes) of `v[0..count)` under bitwise-run coding.
 std::size_t rle_bytes(const double* v, std::size_t count) {
@@ -181,6 +229,8 @@ const char* kind_name(Kind kind) {
       return "delta";
     case Kind::kRle:
       return "rle";
+    case Kind::kLorenzo:
+      return "lorenzo";
   }
   return "?";
 }
@@ -192,6 +242,11 @@ FieldCodec::FieldCodec(const CodecConfig& config, util::ScratchArena* arena)
     GREENVIS_REQUIRE_MSG(config_.tolerance > 0.0 &&
                              std::isfinite(config_.tolerance),
                          "delta codec needs a positive finite tolerance");
+  }
+  if (config_.kind == Kind::kLorenzo) {
+    GREENVIS_REQUIRE_MSG(config_.tolerance >= 0.0 &&
+                             std::isfinite(config_.tolerance),
+                         "lorenzo codec needs a finite tolerance >= 0");
   }
 }
 
@@ -505,6 +560,81 @@ void FieldCodec::encode_values_parallel(std::span<const double> values,
   out.resize(cursor);
 }
 
+void FieldCodec::encode_lorenzo(const util::Field2D& field,
+                                std::vector<std::uint8_t>& out) {
+  const std::size_t nx = field.nx();
+  const std::size_t ny = field.ny();
+  GREENVIS_REQUIRE(field.size() > 0);
+  // Worst-case emission, trimmed to what was written: the capacity is
+  // reused, so the steady state allocates nothing.
+  out.resize(kLorenzoMaxHeader + field.size() * kMaxVarint);
+  std::uint8_t* cur = out.data();
+  put_u32(cur, kLorenzoMagic);
+  const bool lossless = config_.tolerance == 0.0;
+  cur[4] = lossless ? 0 : 1;
+  cur = put_varint(put_varint(cur + 5, nx), ny);
+  put_u64(cur, bits_of(config_.tolerance / 2.0));
+  cur += 8;
+
+  // Lossless predicts from the values (the decoder rebuilds them exactly);
+  // bounded predicts from the reconstruction so the error never compounds.
+  const double* v = field.values().data();
+  double* recon = lossless ? nullptr : chunk_scratch(field.size()).data();
+  const double* basis = lossless ? v : recon;
+  const double step = config_.tolerance;
+  for (std::size_t j = 0; j < ny; ++j) {
+    for (std::size_t i = 0; i < nx; ++i) {
+      const std::size_t k = j * nx + i;
+      const double pred = lorenzo(basis, nx, i, j);
+      if (lossless) {
+        cur = put_varint(cur, bits_of(v[k]) ^ bits_of(pred));
+        continue;
+      }
+      const double q = std::round((v[k] - pred) / step);
+      GREENVIS_REQUIRE_MSG(std::abs(q) < kMaxLorenzoQuantum,
+                           "codec: value range too wide for the error bound");
+      const auto qi = static_cast<std::int64_t>(q);
+      cur = put_varint(cur, zigzag(qi));
+      recon[k] = pred + static_cast<double>(qi) * step;
+    }
+  }
+  out.resize(static_cast<std::size_t>(cur - out.data()));
+}
+
+void FieldCodec::decode_lorenzo(std::span<const std::uint8_t> blob,
+                                util::Field2D& out) {
+  Reader r{blob};
+  (void)r.u32();  // magic
+  const std::uint8_t mode = r.u8();
+  GREENVIS_REQUIRE_MSG(mode <= 1, "codec: unknown lorenzo mode");
+  const std::uint64_t nx = r.varint();
+  const std::uint64_t ny = r.varint();
+  GREENVIS_REQUIRE_MSG(nx >= 1 && nx < kMaxDim && ny >= 1 && ny < kMaxDim,
+                       "codec: implausible dimensions");
+  const double bound = double_of(r.u64());
+  GREENVIS_REQUIRE_MSG(mode == 0 || (bound > 0.0 && std::isfinite(bound)),
+                       "codec: bounded lorenzo stream without error bound");
+  // Every cell costs at least one varint byte: a blob too short to hold
+  // them all is rejected before the field is allocated.
+  GREENVIS_REQUIRE_MSG(blob.size() - r.pos >= nx * ny,
+                       "codec: truncated lorenzo stream");
+  if (out.nx() != nx || out.ny() != ny) {
+    out = util::Field2D(nx, ny);
+  }
+  double* f = out.values().data();
+  const double step = 2.0 * bound;
+  for (std::size_t j = 0; j < ny; ++j) {
+    for (std::size_t i = 0; i < nx; ++i) {
+      const double pred = lorenzo(f, nx, i, j);
+      f[j * nx + i] =
+          mode == 0 ? double_of(bits_of(pred) ^ r.varint())
+                    : pred + static_cast<double>(unzigzag(r.varint())) * step;
+    }
+  }
+  GREENVIS_REQUIRE_MSG(r.pos == blob.size(),
+                       "codec: trailing bytes after last lorenzo cell");
+}
+
 void FieldCodec::encode(const util::Field2D& field,
                         std::vector<std::uint8_t>& out) {
   out.clear();
@@ -517,6 +647,8 @@ void FieldCodec::encode(const util::Field2D& field,
     put_u64(out.data() + 8, field.ny());
     std::memcpy(out.data() + 16, field.values().data(),
                 field.size() * sizeof(double));
+  } else if (config_.kind == Kind::kLorenzo) {
+    encode_lorenzo(field, out);
   } else {
     encode_values(field.values(), field.nx(), field.ny(), 1, 2, out);
   }
@@ -525,6 +657,8 @@ void FieldCodec::encode(const util::Field2D& field,
 
 void FieldCodec::encode(const util::Field3D& field,
                         std::vector<std::uint8_t>& out) {
+  GREENVIS_REQUIRE_MSG(config_.kind != Kind::kLorenzo,
+                       "codec: the lorenzo kind has no 3-D form");
   out.clear();
   stats_ = {};
   stats_.raw_bytes = field.serialized_bytes();
@@ -701,6 +835,10 @@ void FieldCodec::decode_chunks(std::span<const std::uint8_t> blob,
 void FieldCodec::decode_into(std::span<const std::uint8_t> blob,
                              util::Field2D& out) {
   if (!is_container(blob)) {
+    if (is_lorenzo(blob)) {
+      decode_lorenzo(blob, out);
+      return;
+    }
     // Legacy plain serialization; decode in place when dimensions match.
     GREENVIS_REQUIRE_MSG(blob.size() >= 16, "codec: truncated legacy field");
     const std::size_t nx = get_u64(blob.data());
@@ -725,6 +863,8 @@ void FieldCodec::decode_into(std::span<const std::uint8_t> blob,
 void FieldCodec::decode_into(std::span<const std::uint8_t> blob,
                              util::Field3D& out) {
   if (!is_container(blob)) {
+    GREENVIS_REQUIRE_MSG(!is_lorenzo(blob),
+                         "codec: a lorenzo stream has no 3-D form");
     GREENVIS_REQUIRE_MSG(blob.size() >= 24, "codec: truncated legacy field");
     const std::size_t nx = get_u64(blob.data());
     const std::size_t ny = get_u64(blob.data() + 8);

@@ -23,7 +23,9 @@
 // tolerance), so readback auto-detects the encoding — including the legacy
 // plain Field2D/Field3D serialization, which has no magic. Kind::kRaw is an
 // identity codec: it emits exactly the legacy bytes, keeping every existing
-// figure byte-identical. Corrupt or truncated input fails loudly
+// figure byte-identical. Kind::kLorenzo is the predictive compressor of
+// Wang, Yu & Ma [22]: one unchunked 2-D "GVZ1" stream of varint residuals
+// against a Lorenzo prediction. Corrupt or truncated input fails loudly
 // (ContractViolation), never with UB. See DESIGN.md §3b.
 #pragma once
 
@@ -47,6 +49,9 @@ enum class Kind : std::uint8_t {
   kRaw = 0,    // identity: legacy plain serialization, byte-identical
   kDelta = 1,  // quantized delta+bitpack (lossy within `tolerance`)
   kRle = 2,    // run-length only (lossless; wins on constant regions)
+  /// "GVZ1" stream, 2-D only, lossless when tolerance == 0. Neither a
+  /// container kind nor a --codec value: the predictive transform's codec.
+  kLorenzo = 3,
 };
 
 /// Per-chunk encoding chosen by the heuristic (stored in the chunk header).
@@ -58,8 +63,9 @@ enum class ChunkEncoding : std::uint8_t {
 
 struct CodecConfig {
   Kind kind{Kind::kRaw};
-  /// Absolute per-value error bound for delta+bitpack (must be > 0 when
-  /// kind == kDelta; reconstruction error is <= tolerance/2).
+  /// Quantization step for delta+bitpack (must be > 0 when kind == kDelta)
+  /// and kLorenzo (>= 0; 0 = lossless); reconstruction error is
+  /// <= tolerance/2.
   double tolerance{1e-3};
   /// Cells per chunk side (chunks are edge x edge in 2-D, edge^3 in 3-D;
   /// boundary chunks are partial).
@@ -111,14 +117,16 @@ class FieldCodec {
   [[nodiscard]] bool active() const { return config_.kind != Kind::kRaw; }
 
   /// Encode into `out` (cleared first; capacity reused across calls).
-  /// kind == kRaw emits exactly `field.serialize()`.
+  /// kind == kRaw emits exactly `field.serialize()`. The Field3D overloads
+  /// reject kLorenzo.
   void encode(const util::Field2D& field, std::vector<std::uint8_t>& out);
   void encode(const util::Field3D& field, std::vector<std::uint8_t>& out);
   [[nodiscard]] std::vector<std::uint8_t> encode(const util::Field2D& field);
   [[nodiscard]] std::vector<std::uint8_t> encode(const util::Field3D& field);
 
-  /// Decode, auto-detecting container vs legacy plain serialization. The
-  /// `_into` forms reuse `out`'s storage when the dimensions match.
+  /// Decode, auto-detecting container, then Lorenzo stream (2-D only), then
+  /// legacy plain serialization. The `_into` forms reuse `out`'s storage
+  /// when the dimensions match.
   void decode_into(std::span<const std::uint8_t> blob, util::Field2D& out);
   void decode_into(std::span<const std::uint8_t> blob, util::Field3D& out);
   [[nodiscard]] static util::Field2D decode2d(
@@ -161,6 +169,9 @@ class FieldCodec {
     ChunkEncoding encoding{ChunkEncoding::kRaw};
   };
 
+  void encode_lorenzo(const util::Field2D& field,
+                      std::vector<std::uint8_t>& out);
+  void decode_lorenzo(std::span<const std::uint8_t> blob, util::Field2D& out);
   void encode_values(std::span<const double> values, std::size_t nx,
                      std::size_t ny, std::size_t nz, std::uint8_t rank,
                      std::vector<std::uint8_t>& out);

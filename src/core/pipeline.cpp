@@ -50,9 +50,8 @@ std::string pipeline_name(PipelineKind kind,
   std::string detail;
   if (const auto* sampling = std::get_if<Sampling>(&transform)) {
     detail = "sampled 1/" + std::to_string(sampling->stride);
-  } else if (const auto* predictive =
-                 std::get_if<io::CompressConfig>(&transform)) {
-    detail = predictive->mode == io::CompressionMode::kLossless
+  } else if (const auto* predictive = std::get_if<Predictive>(&transform)) {
+    detail = predictive->error_bound == 0.0
                  ? "lossless compression"
                  : "lossy, eb=" + std::to_string(predictive->error_bound);
   }
@@ -74,12 +73,17 @@ class SnapshotCoder {
                 const SnapshotTransform& transform, util::ThreadPool* pool)
       : problem_(config.problem),
         sampling_(std::get_if<Sampling>(&transform)),
-        predictive_(std::get_if<io::CompressConfig>(&transform)) {
+        predictive_(std::holds_alternative<Predictive>(transform)) {
     GREENVIS_REQUIRE(sampling_ == nullptr || sampling_->stride >= 1);
-    // Only runs that encode with config.snapshot_codec build (and so
-    // validate) it.
-    if (kind != PipelineKind::kInSitu &&
-        std::holds_alternative<ConfigCodec>(transform)) {
+    // Sampling writes the plain serialization (the raw codec) and the
+    // predictive transform's step is twice its bound. Only runs that encode
+    // with config.snapshot_codec build (and so validate) it.
+    if (const auto* p = std::get_if<Predictive>(&transform)) {
+      codec_.emplace(
+          codec::CodecConfig{codec::Kind::kLorenzo, 2.0 * p->error_bound});
+    } else if (sampling_ != nullptr) {
+      codec_.emplace();
+    } else if (kind != PipelineKind::kInSitu) {
       codec_.emplace(config.snapshot_codec);
       codec_->set_pool(pool);
     }
@@ -88,10 +92,10 @@ class SnapshotCoder {
     // times that; either streams one read and one write of the field.
     // Sampling and the raw codec are free.
     const double cells = static_cast<double>(problem_.nx * problem_.ny);
-    work_.flops = cells * (predictive_ != nullptr ? 60.0 : 12.0);
+    work_.flops = cells * (predictive_ ? 60.0 : 12.0);
     work_.active_cores = 1;
     work_.dram_bytes = util::Bytes{static_cast<std::uint64_t>(cells * 16)};
-    if (predictive_ != nullptr || (codec_ && codec_->active())) {
+    if (codec_ && codec_->active()) {
       cost_ = &work_;
     }
   }
@@ -106,17 +110,17 @@ class SnapshotCoder {
     // Lossy transforms keep the exact field so the reconstruction can be
     // scored on read (an analysis convenience — the testbed app would not
     // retain it).
+    arena.reset();
+    codec_->set_arena(&arena);
     if (sampling_ != nullptr) {
-      payload = vis::downsample(field, sampling_->stride).serialize();
-      truths_.push_back(field);
-    } else if (predictive_ != nullptr) {
-      payload = io::compress_field(field, *predictive_);
-      ratio_sum_ += io::compression_ratio(field, payload);
+      codec_->encode(vis::downsample(field, sampling_->stride), payload);
       truths_.push_back(field);
     } else {
-      arena.reset();
-      codec_->set_arena(&arena);
       codec_->encode(field, payload);
+    }
+    if (predictive_) {
+      ratio_sum_ += codec_->last_stats().ratio();
+      truths_.push_back(field);
     }
     out.snapshot_bytes_written += util::Bytes{payload.size()};
     out.snapshot_bytes_raw += util::Bytes{field.serialized_bytes()};
@@ -128,15 +132,16 @@ class SnapshotCoder {
   const util::Field2D& decode(const std::vector<std::uint8_t>& payload,
                               util::ScratchArena& arena, PipelineOutput& out) {
     out.snapshot_bytes_read += util::Bytes{payload.size()};
+    arena.reset();
+    codec_->set_arena(&arena);
+    codec_->decode_into(payload, field_);
     if (sampling_ != nullptr) {
-      const util::Field2D sampled = util::Field2D::deserialize(payload);
-      field_ = sampling_->stride == 1
-                   ? sampled
-                   : vis::resample(sampled, problem_.nx, problem_.ny);
+      if (sampling_->stride != 1) {
+        field_ = vis::resample(field_, problem_.nx, problem_.ny);
+      }
       error_sum_ += vis::rms_difference(field_, truths_[scored_++]);
       out.mean_rms_error = error_sum_ / static_cast<double>(scored_);
-    } else if (predictive_ != nullptr) {
-      field_ = io::decompress_field(payload);
+    } else if (predictive_) {
       const util::Field2D& truth = truths_[scored_++];
       for (std::size_t k = 0; k < field_.size(); ++k) {
         out.max_abs_error =
@@ -144,10 +149,6 @@ class SnapshotCoder {
                      std::abs(field_.values()[k] - truth.values()[k]));
       }
       out.mean_compression_ratio = ratio_sum_ / static_cast<double>(scored_);
-    } else {
-      arena.reset();
-      codec_->set_arena(&arena);
-      codec_->decode_into(payload, field_);
     }
     return field_;
   }
@@ -155,7 +156,7 @@ class SnapshotCoder {
  private:
   const heat::HeatProblem& problem_;
   const Sampling* sampling_;
-  const io::CompressConfig* predictive_;
+  bool predictive_;
   std::optional<codec::FieldCodec> codec_;
   machine::ActivityRecord work_;
   const machine::ActivityRecord* cost_{nullptr};

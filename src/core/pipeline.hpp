@@ -28,7 +28,6 @@
 
 #include "src/core/testbed.hpp"
 #include "src/core/workload.hpp"
-#include "src/io/compress.hpp"
 #include "src/util/thread_pool.hpp"
 #include "src/vis/image.hpp"
 
@@ -60,10 +59,14 @@ struct Sampling {
   std::size_t stride{1};
 };
 
-/// ConfigCodec, Sampling, or application-driven compression (Wang et al.
-/// [22]): the Lorenzo-predictive codec, lossless or bounded-error.
-using SnapshotTransform =
-    std::variant<ConfigCodec, Sampling, io::CompressConfig>;
+/// Application-driven compression (Wang et al. [22]): the field codec's
+/// Lorenzo-predictive kind, lossless when `error_bound` is 0, else every
+/// value within `error_bound`.
+struct Predictive {
+  double error_bound{0.0};
+};
+
+using SnapshotTransform = std::variant<ConfigCodec, Sampling, Predictive>;
 
 struct PipelineOutput {
   std::string pipeline_name;

@@ -42,12 +42,14 @@ void TimestepWriter::write_step(int step,
   const std::string name = step_file_name(config_, step);
   GREENVIS_REQUIRE_MSG(!fs.exists(name), "step already written: " + name);
 
-  // Frame: header + payload, emitted in durable chunks.
+  // Frame: header + payload, emitted in durable chunks. The header and the
+  // catalog share one checksum.
+  const std::uint64_t checksum = util::fnv1a64(payload);
   std::vector<std::uint8_t> framed(kHeaderBytes + payload.size());
   put_u64(framed.data(), kMagic);
   put_u64(framed.data() + 8, static_cast<std::uint64_t>(step));
   put_u64(framed.data() + 16, payload.size());
-  put_u64(framed.data() + 24, util::fnv1a64(payload));
+  put_u64(framed.data() + 24, checksum);
   std::copy(payload.begin(), payload.end(), framed.begin() + kHeaderBytes);
 
   const Filesystem::Fd fd = fs.create(name);
@@ -70,7 +72,7 @@ void TimestepWriter::write_step(int step,
   if (catalog_ == nullptr) {
     catalog_ = std::make_shared<DatasetCatalog>();
   }
-  catalog_->record(step, payload.size(), util::fnv1a64(payload));
+  catalog_->record(step, payload.size(), checksum);
 }
 
 const DatasetCatalog& TimestepWriter::catalog() const {

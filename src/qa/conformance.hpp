@@ -17,7 +17,7 @@
 //   * Table II — the static (avoided-idle) share of the savings dominates
 //     (>= 85%, paper reports ~91%).
 //
-// `greenvis verify` and tools/check.sh --conformance evaluate the suite and
+// `greenvis verify` and the cli_verify_smoke test evaluate the suite and
 // emit QA_conformance.json; tests/conformance_test.cpp runs it in ctest
 // under the `conformance` label. Any optimization that silently changes
 // what the system computes (an over-eager codec tolerance, a broken cache

@@ -20,7 +20,6 @@
 #include "src/core/experiment.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/testbed.hpp"
-#include "src/io/compress.hpp"
 #include "src/io/dataset.hpp"
 #include "src/qa/domains.hpp"
 #include "src/qa/registry.hpp"
@@ -143,9 +142,8 @@ void register_compress_properties() {
               element_of<double>({1e-9, 1e-6, 1e-3, 0.25, 2.0})),
       [](const CompressCase& cc) {
         const auto& [f, bound] = cc;
-        const auto blob = io::compress_field(
-            f, io::CompressConfig{io::CompressionMode::kLossyAbsBound, bound});
-        const util::Field2D g = io::decompress_field(blob);
+        codec::FieldCodec lossy{{codec::Kind::kLorenzo, 2.0 * bound}};
+        const util::Field2D g = codec::FieldCodec::decode2d(lossy.encode(f));
         for (std::size_t k = 0; k < f.size(); ++k) {
           const double err = std::abs(f.values()[k] - g.values()[k]);
           if (err > bound * (1.0 + 1e-9)) {
@@ -154,8 +152,8 @@ void register_compress_properties() {
             return os.str();
           }
         }
-        if (!(io::decompress_field(io::compress_field(
-                  f, io::CompressConfig{})) == f)) {
+        codec::FieldCodec lossless{{codec::Kind::kLorenzo, 0.0}};
+        if (!(codec::FieldCodec::decode2d(lossless.encode(f)) == f)) {
           return std::string("lossless mode is not bit exact");
         }
         return ok();
@@ -271,8 +269,8 @@ void register_pipeline_properties() {
         config.snapshot_codec.kind = static_cast<codec::Kind>(std::get<3>(ac));
         const core::SnapshotTransform transforms[] = {
             core::ConfigCodec{},  core::Sampling{1}, core::Sampling{2},
-            core::Sampling{3},    core::Sampling{4}, io::CompressConfig{},
-            io::CompressConfig{io::CompressionMode::kLossyAbsBound, 0.01}};
+            core::Sampling{3},    core::Sampling{4}, core::Predictive{0.0},
+            core::Predictive{0.01}};
         const core::SnapshotTransform& transform = transforms[std::get<4>(ac)];
         const auto run = [&](core::PipelineKind kind) {
           core::Testbed bed;

@@ -5,7 +5,9 @@
 // the post-processing pipeline's byte accounting under an active codec.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -19,8 +21,11 @@
 #include "src/core/testbed.hpp"
 #include "src/core/workload.hpp"
 #include "src/heat/solver.hpp"
+#include "src/io/dataset.hpp"
 #include "src/obs/registry.hpp"
 #include "src/serve/viewer.hpp"
+#include "src/storage/hdd.hpp"
+#include "src/trace/clock.hpp"
 #include "src/util/arena.hpp"
 #include "src/util/error.hpp"
 #include "src/util/field.hpp"
@@ -145,6 +150,9 @@ TEST(Kind, ParseAndNameRoundTrip) {
   EXPECT_STREQ(kind_name(Kind::kRaw), "raw");
   EXPECT_STREQ(kind_name(Kind::kDelta), "delta");
   EXPECT_STREQ(kind_name(Kind::kRle), "rle");
+  EXPECT_STREQ(kind_name(Kind::kLorenzo), "lorenzo");
+  // The predictive transform selects kLorenzo; --codec stays raw|delta|rle.
+  EXPECT_THROW((void)parse_kind("lorenzo"), ContractViolation);
   EXPECT_THROW((void)parse_kind("zstd"), ContractViolation);
   EXPECT_THROW((void)parse_kind(""), ContractViolation);
 }
@@ -161,6 +169,12 @@ TEST(Config, RejectsInvalid) {
   EXPECT_THROW(FieldCodec{bad_tol}, ContractViolation);
   bad_tol.tolerance = std::numeric_limits<double>::infinity();
   EXPECT_THROW(FieldCodec{bad_tol}, ContractViolation);
+  bad_tol.kind = Kind::kLorenzo;  // 0 is lossless; negative or inf is not
+  EXPECT_THROW(FieldCodec{bad_tol}, ContractViolation);
+  bad_tol.tolerance = -1e-3;
+  EXPECT_THROW(FieldCodec{bad_tol}, ContractViolation);
+  bad_tol.tolerance = 0.0;
+  EXPECT_NO_THROW(FieldCodec{bad_tol});
 }
 
 // --- raw kind: identity codec, byte-for-byte the legacy serialization ---
@@ -333,6 +347,122 @@ TEST(RleKind, IncompressibleDataFallsBackToRawChunks) {
   EXPECT_GT(codec.last_stats().chunks_raw, 0u);
 }
 
+// --- lorenzo kind: the predictive "GVZ1" stream ---
+
+FieldCodec lorenzo_codec(double tolerance) {
+  return FieldCodec{CodecConfig{Kind::kLorenzo, tolerance}};
+}
+
+TEST(LorenzoKind, VarintExtremesRoundTripBitExact) {
+  // A 1x1 field predicts 0, so its one varint is the value's raw bits:
+  // LEB128 lengths of 1, 2, 3 and 10 bytes, including all 64 bits set.
+  struct Case {
+    std::uint64_t bits;
+    std::size_t varint_bytes;
+  };
+  const Case cases[] = {{0, 1},        {1, 1},        {127, 1},
+                        {128, 2},      {300, 2},      {1u << 20, 3},
+                        {~0ULL, 10},   {0x8000000000000000ULL, 10}};
+  FieldCodec codec = lorenzo_codec(0.0);
+  for (const Case& c : cases) {
+    const Field2D f(1, 1, std::bit_cast<double>(c.bits));
+    const auto blob = codec.encode(f);
+    // magic + mode + nx + ny + bound, then the cell.
+    EXPECT_EQ(blob.size(), 15 + c.varint_bytes) << c.bits;
+    const Field2D back = FieldCodec::decode2d(blob);
+    EXPECT_TRUE(bit_identical(f.values(), back.values())) << c.bits;
+  }
+}
+
+TEST(LorenzoKind, ZigzagQuantaRoundTripAtExtremes) {
+  // With step 1, a 1x1 field's one quantum is its value, zigzag-coded. The
+  // widest quanta the stream admits (|q| < 9e18) take all 10 varint bytes;
+  // small magnitudes of either sign take one.
+  struct Case {
+    double value;
+    std::size_t varint_bytes;
+  };
+  const Case cases[] = {{0.0, 1},       {1.0, 1},       {-1.0, 1},
+                        {-3.0, 1},      {123456.0, 3},  {-123456.0, 3},
+                        {8.5e18, 10},   {-8.5e18, 10}};
+  FieldCodec codec = lorenzo_codec(1.0);
+  for (const Case& c : cases) {
+    const Field2D f(1, 1, c.value);
+    const auto blob = codec.encode(f);
+    EXPECT_EQ(blob.size(), 15 + c.varint_bytes) << c.value;
+    EXPECT_EQ(FieldCodec::decode2d(blob).at(0, 0), c.value) << c.value;
+  }
+  // Quanta that would overflow int64 are refused, not wrapped.
+  EXPECT_THROW((void)codec.encode(Field2D(1, 1, 9.5e18)), ContractViolation);
+}
+
+TEST(LorenzoKind, LosslessBitExactOnSmoothAndNoise) {
+  FieldCodec codec = lorenzo_codec(0.0);
+  for (const Field2D& f :
+       {smooth_field2d(64), random_field2d(32, 32, 5, -100.0, 100.0)}) {
+    const Field2D back = FieldCodec::decode2d(codec.encode(f));
+    EXPECT_TRUE(bit_identical(f.values(), back.values()));
+  }
+}
+
+TEST(LorenzoKind, BoundedErrorWithinHalfTolerance) {
+  const Field2D f = smooth_field2d(64);
+  for (double bound : {1e-6, 1e-3, 0.1, 5.0}) {
+    FieldCodec codec = lorenzo_codec(2.0 * bound);
+    const Field2D g = FieldCodec::decode2d(codec.encode(f));
+    EXPECT_LE(max_abs_diff(f.values(), g.values()), bound * (1.0 + 1e-9))
+        << "bound=" << bound;
+  }
+}
+
+TEST(LorenzoKind, BoundHoldsOnAdversarialNoise) {
+  // Error feedback through the predictor must not compound.
+  const Field2D f = random_field2d(48, 48, 99, -100.0, 100.0);
+  const double bound = 0.5;
+  FieldCodec codec = lorenzo_codec(2.0 * bound);
+  const Field2D g = FieldCodec::decode2d(codec.encode(f));
+  for (std::size_t k = 0; k < f.size(); ++k) {
+    ASSERT_LE(std::fabs(f.values()[k] - g.values()[k]), bound * (1.0 + 1e-9));
+  }
+}
+
+TEST(LorenzoKind, SmoothFieldsCompressWell) {
+  const Field2D f = smooth_field2d(128);
+  FieldCodec lossy = lorenzo_codec(0.02);
+  const auto blob = lossy.encode(f);
+  EXPECT_GT(lossy.last_stats().ratio(), 3.0);
+  EXPECT_EQ(lossy.last_stats().encoded_bytes, blob.size());
+  // Tighter bounds cost more bits.
+  FieldCodec tighter = lorenzo_codec(2e-6);
+  EXPECT_LT(blob.size(), tighter.encode(f).size());
+}
+
+TEST(LorenzoKind, HasNoThreeDimensionalForm) {
+  FieldCodec codec = lorenzo_codec(0.0);
+  std::vector<std::uint8_t> out;
+  EXPECT_THROW(codec.encode(random_field3d(4, 4, 4, 3), out),
+               ContractViolation);
+  const auto blob = codec.encode(random_field2d(8, 8, 3));
+  EXPECT_THROW((void)FieldCodec::decode3d(blob), ContractViolation);
+}
+
+TEST(LorenzoKind, StepsFlowThroughDataset) {
+  trace::VirtualClock clock;
+  storage::HddModel hdd{storage::HddParams{}};
+  storage::Filesystem fs(hdd, clock, storage::FsParams{});
+  const io::DatasetConfig config;
+  const Field2D field = smooth_field2d(64);
+  FieldCodec codec = lorenzo_codec(0.02);
+  io::TimestepWriter writer(fs, config);
+  writer.write_step(0, codec.encode(field));
+  fs.drop_caches();
+  io::TimestepReader reader(fs, config);
+  Field2D back;
+  codec.decode_into(reader.read_step(0), back);
+  EXPECT_EQ(back.nx(), field.nx());
+  EXPECT_LE(max_abs_diff(field.values(), back.values()), 0.01 * (1.0 + 1e-9));
+}
+
 // --- parallel chunk encode: bit-identical to serial, any pool size ---
 
 TEST(ParallelEncode, BitIdenticalToSerialAcrossKindsAndPools) {
@@ -407,6 +537,12 @@ TEST(Container, DetectsMagicButNotLegacyBytes) {
   EXPECT_FALSE(FieldCodec::is_container(f.serialize()));
   const std::vector<std::uint8_t> tiny(4, 0);
   EXPECT_FALSE(FieldCodec::is_container(tiny));
+  // A lorenzo stream is no container, but decode finds it by its own magic
+  // rather than misreading it as a legacy blob.
+  FieldCodec lorenzo = lorenzo_codec(0.0);
+  const auto stream = lorenzo.encode(f);
+  EXPECT_FALSE(FieldCodec::is_container(stream));
+  EXPECT_EQ(FieldCodec::decode2d(stream), f);
 }
 
 TEST(Container, LegacyBlobsAutoDetectOnDecode) {
@@ -444,11 +580,15 @@ TEST(Robustness, EveryTruncationLengthThrows) {
   cfg.kind = Kind::kDelta;
   cfg.chunk_edge = 8;
   FieldCodec codec(cfg);
-  const auto blob = codec.encode(f);
-  for (std::size_t len = 0; len < blob.size(); ++len) {
-    EXPECT_THROW((void)FieldCodec::decode2d({blob.data(), len}),
-                 ContractViolation)
-        << "truncation to " << len << " bytes was accepted";
+  FieldCodec lossless = lorenzo_codec(0.0);
+  FieldCodec bounded = lorenzo_codec(0.02);
+  for (const auto& blob :
+       {codec.encode(f), lossless.encode(f), bounded.encode(f)}) {
+    for (std::size_t len = 0; len < blob.size(); ++len) {
+      EXPECT_THROW((void)FieldCodec::decode2d({blob.data(), len}),
+                   ContractViolation)
+          << "truncation to " << len << " bytes was accepted";
+    }
   }
 }
 
@@ -492,6 +632,57 @@ TEST(Robustness, CorruptHeaderFieldsThrow) {
     bad.push_back(0);
     EXPECT_THROW((void)FieldCodec::decode2d(bad), ContractViolation);
   }
+}
+
+TEST(Robustness, LorenzoCorruptHeaderFieldsThrow) {
+  const Field2D f = random_field2d(16, 16, 14);
+  FieldCodec codec = lorenzo_codec(0.02);
+  const auto good = codec.encode(f);
+  auto corrupted = [&](std::size_t offset, std::uint8_t value) {
+    std::vector<std::uint8_t> bad = good;
+    bad[offset] = value;
+    return bad;
+  };
+  // Bad mode byte; zero nx; the bound of a bounded stream zeroed.
+  EXPECT_THROW((void)FieldCodec::decode2d(corrupted(4, 2)), ContractViolation);
+  EXPECT_THROW((void)FieldCodec::decode2d(corrupted(5, 0)), ContractViolation);
+  {
+    std::vector<std::uint8_t> bad = good;
+    std::fill(bad.begin() + 7, bad.begin() + 15, 0);
+    EXPECT_THROW((void)FieldCodec::decode2d(bad), ContractViolation);
+  }
+  // 19 bytes claiming 1048575 x 1048575 cells (~8.8 TB once decoded): a
+  // ContractViolation before anything is allocated, never bad_alloc.
+  const std::vector<std::uint8_t> huge = {0x31, 0x5A, 0x56, 0x47, 0,
+                                          0xFF, 0xFF, 0x3F, 0xFF, 0xFF,
+                                          0x3F, 0,    0,    0,    0,
+                                          0,    0,    0,    0};
+  EXPECT_THROW((void)FieldCodec::decode2d(huge), ContractViolation);
+}
+
+TEST(Robustness, LorenzoTrailingBytesAndOverlongVarintsThrow) {
+  FieldCodec codec = lorenzo_codec(0.0);
+  // One cell whose XOR delta is all 64 bits: a maximal 10-byte varint.
+  const auto blob = codec.encode(Field2D(1, 1, std::bit_cast<double>(~0ULL)));
+  ASSERT_EQ(blob.back(), 0x01);  // the 10th byte carries only bit 63
+  for (const std::uint8_t tenth : {std::uint8_t{0x02}, std::uint8_t{0x81}}) {
+    std::vector<std::uint8_t> bad = blob;
+    bad.back() = tenth;  // bits past 63, or an 11th byte
+    bad.push_back(0);
+    EXPECT_THROW((void)FieldCodec::decode2d(bad), ContractViolation);
+    bad.pop_back();
+    EXPECT_THROW((void)FieldCodec::decode2d(bad), ContractViolation);
+  }
+  const auto trailing = [](std::vector<std::uint8_t> b) {
+    b.push_back(0);
+    return b;
+  };
+  FieldCodec bounded = lorenzo_codec(0.02);
+  const Field2D f = random_field2d(16, 16, 21);
+  EXPECT_THROW((void)FieldCodec::decode2d(trailing(bounded.encode(f))),
+               ContractViolation);
+  EXPECT_THROW((void)FieldCodec::decode2d(trailing(codec.encode(f))),
+               ContractViolation);
 }
 
 TEST(Robustness, RankMismatchThrows) {
@@ -587,7 +778,8 @@ TEST(ArenaVec, GrowthPreservesContents) {
 }
 
 // The tentpole's steady-state guarantee: one timestep of the hot loop —
-// solver step, codec encode + decode through the arena, render into a
+// solver step, codec encode + decode through the arena (delta chunks and a
+// bounded lorenzo stream), render into a
 // reused frame, plus a steered serve view (region-of-interest crop and a
 // non-square resize) — performs zero heap allocations after warm-up.
 TEST(ScratchArena, TimestepHotLoopIsAllocationFreeAtSteadyState) {
@@ -624,12 +816,19 @@ TEST(ScratchArena, TimestepHotLoopIsAllocationFreeAtSteadyState) {
   std::vector<std::uint8_t> payload;
   payload.reserve(solver.temperature().serialized_bytes());
   Field2D decoded(problem.nx, problem.ny);
+  codec::FieldCodec lorenzo(
+      codec::CodecConfig{codec::Kind::kLorenzo, codec_config.tolerance},
+      &arena);
+  std::vector<std::uint8_t> lorenzo_payload;
+  Field2D lorenzo_decoded(problem.nx, problem.ny);
 
   auto timestep = [&] {
     arena.reset();
     (void)solver.step();
     codec.encode(solver.temperature(), payload);
     codec.decode_into(payload, decoded);
+    lorenzo.encode(solver.temperature(), lorenzo_payload);
+    lorenzo.decode_into(lorenzo_payload, lorenzo_decoded);
     vis_pipeline.render_into(decoded, frame);
     serve::render_view(view, decoded, view_pipeline, roi, view_frame);
   };

@@ -306,7 +306,7 @@ TEST(Pipelines, CompressedVariantLosslessMatchesExactImages) {
   const auto plain = run_pipeline(plain_bed, PipelineKind::kPostProcessing,
                                   config, serial_options());
   const auto comp = run_pipeline(comp_bed, PipelineKind::kPostProcessing,
-                                 config, serial_options(), io::CompressConfig{});
+                                 config, serial_options(), Predictive{});
   EXPECT_DOUBLE_EQ(comp.max_abs_error, 0.0);
   EXPECT_EQ(comp.image_digests, plain.image_digests);
 }
@@ -314,9 +314,8 @@ TEST(Pipelines, CompressedVariantLosslessMatchesExactImages) {
 TEST(Pipelines, CompressedVariantLossyBoundedAndSmaller) {
   const CaseStudyConfig config = fast_case(2);
   Testbed bed;
-  const io::CompressConfig codec{io::CompressionMode::kLossyAbsBound, 0.01};
   const auto out = run_pipeline(bed, PipelineKind::kPostProcessing, config,
-                                serial_options(), codec);
+                                serial_options(), Predictive{0.01});
   EXPECT_LE(out.max_abs_error, 0.01 * (1.0 + 1e-9));
   EXPECT_GT(out.mean_compression_ratio, 2.0);
 }
@@ -350,7 +349,7 @@ TEST(Pipelines, OnlyTheConfigCodecPathValidatesSnapshotCodec) {
                 .visualized_steps,
             2);
   EXPECT_EQ(run_pipeline(predictive_bed, PipelineKind::kPostProcessing, config,
-                         serial_options(), io::CompressConfig{})
+                         serial_options(), Predictive{})
                 .visualized_steps,
             2);
 }
@@ -372,12 +371,12 @@ TEST(Pipelines, TransformResultsPinned) {
   const Pinned cases[] = {
       {Sampling{4}, "Post-processing (sampled 1/4)", 0x401ffd89bdb9a2beULL,
        32832, 0x4014a1938e68d1a2ULL, 0, 0, 0x338f8176b85dbc77ULL},
-      {io::CompressConfig{}, "Post-processing (lossless compression)",
+      {Predictive{}, "Post-processing (lossless compression)",
        0x4031af2dd3d051b4ULL, 476025, 0, 0, 0x3ff23c48bf69ca5fULL,
        0x7fcc1f91ae3eceabULL},
-      {io::CompressConfig{io::CompressionMode::kLossyAbsBound, 0.01},
-       "Post-processing (lossy, eb=0.010000)", 0x40217bc83fbcc5bbULL, 66800, 0,
-       0x3f84658c52553a70ULL, 0x401f66046a21ce28ULL, 0x8dc991b76c381855ULL},
+      {Predictive{0.01}, "Post-processing (lossy, eb=0.010000)",
+       0x40217bc83fbcc5bbULL, 66800, 0, 0x3f84658c52553a70ULL,
+       0x401f66046a21ce28ULL, 0x8dc991b76c381855ULL},
   };
   const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
   for (const Pinned& p : cases) {

@@ -1,13 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
 #include "src/io/catalog.hpp"
-#include "src/io/compress.hpp"
 #include "src/io/dataset.hpp"
 #include "src/util/checksum.hpp"
-#include "src/util/rng.hpp"
 #include "src/storage/hdd.hpp"
 #include "src/trace/clock.hpp"
 #include "src/util/error.hpp"
@@ -221,132 +218,6 @@ TEST(Catalog, DiscoversStepsWithoutProbing) {
     ++read;
   }
   EXPECT_EQ(read, 3u);
-}
-
-// ---------- compression ----------
-
-util::Field2D smooth_field(std::size_t n) {
-  util::Field2D f(n, n);
-  for (std::size_t j = 0; j < n; ++j) {
-    for (std::size_t i = 0; i < n; ++i) {
-      f.at(i, j) = 40.0 * std::sin(0.11 * static_cast<double>(i)) *
-                       std::cos(0.07 * static_cast<double>(j)) +
-                   15.0;
-    }
-  }
-  return f;
-}
-
-util::Field2D noisy_field(std::size_t n, std::uint64_t seed) {
-  util::Field2D f(n, n);
-  util::Xoshiro256 rng{seed};
-  for (double& v : f.values()) {
-    v = rng.uniform(-100.0, 100.0);
-  }
-  return f;
-}
-
-TEST(Compress, VarintRoundTrip) {
-  std::vector<std::uint8_t> buf;
-  const std::uint64_t values[] = {0,    1,      127,    128,
-                                  300,  1u << 20, ~0ULL, 0x8000000000000000ULL};
-  for (std::uint64_t v : values) {
-    put_varint(buf, v);
-  }
-  std::size_t pos = 0;
-  for (std::uint64_t v : values) {
-    EXPECT_EQ(get_varint(buf, pos), v);
-  }
-  EXPECT_EQ(pos, buf.size());
-}
-
-TEST(Compress, ZigzagRoundTrip) {
-  const std::int64_t cases[] = {0,       1,
-                                -1,      123456,
-                                -123456, std::numeric_limits<std::int64_t>::max(),
-                                std::numeric_limits<std::int64_t>::min()};
-  for (std::int64_t v : cases) {
-    EXPECT_EQ(zigzag_decode(zigzag_encode(v)), v);
-  }
-  // Small magnitudes map to small codes.
-  EXPECT_LT(zigzag_encode(-3), 8u);
-}
-
-TEST(Compress, LosslessBitExactRoundTrip) {
-  const util::Field2D f = smooth_field(64);
-  const auto blob = compress_field(f, CompressConfig{});
-  EXPECT_EQ(decompress_field(blob), f);
-}
-
-TEST(Compress, LosslessExactEvenOnNoise) {
-  const util::Field2D f = noisy_field(32, 5);
-  const auto blob = compress_field(f, CompressConfig{});
-  EXPECT_EQ(decompress_field(blob), f);
-}
-
-TEST(Compress, LossyRespectsErrorBound) {
-  const util::Field2D f = smooth_field(64);
-  for (double bound : {1e-6, 1e-3, 0.1, 5.0}) {
-    const auto blob = compress_field(
-        f, CompressConfig{CompressionMode::kLossyAbsBound, bound});
-    const util::Field2D g = decompress_field(blob);
-    double worst = 0.0;
-    for (std::size_t k = 0; k < f.size(); ++k) {
-      worst = std::max(worst, std::abs(f.values()[k] - g.values()[k]));
-    }
-    EXPECT_LE(worst, bound * (1.0 + 1e-9)) << "bound=" << bound;
-  }
-}
-
-TEST(Compress, LossyBoundHoldsOnAdversarialNoise) {
-  // Error feedback through the predictor must not compound.
-  const util::Field2D f = noisy_field(48, 99);
-  const double bound = 0.5;
-  const auto blob = compress_field(
-      f, CompressConfig{CompressionMode::kLossyAbsBound, bound});
-  const util::Field2D g = decompress_field(blob);
-  for (std::size_t k = 0; k < f.size(); ++k) {
-    ASSERT_LE(std::abs(f.values()[k] - g.values()[k]),
-              bound * (1.0 + 1e-9));
-  }
-}
-
-TEST(Compress, SmoothFieldsCompressWell) {
-  const util::Field2D f = smooth_field(128);
-  const auto lossy = compress_field(
-      f, CompressConfig{CompressionMode::kLossyAbsBound, 0.01});
-  EXPECT_GT(compression_ratio(f, lossy), 3.0);
-  // Tighter bounds cost more bits.
-  const auto tighter = compress_field(
-      f, CompressConfig{CompressionMode::kLossyAbsBound, 1e-6});
-  EXPECT_LT(lossy.size(), tighter.size());
-}
-
-TEST(Compress, RejectsGarbage) {
-  EXPECT_THROW((void)decompress_field(std::vector<std::uint8_t>{1, 2, 3}),
-               util::ContractViolation);
-  const util::Field2D f = smooth_field(8);
-  auto blob = compress_field(f, CompressConfig{});
-  blob.resize(blob.size() / 2);  // truncate
-  EXPECT_THROW((void)decompress_field(blob), util::ContractViolation);
-  EXPECT_THROW(
-      (void)compress_field(
-          f, CompressConfig{CompressionMode::kLossyAbsBound, 0.0}),
-      util::ContractViolation);
-}
-
-TEST(Compress, CompressedStepsFlowThroughDataset) {
-  IoFixture f;
-  const DatasetConfig config;
-  const util::Field2D field = smooth_field(64);
-  const auto blob = compress_field(
-      field, CompressConfig{CompressionMode::kLossyAbsBound, 0.01});
-  TimestepWriter writer(f.fs, config);
-  writer.write_step(0, blob);
-  f.fs.drop_caches();
-  TimestepReader reader(f.fs, config);
-  const util::Field2D back = decompress_field(reader.read_step(0));
-  EXPECT_EQ(back.nx(), field.nx());
 }
 
 }  // namespace

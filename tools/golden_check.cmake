@@ -1,0 +1,71 @@
+# Golden and determinism checks for the greenvis CLI, registered as ctest
+# entries under the `golden` label (tools/CMakeLists.txt).
+#
+#   cmake -DCLI=<greenvis> -DCHECK=<energy|serve|campaign> \
+#         -DSOURCE_DIR=<repo root> -DWORK_DIR=<scratch dir> \
+#         -P tools/golden_check.cmake
+#
+#   energy   `greenvis profile --case 1` equals the committed golden
+#            tools/golden/ENERGY_profile_case1.json byte for byte (the
+#            profile is a pure function of the virtual timelines; equality
+#            with the golden implies its schema tag and energy conservation).
+#   serve    `greenvis serve --case=1 --viewers=8 --views=4`, run twice: the
+#            two profiles equal each other (determinism) and the committed
+#            golden tools/golden/SERVE_profile_case1.json.
+#   campaign a small sweep cut short by --limit=3 exits 3 (interrupted);
+#            resumed from its journal, its JSON equals that of an
+#            uninterrupted reference run.
+cmake_minimum_required(VERSION 3.20)
+
+foreach(var CLI CHECK SOURCE_DIR WORK_DIR)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "golden_check: -D${var}=... is required")
+  endif()
+endforeach()
+file(REMOVE_RECURSE "${WORK_DIR}")
+file(MAKE_DIRECTORY "${WORK_DIR}")
+set(golden "${SOURCE_DIR}/tools/golden")
+
+# Run the CLI with ARGN; fail unless it exits with `expected`.
+function(greenvis expected)
+  execute_process(COMMAND "${CLI}" ${ARGN} RESULT_VARIABLE rc OUTPUT_QUIET)
+  if(NOT rc EQUAL expected)
+    string(JOIN " " args ${ARGN})
+    message(FATAL_ERROR "greenvis ${args}: exit ${rc}, expected ${expected}")
+  endif()
+endfunction()
+
+# Fail unless files `a` and `b` are byte-identical.
+function(same a b)
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files "${a}" "${b}"
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${a} differs from ${b}")
+  endif()
+endfunction()
+
+if(CHECK STREQUAL "energy")
+  greenvis(0 profile --case 1 --out=${WORK_DIR}/ENERGY_profile_case1.json)
+  same("${WORK_DIR}/ENERGY_profile_case1.json"
+       "${golden}/ENERGY_profile_case1.json")
+elseif(CHECK STREQUAL "serve")
+  set(serve serve --case=1 --viewers=8 --views=4)
+  greenvis(0 ${serve} --out=${WORK_DIR}/SERVE_profile_case1.json)
+  greenvis(0 ${serve} --out=${WORK_DIR}/SERVE_profile_case1.rerun.json)
+  same("${WORK_DIR}/SERVE_profile_case1.json"
+       "${WORK_DIR}/SERVE_profile_case1.rerun.json")
+  same("${WORK_DIR}/SERVE_profile_case1.json"
+       "${golden}/SERVE_profile_case1.json")
+elseif(CHECK STREQUAL "campaign")
+  set(sweep campaign --pipelines=post,insitu --grids=16,24 --periods=1,2
+      --iterations=2 --threads=4)
+  greenvis(0 ${sweep} --journal=${WORK_DIR}/ref.journal
+           --out=${WORK_DIR}/ref.json)
+  greenvis(3 ${sweep} --journal=${WORK_DIR}/resume.journal --limit=3
+           --out=${WORK_DIR}/partial.json)
+  greenvis(0 ${sweep} --journal=${WORK_DIR}/resume.journal --resume
+           --out=${WORK_DIR}/resumed.json)
+  same("${WORK_DIR}/ref.json" "${WORK_DIR}/resumed.json")
+else()
+  message(FATAL_ERROR "golden_check: unknown CHECK '${CHECK}'")
+endif()
