@@ -8,6 +8,8 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <string_view>
 #include <vector>
@@ -28,6 +30,7 @@
 #include "src/storage/fault.hpp"
 #include "src/storage/filesystem.hpp"
 #include "src/storage/hdd.hpp"
+#include "src/storage/nvme.hpp"
 #include "src/storage/raid.hpp"
 #include "src/storage/solid_state.hpp"
 #include "src/trace/clock.hpp"
@@ -384,7 +387,7 @@ OracleResult cache_on_vs_off() {
 // ---- storage: the async queue at depth 1 / noop IS the sync path ----
 
 OracleResult storage_async_vs_sync() {
-  // A serial device rig: the concrete device plus whatever it wraps.
+  // A device rig: the concrete device plus whatever it wraps.
   struct Rig {
     std::vector<std::unique_ptr<storage::BlockDevice>> keep;
     storage::BlockDevice* dev{nullptr};
@@ -411,6 +414,8 @@ OracleResult storage_async_vs_sync() {
             std::make_unique<storage::HddModel>(storage::HddParams{}));
       }
       own(std::make_unique<storage::Raid0Model>(std::move(children)));
+    } else if (label == "nvme") {
+      own(std::make_unique<storage::NvmeModel>(storage::nvme_default_params()));
     } else {  // faulty: retry-prone HDD with an unreadable range
       auto* inner =
           own(std::make_unique<storage::HddModel>(storage::HddParams{}));
@@ -446,11 +451,58 @@ OracleResult storage_async_vs_sync() {
     return s;
   };
 
+  // Every leg's records against the chained service_outcome calls: per-
+  // request completion times and error states, then DeviceCounters and
+  // DiskActivityLog segments of the two rigs.
+  const auto diverged =
+      [](const std::string& where,
+         const std::vector<storage::CompletionRecord>& records,
+         const std::vector<storage::IoOutcome>& expected,
+         const storage::BlockDevice& a,
+         const storage::BlockDevice& b) -> std::optional<std::string> {
+    if (records.size() != expected.size()) {
+      return where + ": completion count " + std::to_string(records.size()) +
+             " != " + std::to_string(expected.size());
+    }
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      if (records[i].complete.value() != expected[i].end.value()) {
+        return where + ": request " + std::to_string(i) +
+               " completion time diverged";
+      }
+      if (records[i].ok != expected[i].ok ||
+          records[i].error != expected[i].error) {
+        return where + ": request " + std::to_string(i) +
+               " error state diverged";
+      }
+    }
+    const storage::DeviceCounters& ca = a.counters();
+    const storage::DeviceCounters& cb = b.counters();
+    if (ca.reads != cb.reads || ca.writes != cb.writes ||
+        ca.bytes_read.value() != cb.bytes_read.value() ||
+        ca.bytes_written.value() != cb.bytes_written.value()) {
+      return where + ": DeviceCounters diverged";
+    }
+    const auto& sa = a.activity().segments();
+    const auto& sb = b.activity().segments();
+    if (sa.size() != sb.size()) {
+      return where + ": activity segment count diverged";
+    }
+    for (std::size_t i = 0; i < sa.size(); ++i) {
+      if (sa[i].begin.value() != sb[i].begin.value() ||
+          sa[i].end.value() != sb[i].end.value() ||
+          sa[i].phase != sb[i].phase) {
+        return where + ": activity segment " + std::to_string(i) +
+               " diverged";
+      }
+    }
+    return std::nullopt;
+  };
+
   const Stream stream = make_stream();
   for (const std::string_view label :
        {std::string_view{"hdd"}, std::string_view{"ssd"},
         std::string_view{"nvram"}, std::string_view{"raid0"},
-        std::string_view{"faulty"}}) {
+        std::string_view{"faulty"}, std::string_view{"nvme"}}) {
     // Legacy synchronous path: chained service_outcome calls, each starting
     // at max(previous end, submit time).
     Rig sync = make_rig(label);
@@ -462,61 +514,62 @@ OracleResult storage_async_vs_sync() {
           sync.dev->service_outcome(stream.requests[i], start));
       cursor = expected.back().end;
     }
-
-    // Async path: queue depth 1, noop scheduler, streaming submit/poll.
-    Rig async = make_rig(label);
-    storage::AsyncBlockDevice queue(
-        *async.dev,
-        storage::AsyncDeviceConfig{1, storage::IoSchedulerKind::kNoop});
-    for (std::size_t i = 0; i < stream.requests.size(); ++i) {
-      queue.submit(stream.requests[i], stream.submits[i]);
-    }
-    (void)queue.drain();
-    std::vector<storage::CompletionRecord> records;
-    queue.poll(records);
-
     const std::string where{label};
-    if (records.size() != expected.size()) {
-      return fail(where + ": completion count " +
-                  std::to_string(records.size()) + " != " +
-                  std::to_string(expected.size()));
-    }
-    for (std::size_t i = 0; i < records.size(); ++i) {
-      if (records[i].complete.value() != expected[i].end.value()) {
-        return fail(where + ": request " + std::to_string(i) +
-                    " completion time diverged");
+
+    // Async path: queue depth 1, noop scheduler, streaming submit/poll. A
+    // multi-channel device (nvme) overlaps the stream there, so it runs
+    // only the single-request leg below.
+    if (label != "nvme") {
+      Rig async = make_rig(label);
+      storage::AsyncBlockDevice queue(
+          *async.dev,
+          storage::AsyncDeviceConfig{1, storage::IoSchedulerKind::kNoop});
+      for (std::size_t i = 0; i < stream.requests.size(); ++i) {
+        queue.submit(stream.requests[i], stream.submits[i]);
       }
-      if (records[i].ok != expected[i].ok ||
-          records[i].error != expected[i].error) {
-        return fail(where + ": request " + std::to_string(i) +
-                    " error state diverged");
+      (void)queue.drain();
+      std::vector<storage::CompletionRecord> records;
+      queue.poll(records);
+      if (auto why = diverged(where + " (stream)", records, expected,
+                              *sync.dev, *async.dev)) {
+        return fail(*why);
       }
     }
-    const storage::DeviceCounters& a = sync.dev->counters();
-    const storage::DeviceCounters& b = async.dev->counters();
-    if (a.reads != b.reads || a.writes != b.writes ||
-        a.bytes_read.value() != b.bytes_read.value() ||
-        a.bytes_written.value() != b.bytes_written.value()) {
-      return fail(where + ": DeviceCounters diverged");
-    }
-    const auto& sa = sync.dev->activity().segments();
-    const auto& sb = async.dev->activity().segments();
-    if (sa.size() != sb.size()) {
-      return fail(where + ": activity segment count diverged");
-    }
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-      if (sa[i].begin.value() != sb[i].begin.value() ||
-          sa[i].end.value() != sb[i].end.value() ||
-          sa[i].phase != sb[i].phase) {
-        return fail(where + ": activity segment " + std::to_string(i) +
-                    " diverged");
+
+    // Single-request run_batch calls, chained the same way: each call frees
+    // every channel at its start, so the request starts exactly there on
+    // any device. A failed request's record comes from last_batch().
+    Rig single = make_rig(label);
+    storage::AsyncBlockDevice queue(*single.dev);
+    std::vector<storage::CompletionRecord> records;
+    cursor = util::Seconds{0.0};
+    for (std::size_t i = 0; i < stream.requests.size(); ++i) {
+      const util::Seconds start = std::max(cursor, stream.submits[i]);
+      try {
+        (void)queue.run_batch(
+            std::span<const storage::IoRequest>(&stream.requests[i], 1),
+            start);
+      } catch (const storage::DeviceError&) {
       }
+      if (queue.last_batch().size() != 1) {
+        return fail(where + " (run_batch): request " + std::to_string(i) +
+                    " left " + std::to_string(queue.last_batch().size()) +
+                    " records");
+      }
+      records.push_back(queue.last_batch().front());
+      cursor = records.back().complete;
+    }
+    if (auto why = diverged(where + " (run_batch)", records, expected,
+                            *sync.dev, *single.dev)) {
+      return fail(*why);
     }
   }
   return pass("hdd/ssd/nvram/raid0/faulty: completion times, error states, "
               "DeviceCounters, and DiskActivityLog segments bit-identical "
               "between the async queue (depth 1, noop) and the legacy "
-              "synchronous path over a 48-request stream");
+              "synchronous path over a 48-request stream; the same for "
+              "chained single-request run_batch calls on those devices "
+              "and nvme");
 }
 
 // ---- observability: watching the run must not change the run ----

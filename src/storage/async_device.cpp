@@ -1,7 +1,6 @@
 #include "src/storage/async_device.hpp"
 
 #include <algorithm>
-#include <limits>
 
 #include "src/obs/registry.hpp"
 #include "src/obs/tracer.hpp"
@@ -110,31 +109,6 @@ Seconds AsyncBlockDevice::drain_checked() {
     }
   }
   return end;
-}
-
-Seconds AsyncBlockDevice::execute(const IoRequest& request, Seconds start) {
-  GREENVIS_REQUIRE_MSG(pending_.empty(),
-                       "execute() may not interleave with queued submissions");
-  const IoOutcome outcome = backend_->service_outcome(request, start);
-  horizon_ = std::max(horizon_, outcome.end);
-  if (!channel_free_.empty()) {
-    auto slot = std::min_element(channel_free_.begin(), channel_free_.end());
-    *slot = std::max(*slot, outcome.end);
-  }
-  ++stats_.submitted;
-  ++stats_.completed;
-  if (!outcome.ok) {
-    ++stats_.errors;
-  }
-  last_batch_.clear();
-  last_batch_.push_back(CompletionRecord{next_handle_++, request.kind,
-                                         request.offset, request.length, start,
-                                         start, outcome.end, outcome.ok,
-                                         outcome.error});
-  if (!outcome.ok) {
-    throw DeviceError(outcome.error);
-  }
-  return outcome.end;
 }
 
 Seconds AsyncBlockDevice::run_batch(std::span<const IoRequest> requests,

@@ -19,10 +19,11 @@
 // Timing contract: at queue depth 1 with the noop scheduler, a request
 // stream produces *bit-identical* completion times, DeviceCounters, and
 // DiskActivityLog segments to calling BlockDevice::service directly — the
-// storage.async_vs_sync oracle pins this. The sync helpers execute() and
-// run_batch() preserve the legacy single-call and NCQ-batch semantics
-// exactly, so the filesystem and page cache ride this layer without moving
-// any figure.
+// storage.async_vs_sync oracle pins this. The one sync helper, run_batch(),
+// preserves the legacy NCQ-batch semantics exactly; a one-request batch
+// services at exactly its start, like a bare BlockDevice::service call. The
+// filesystem and page cache issue every request through it, so they ride
+// this layer's dispatch and obs hooks without moving any figure.
 //
 // Multi-channel devices (NVMe with several submission queues, RAID0
 // spindles) report channels() > 1; dispatch then fills the earliest-free
@@ -116,16 +117,13 @@ class AsyncBlockDevice {
   /// remain pollable). Returns the last completion time.
   Seconds drain_checked();
 
-  // ---- synchronous helpers (legacy call shapes) ---------------------------
-
-  /// Service one request at exactly `start`, bypassing the queue — timing-
-  /// identical to BlockDevice::service. Throws DeviceError on failure. The
-  /// record lands in last_batch().
-  Seconds execute(const IoRequest& request, Seconds start);
+  // ---- synchronous helper -------------------------------------------------
 
   /// Service a batch submitted together at `start`, dispatching in windows
   /// of queue_depth (whole batch when 0) ordered by `scheduler` (kDevice
-  /// resolves via the backend). Returns the batch completion time. Throws
+  /// resolves via the backend). Every channel is free at `start`, so a
+  /// one-request batch is serviced at exactly `start`, timing-identical to
+  /// BlockDevice::service. Returns the batch completion time. Throws
   /// DeviceError after the whole batch is serviced if any request failed;
   /// per-request records land in last_batch() either way.
   Seconds run_batch(std::span<const IoRequest> requests, Seconds start,
@@ -141,7 +139,7 @@ class AsyncBlockDevice {
   [[nodiscard]] const AsyncDeviceConfig& config() const { return config_; }
   [[nodiscard]] const AsyncDeviceStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t pending() const { return pending_.size(); }
-  /// Records produced by the most recent execute()/run_batch() call.
+  /// Records produced by the most recent run_batch() call.
   [[nodiscard]] const std::vector<CompletionRecord>& last_batch() const {
     return last_batch_;
   }

@@ -233,11 +233,6 @@ void Filesystem::write_synthetic(Fd fd, util::Bytes length, WriteMode mode) {
   of.cursor += length.value();
 }
 
-void Filesystem::pwrite_synthetic(Fd fd, std::uint64_t offset,
-                                  std::uint64_t length, WriteMode mode) {
-  do_write(fd, {}, length, offset, mode);
-}
-
 std::uint8_t Filesystem::synthetic_byte(std::uint64_t file_id,
                                         std::uint64_t offset) {
   std::uint64_t s = file_id * 0x9E3779B97F4A7C15ULL + offset;
@@ -304,9 +299,14 @@ std::uint64_t Filesystem::read_internal(FileNode& node,
       if (is_last) {
         dev_len -= (bs - 1 - last_byte_in_block);
       }
-      const IoRequest req{IoKind::kRead, dev_off,
-                          static_cast<std::uint32_t>(dev_len)};
-      t = queue_.execute(req, t);
+      // Long runs go out as back-to-back requests of at most
+      // kMaxRequestBytes, so no length is narrowed.
+      for (std::uint64_t done = 0; done < dev_len; done += kMaxRequestBytes) {
+        const IoRequest req{IoKind::kRead, dev_off + done,
+                            static_cast<std::uint32_t>(std::min(
+                                kMaxRequestBytes, dev_len - done))};
+        t = queue_.run_batch(std::span<const IoRequest>(&req, 1), t);
+      }
     } else {
       t = cache_.read(dev, len, t, /*allow_readahead=*/true);
     }
@@ -385,37 +385,6 @@ void Filesystem::mark_dirty(const std::string& name, std::uint64_t offset,
   clock_.advance_to(t);
 }
 
-void Filesystem::pread_batch(Fd fd, std::span<const std::uint64_t> offsets,
-                             std::uint64_t length, ReadMode mode) {
-  FileNode& node = node_for(fd);
-  GREENVIS_REQUIRE(length > 0);
-  charge_syscall();
-  const std::uint64_t bs = params_.block_size.value();
-
-  std::vector<IoRequest> batch;
-  std::vector<std::uint64_t> pages;
-  for (std::uint64_t off : offsets) {
-    GREENVIS_REQUIRE(off + length <= node.size);
-    counters_.logical_bytes_read += util::Bytes{length};
-    const std::uint64_t first_block = off / bs;
-    const std::uint64_t last_block = (off + length - 1) / bs;
-    for (std::uint64_t b = first_block; b <= last_block; ++b) {
-      const std::uint64_t dev = node.blocks[b];
-      if (mode == ReadMode::kBuffered && cache_.is_resident(dev / bs)) {
-        continue;
-      }
-      batch.push_back(
-          IoRequest{IoKind::kRead, dev, static_cast<std::uint32_t>(bs)});
-      pages.push_back(dev / bs);
-    }
-  }
-  Seconds t = queue_.run_batch(batch, clock_.now(), params_.io_queue.scheduler);
-  if (mode == ReadMode::kBuffered) {
-    t = cache_.insert_clean(pages, t);
-  }
-  clock_.advance_to(t);
-}
-
 void Filesystem::seek_to(Fd fd, std::uint64_t offset) {
   open_files_.at(fd).cursor = offset;
 }
@@ -450,7 +419,7 @@ void Filesystem::journal_commit() {
   // Descriptor + metadata write, then a barrier to make it durable.
   const IoRequest desc{IoKind::kWrite, base + journal_head_,
                        static_cast<std::uint32_t>(record)};
-  t = queue_.execute(desc, t);
+  t = queue_.run_batch(std::span<const IoRequest>(&desc, 1), t);
   t = queue_.flush(t);
   // The commit record is only issued once the descriptor IO has completed
   // and the host has taken an interrupt — by which time the platter has
@@ -458,7 +427,7 @@ void Filesystem::journal_commit() {
   t += params_.journal_commit_gap;
   const IoRequest commit{IoKind::kWrite, base + journal_head_ + record,
                          static_cast<std::uint32_t>(commit_block)};
-  t = queue_.execute(commit, t);
+  t = queue_.run_batch(std::span<const IoRequest>(&commit, 1), t);
   t = queue_.flush(t);
   journal_head_ += record + commit_block;
   clock_.advance_to(t);

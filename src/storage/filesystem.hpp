@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -119,9 +118,6 @@ class Filesystem {
   /// Append `length` synthetic bytes (content derivable from file id +
   /// offset; nothing stored). A file is either real or synthetic.
   void write_synthetic(Fd fd, util::Bytes length, WriteMode mode);
-  /// Overwrite at an absolute offset (synthetic files only; used by fio).
-  void pwrite_synthetic(Fd fd, std::uint64_t offset, std::uint64_t length,
-                        WriteMode mode);
 
   /// Read from the cursor into `out`; returns bytes read (short at EOF).
   std::uint64_t read(Fd fd, std::span<std::uint8_t> out, ReadMode mode);
@@ -135,11 +131,6 @@ class Filesystem {
   /// in-place rewrite (used by the layout reorganizer).
   void mark_dirty(const std::string& name, std::uint64_t offset,
                   std::uint64_t length);
-  /// Positional batch read with queue depth: all offsets are submitted
-  /// together so the device can reorder (fio's iodepth > 1). Timing only;
-  /// no payload copy.
-  void pread_batch(Fd fd, std::span<const std::uint64_t> offsets,
-                   std::uint64_t length, ReadMode mode);
 
   void seek_to(Fd fd, std::uint64_t offset);
   [[nodiscard]] std::uint64_t tell(Fd fd) const;

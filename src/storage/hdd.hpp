@@ -62,8 +62,6 @@ class HddModel final : public BlockDevice {
     return counters_;
   }
 
-  /// Current head byte position (exposed for tests).
-  [[nodiscard]] std::uint64_t head_position() const { return head_pos_; }
   [[nodiscard]] util::Bytes cached_write_bytes() const {
     return util::Bytes{cached_bytes_};
   }

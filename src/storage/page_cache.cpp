@@ -15,14 +15,6 @@ PageCache::PageCache(AsyncBlockDevice& queue, const PageCacheParams& params)
   GREENVIS_REQUIRE(params_.capacity.value() >= params_.page_size.value());
 }
 
-PageCache::PageCache(BlockDevice& device, const PageCacheParams& params)
-    : owned_queue_(std::make_unique<AsyncBlockDevice>(device)),
-      queue_(*owned_queue_),
-      params_(params) {
-  GREENVIS_REQUIRE(params_.page_size.value() > 0);
-  GREENVIS_REQUIRE(params_.capacity.value() >= params_.page_size.value());
-}
-
 IoSchedulerKind PageCache::writeback_scheduler() const {
   const IoSchedulerKind configured = queue_.config().scheduler;
   return configured == IoSchedulerKind::kDevice ? IoSchedulerKind::kNoop
@@ -30,13 +22,12 @@ IoSchedulerKind PageCache::writeback_scheduler() const {
 }
 
 // One submission window per call: coalesce contiguous dirty pages, cap each
-// request at 4 MiB (kernel writeback chunking; also keeps lengths in range),
-// and hand the whole set to the queue.
+// request at kMaxRequestBytes, and hand the whole set to the queue.
 Seconds PageCache::write_back_runs(const std::vector<std::uint64_t>& dirty,
                                    Seconds t) {
   const std::uint64_t page_bytes = params_.page_size.value();
   const std::uint64_t max_run =
-      std::max<std::uint64_t>(1, util::mebibytes(4).value() / page_bytes);
+      std::max<std::uint64_t>(1, kMaxRequestBytes / page_bytes);
   std::vector<IoRequest> requests;
   std::size_t i = 0;
   while (i < dirty.size()) {
@@ -83,7 +74,7 @@ Seconds PageCache::evict_one(Seconds now) {
     const std::uint64_t page_bytes = params_.page_size.value();
     const IoRequest wb{IoKind::kWrite, victim * page_bytes,
                        static_cast<std::uint32_t>(page_bytes)};
-    now = queue_.execute(wb, now);
+    now = queue_.run_batch(std::span<const IoRequest>(&wb, 1), now);
     --dirty_count_;
     ++counters_.writeback_pages;
   }
@@ -115,10 +106,10 @@ Seconds PageCache::read(std::uint64_t offset, std::uint64_t length,
   const std::uint64_t misses0 = counters_.misses;
 
   Seconds t = start;
-  // Coalesce runs of missing pages into single device reads (capped at 4 MiB
-  // per request, as in flush_range).
-  const std::uint64_t max_run = std::max<std::uint64_t>(
-      1, util::mebibytes(4).value() / page_bytes);
+  // Coalesce runs of missing pages into single device reads (capped at
+  // kMaxRequestBytes per request, as in writeback).
+  const std::uint64_t max_run =
+      std::max<std::uint64_t>(1, kMaxRequestBytes / page_bytes);
   std::uint64_t run_start = 0;
   bool in_run = false;
   auto flush_run = [&](std::uint64_t run_end_exclusive) {
@@ -126,7 +117,7 @@ Seconds PageCache::read(std::uint64_t offset, std::uint64_t length,
       const std::uint64_t pages = std::min(max_run, run_end_exclusive - p);
       const IoRequest req{IoKind::kRead, p * page_bytes,
                           static_cast<std::uint32_t>(pages * page_bytes)};
-      t = queue_.execute(req, t);
+      t = queue_.run_batch(std::span<const IoRequest>(&req, 1), t);
     }
     in_run = false;
   };

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <list>
-#include <memory>
 #include <span>
 #include <unordered_map>
 #include <vector>
@@ -45,8 +44,6 @@ class PageCache {
   /// Issue through an existing submission queue (shared with the
   /// filesystem, so writeback and demand reads honor one scheduler config).
   PageCache(AsyncBlockDevice& queue, const PageCacheParams& params);
-  /// Convenience: wrap a bare device in a private default queue.
-  PageCache(BlockDevice& device, const PageCacheParams& params);
 
   /// Read device range [offset, offset+length); misses go to the device
   /// (coalesced, with readahead when the access continues the previous one
@@ -67,8 +64,8 @@ class PageCache {
   /// Used by fsync: the filesystem knows which pages belong to the file.
   Seconds flush_pages(std::span<const std::uint64_t> pages, Seconds start);
 
-  /// Insert pages as resident+clean without device traffic (the caller
-  /// already performed the device reads, e.g. a queued batch).
+  /// Insert pages as resident+clean without device traffic (e.g. a freshly
+  /// written metadata block).
   Seconds insert_clean(std::span<const std::uint64_t> pages, Seconds start);
 
   [[nodiscard]] bool is_resident(std::uint64_t page) const {
@@ -110,7 +107,6 @@ class PageCache {
   /// order, so kDevice resolves to FIFO (the runs are already sorted).
   [[nodiscard]] IoSchedulerKind writeback_scheduler() const;
 
-  std::unique_ptr<AsyncBlockDevice> owned_queue_;
   AsyncBlockDevice& queue_;
   PageCacheParams params_;
   std::unordered_map<std::uint64_t, PageState> pages_;

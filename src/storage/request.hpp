@@ -15,4 +15,8 @@ struct IoRequest {
   std::uint32_t length{0};
 };
 
+/// Largest single request any issuer builds (kernel writeback chunking);
+/// longer runs are split. Also keeps every length within IoRequest::length.
+inline constexpr std::uint64_t kMaxRequestBytes = std::uint64_t{4} << 20;
+
 }  // namespace greenvis::storage

@@ -5,8 +5,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "src/io/dataset.hpp"
+#include "src/obs/obs.hpp"
+#include "src/obs/registry.hpp"
 #include "src/sched/staging.hpp"
 #include "src/storage/async_device.hpp"
 #include "src/storage/fault.hpp"
@@ -142,6 +145,35 @@ TEST(FaultyDisk, HardErrorSurfacesThroughDatasetLayer) {
   disk.mark_bad(extents.front().device_offset, 4096);
   io::TimestepReader reader(fs, dataset);
   EXPECT_THROW((void)reader.read_step(0), DeviceError);
+}
+
+TEST(FaultyDisk, DirectReadFaultIsCountedByTheQueue) {
+  struct ObsGuard {
+    ~ObsGuard() { obs::set_enabled(false); }
+  } guard;
+  trace::VirtualClock clock;
+  HddModel inner{HddParams{}};
+  FaultyDisk disk(inner, FaultConfig{});
+  Filesystem fs(disk, clock, FsParams{});
+  const auto fd = fs.create("bad.bin");
+  fs.write(fd, std::vector<std::uint8_t>(4096, 0x5A), WriteMode::kBuffered);
+  fs.fsync(fd);  // the metadata block stays resident: one device read below
+  disk.mark_bad(fs.extents("bad.bin").front().device_offset, 4096);
+
+  obs::set_enabled(true);
+  auto& registry = obs::Registry::global();
+  const std::uint64_t completed0 =
+      registry.counter("storage.async.completed").value();
+  const std::uint64_t errors0 =
+      registry.counter("storage.async.errors").value();
+  std::vector<std::uint8_t> buf(4096);
+  // No request follows on this filesystem: its clock stays behind the
+  // failed request's activity segment.
+  EXPECT_THROW((void)fs.pread(fd, buf, 0, ReadMode::kDirect), DeviceError);
+  EXPECT_EQ(disk.hard_errors(), 1u);
+  EXPECT_EQ(registry.counter("storage.async.completed").value(),
+            completed0 + 1);
+  EXPECT_EQ(registry.counter("storage.async.errors").value(), errors0 + 1);
 }
 
 TEST(FaultyDisk, FailWritesSurfacesOnTheWritePath) {

@@ -7,13 +7,14 @@ namespace greenvis::storage {
 namespace {
 
 struct CacheFixture {
-  CacheFixture() : hdd(HddParams{}), cache(hdd, params()) {}
+  CacheFixture() : hdd(HddParams{}), queue(hdd), cache(queue, params()) {}
   static PageCacheParams params() {
     PageCacheParams p;
     p.capacity = util::mebibytes(1);  // 256 pages — small enough to evict
     return p;
   }
   HddModel hdd;
+  AsyncBlockDevice queue;
   PageCache cache;
 };
 

@@ -143,6 +143,24 @@ TEST(Filesystem, DirectReadsBypassCache) {
   f.fs.close(fd);
 }
 
+TEST(Filesystem, DirectReadOverFourGibRunIsNotTruncated) {
+  // 1 MiB blocks keep the 5 GiB file to 5120 pages; the run is one extent.
+  trace::VirtualClock clock;
+  HddModel hdd{HddParams{}};
+  FsParams params;
+  params.block_size = util::mebibytes(1);
+  params.cache.page_size = util::mebibytes(1);
+  Filesystem fs(hdd, clock, params);
+  const std::uint64_t size = util::gibibytes(5).value();
+  auto fd = fs.create("huge.bin", /*force_contiguous=*/true);
+  fs.write_synthetic(fd, util::Bytes{size}, WriteMode::kBuffered);
+  ASSERT_EQ(fs.extents("huge.bin").size(), 1u);
+
+  const std::uint64_t before = hdd.counters().bytes_read.value();
+  EXPECT_EQ(fs.pread_timed(fd, 0, size, ReadMode::kDirect), size);
+  EXPECT_EQ(hdd.counters().bytes_read.value() - before, size);
+}
+
 TEST(Filesystem, AgedAllocationFragmentsFiles) {
   FsFixture aged(AllocationPolicy::kAged);
   auto fd = aged.fs.create("frag.bin");

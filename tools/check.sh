@@ -5,8 +5,9 @@
 # Usage: tools/check.sh [--asan] [--bench-smoke] [--simd] [build-dir]
 #
 # The suite includes the `golden` ctest label (tools/golden_check.cmake): the
-# committed ENERGY/SERVE profile goldens, serve rerun determinism and the
-# campaign interrupt/resume byte-identity. `greenvis verify` runs as the
+# committed ENERGY/SERVE profile goldens, serve rerun determinism, the
+# campaign interrupt/resume byte-identity and the scalar-vs-auto
+# `greenvis compare` byte-identity. `greenvis verify` runs as the
 # cli_verify_smoke test.
 #
 #   --asan        build with AddressSanitizer + UndefinedBehaviorSanitizer
@@ -20,10 +21,9 @@
 #                 (heat2d_512 serial MCUPS and codec MB/s).
 #   --simd        after the suite, re-run the full tier-1 suite once under
 #                 GREENVIS_SIMD=scalar and once under GREENVIS_SIMD=auto
-#                 (the dispatcher's best native path), then require
-#                 `greenvis compare` output to be byte-for-byte identical
-#                 across the two paths — the end-to-end statement of the
-#                 scalar-vs-vector bit-identity contract.
+#                 (the dispatcher's best native path). The end-to-end
+#                 scalar-vs-vector `greenvis compare` identity is the
+#                 golden_simd test, part of every suite run.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -84,20 +84,6 @@ if [[ "$SIMD" == 1 ]]; then
   # kernels are a pure performance substitution, never a semantic one.
   GREENVIS_SIMD=scalar ctest --test-dir "$BUILD_DIR" --output-on-failure -j
   GREENVIS_SIMD=auto ctest --test-dir "$BUILD_DIR" --output-on-failure -j
-  # End-to-end bit-identity: the full pipeline comparison (solver sweeps,
-  # codec round-trips, renders, energy model) must print byte-for-byte the
-  # same report whichever ISA path executed it.
-  SIMD_DIR="$BUILD_DIR"/simd-smoke
-  rm -rf "$SIMD_DIR" && mkdir -p "$SIMD_DIR"
-  for case_no in 1 2 3; do
-    GREENVIS_SIMD=scalar "$BUILD_DIR"/tools/greenvis compare --case "$case_no" \
-      > "$SIMD_DIR/compare_case${case_no}_scalar.txt"
-    GREENVIS_SIMD=auto "$BUILD_DIR"/tools/greenvis compare --case "$case_no" \
-      > "$SIMD_DIR/compare_case${case_no}_auto.txt"
-    cmp "$SIMD_DIR/compare_case${case_no}_scalar.txt" \
-        "$SIMD_DIR/compare_case${case_no}_auto.txt"
-  done
-  echo "simd differential: scalar and auto paths byte-identical"
 fi
 
 echo "== format =="

@@ -1,7 +1,7 @@
 # Golden and determinism checks for the greenvis CLI, registered as ctest
 # entries under the `golden` label (tools/CMakeLists.txt).
 #
-#   cmake -DCLI=<greenvis> -DCHECK=<energy|serve|campaign> \
+#   cmake -DCLI=<greenvis> -DCHECK=<energy|serve|campaign|simd> \
 #         -DSOURCE_DIR=<repo root> -DWORK_DIR=<scratch dir> \
 #         -P tools/golden_check.cmake
 #
@@ -15,6 +15,9 @@
 #   campaign a small sweep cut short by --limit=3 exits 3 (interrupted);
 #            resumed from its journal, its JSON equals that of an
 #            uninterrupted reference run.
+#   simd     `greenvis compare --case 1/2/3` prints byte-identical reports
+#            under GREENVIS_SIMD=scalar and GREENVIS_SIMD=auto: the vector
+#            kernels are a pure performance substitution, end to end.
 cmake_minimum_required(VERSION 3.20)
 
 foreach(var CLI CHECK SOURCE_DIR WORK_DIR)
@@ -66,6 +69,22 @@ elseif(CHECK STREQUAL "campaign")
   greenvis(0 ${sweep} --journal=${WORK_DIR}/resume.journal --resume
            --out=${WORK_DIR}/resumed.json)
   same("${WORK_DIR}/ref.json" "${WORK_DIR}/resumed.json")
+elseif(CHECK STREQUAL "simd")
+  foreach(case_no 1 2 3)
+    foreach(path scalar auto)
+      execute_process(
+        COMMAND "${CMAKE_COMMAND}" -E env GREENVIS_SIMD=${path}
+                "${CLI}" compare --case ${case_no}
+        OUTPUT_FILE "${WORK_DIR}/compare_case${case_no}_${path}.txt"
+        RESULT_VARIABLE rc)
+      if(NOT rc EQUAL 0)
+        message(FATAL_ERROR "GREENVIS_SIMD=${path} greenvis compare "
+                            "--case ${case_no}: exit ${rc}")
+      endif()
+    endforeach()
+    same("${WORK_DIR}/compare_case${case_no}_scalar.txt"
+         "${WORK_DIR}/compare_case${case_no}_auto.txt")
+  endforeach()
 else()
   message(FATAL_ERROR "golden_check: unknown CHECK '${CHECK}'")
 endif()
