@@ -97,6 +97,7 @@ MaterializedConfig materialize(const CampaignConfig& config,
   }
   m.viewers = c.viewers;
   m.options.host_threads = host_threads;
+  m.options.frame_digests = true;  // ConfigResult::image_digest reads them
   if (c.stage_buffers != 0) {
     m.options.stage_buffers = c.stage_buffers;
   }

@@ -45,6 +45,10 @@ ConfigResult result_from_metrics(const std::string& key,
   r.average_power_w = metrics.average_power.value();
   r.peak_power_w = metrics.peak_power.value();
   r.efficiency = metrics.efficiency;
+  GREENVIS_REQUIRE_MSG(metrics.output.image_digests.size() ==
+                           static_cast<std::size_t>(
+                               metrics.output.visualized_steps),
+                       "campaign runs need PipelineOptions::frame_digests");
   r.image_digest = digest_u64s(metrics.output.image_digests);
   const auto field_bytes = metrics.output.final_field.serialize();
   r.field_digest = digest_bytes(field_bytes, 0xCBF29CE484222325ULL);

@@ -25,19 +25,29 @@ const char* pipeline_kind_name(PipelineKind kind) {
   return "?";
 }
 
+bool same_frames(const PipelineOutput& a, const PipelineOutput& b) {
+  const auto complete = [](const PipelineOutput& out) {
+    return out.image_digests.size() ==
+           static_cast<std::size_t>(out.visualized_steps);
+  };
+  return complete(a) && complete(b) && a.image_digests == b.image_digests;
+}
+
 namespace {
 
 /// Render one frame: real raster + modeled compute burst. `frame` is a
 /// caller-owned buffer reused across steps (no per-frame image allocation).
 void visualize_step(Testbed& bed, const vis::VisPipeline& pipeline,
                     const util::Field2D& field, PipelineOutput& out,
-                    bool keep, vis::Image& frame) {
+                    const PipelineOptions& options, vis::Image& frame) {
   obs::ScopedSpan span("stage.visualize", obs::kCatStage);
   pipeline.render_into(field, frame);
   bed.run_compute(pipeline.render_activity(), stage::kVisualization);
-  out.image_digests.push_back(frame.digest());
+  if (options.frame_digests) {
+    out.image_digests.push_back(frame.digest());
+  }
   ++out.visualized_steps;
-  if (keep) {
+  if (options.keep_images) {
     out.images.push_back(frame);
   }
 }
@@ -238,8 +248,8 @@ PipelineOutput run_pipeline(Testbed& bed, PipelineKind kind,
       continue;
     }
     if (kind == PipelineKind::kInSitu) {
-      visualize_step(bed, vis_pipeline, solver.temperature(), out,
-                     options.keep_images, frame);
+      visualize_step(bed, vis_pipeline, solver.temperature(), out, options,
+                     frame);
     } else if (stager) {
       sched::AsyncStager::Slot slot = stager->acquire();
       if (slot.freed_at > cpu) {
@@ -314,7 +324,7 @@ PipelineOutput run_pipeline(Testbed& bed, PipelineKind kind,
     if (const machine::ActivityRecord* work = coder.cost()) {
       bed.run_compute(*work, stage::kRead);
     }
-    visualize_step(bed, vis_pipeline, field, out, options.keep_images, frame);
+    visualize_step(bed, vis_pipeline, field, out, options, frame);
   }
   return out;
 }

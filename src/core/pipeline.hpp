@@ -70,7 +70,8 @@ using SnapshotTransform = std::variant<ConfigCodec, Sampling, Predictive>;
 
 struct PipelineOutput {
   std::string pipeline_name;
-  /// One digest per visualized step, in step order.
+  /// One digest per visualized step, in step order, when
+  /// PipelineOptions::frame_digests was set; empty otherwise.
   std::vector<std::uint64_t> image_digests;
   /// Final temperature field (for cross-pipeline equality checks).
   util::Field2D final_field;
@@ -95,6 +96,10 @@ struct PipelineOutput {
 
 struct PipelineOptions {
   bool keep_images{false};
+  /// Digest every rendered frame into PipelineOutput::image_digests. Not a
+  /// tuning knob: set it when the caller reads the digests. Hashing a
+  /// frame is host work only, so no virtual second, joule or byte moves.
+  bool frame_digests{false};
   /// Host threads for solver/renderer (0 = hardware concurrency).
   std::size_t host_threads{0};
   /// Staging ring slots for kPostProcessingAsync (>= 1).
@@ -105,6 +110,12 @@ struct PipelineOptions {
   /// byte-identical.
   std::size_t stage_queue_depth{1};
 };
+
+/// True when both outputs hold one digest per visualized step (both runs
+/// set PipelineOptions::frame_digests) and the digests are equal, so two
+/// runs that skipped the digests never pass as equal.
+[[nodiscard]] bool same_frames(const PipelineOutput& a,
+                               const PipelineOutput& b);
 
 /// Run one pipeline on `bed`. The testbed's clock/timelines advance; call
 /// bed.profile() afterwards for the power trace. kInSitu never touches the

@@ -38,11 +38,11 @@ std::uint64_t DatasetCatalog::total_payload_bytes() const {
 
 std::string DatasetCatalog::serialize() const {
   std::ostringstream os;
-  os << "greenvis-catalog 1\n";
+  os << "greenvis-catalog 2\n";
   os << std::hex;
   for (const auto& [step, e] : entries_) {
     os << std::dec << "step " << e.step << " bytes " << e.payload_bytes
-       << " fnv " << std::hex << e.checksum << "\n";
+       << " sum " << std::hex << e.checksum << "\n";
   }
   return os.str();
 }
@@ -51,16 +51,16 @@ DatasetCatalog DatasetCatalog::parse(std::string_view text) {
   std::istringstream is{std::string(text)};
   std::string header, version;
   is >> header >> version;
-  GREENVIS_REQUIRE_MSG(header == "greenvis-catalog" && version == "1",
+  GREENVIS_REQUIRE_MSG(header == "greenvis-catalog" && version == "2",
                        "not a greenvis catalog");
   DatasetCatalog catalog;
-  std::string kw_step, kw_bytes, kw_fnv;
+  std::string kw_step, kw_bytes, kw_sum;
   int step = 0;
   std::uint64_t bytes = 0, checksum = 0;
-  while (is >> kw_step >> step >> kw_bytes >> bytes >> kw_fnv >>
+  while (is >> kw_step >> step >> kw_bytes >> bytes >> kw_sum >>
          std::hex >> checksum >> std::dec) {
     GREENVIS_REQUIRE_MSG(
-        kw_step == "step" && kw_bytes == "bytes" && kw_fnv == "fnv",
+        kw_step == "step" && kw_bytes == "bytes" && kw_sum == "sum",
         "malformed catalog line");
     catalog.record(step, bytes, checksum);
   }

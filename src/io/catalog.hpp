@@ -6,8 +6,11 @@
 // what their payload checksums should be, without probing file names.
 // Format (text, one line per step):
 //
-//   greenvis-catalog 1
-//   step <n> bytes <payload-bytes> fnv <checksum-hex>
+//   greenvis-catalog 2
+//   step <n> bytes <payload-bytes> sum <checksum-hex>
+//
+// The checksum is the frame header's util::wide_checksum64, in unpadded hex.
+// Version 1 recorded FNV-1a under the keyword `fnv` and is rejected.
 #pragma once
 
 #include <cstdint>

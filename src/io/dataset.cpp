@@ -12,7 +12,9 @@ namespace greenvis::io {
 
 namespace {
 
-constexpr std::uint64_t kMagic = 0x475645'48454154ULL;  // "GVE-HEAT"
+// "GVE-HEA2": frames carry util::wide_checksum64; "GVE-HEAT" frames carried
+// FNV-1a and now fail on the magic.
+constexpr std::uint64_t kMagic = 0x475645'48454132ULL;
 constexpr std::size_t kHeaderBytes = 32;
 
 void put_u64(std::uint8_t* dst, std::uint64_t v) {
@@ -44,7 +46,7 @@ void TimestepWriter::write_step(int step,
 
   // Frame: header + payload, emitted in durable chunks. The header and the
   // catalog share one checksum.
-  const std::uint64_t checksum = util::fnv1a64(payload);
+  const std::uint64_t checksum = util::wide_checksum64(payload);
   std::vector<std::uint8_t> framed(kHeaderBytes + payload.size());
   put_u64(framed.data(), kMagic);
   put_u64(framed.data() + 8, static_cast<std::uint64_t>(step));
@@ -119,8 +121,9 @@ std::vector<std::uint8_t> TimestepReader::read_step(int step) {
   std::vector<std::uint8_t> payload(
       framed.begin() + kHeaderBytes,
       framed.begin() + static_cast<std::ptrdiff_t>(kHeaderBytes + payload_size));
-  GREENVIS_REQUIRE_MSG(util::fnv1a64(payload) == get_u64(framed.data() + 24),
-                       "checksum mismatch in " + name);
+  GREENVIS_REQUIRE_MSG(
+      util::wide_checksum64(payload) == get_u64(framed.data() + 24),
+      "checksum mismatch in " + name);
   ++steps_read_;
   return payload;
 }

@@ -5,10 +5,11 @@
 // pipeline later reads the timesteps back for visualization. This layer
 // implements that on the simulated filesystem:
 //
-//  * one file per timestep, each framed with a magic/step/size/FNV-64 header
-//    so the reader can verify integrity — both pipelines must produce
-//    *identical* images, so corruption anywhere in the storage stack is a
-//    test failure, not a silent wrong answer;
+//  * one file per timestep, each framed with a magic/step/size/checksum
+//    header (util::wide_checksum64) so the reader can verify integrity —
+//    both pipelines must produce *identical* images, so corruption
+//    anywhere in the storage stack is a test failure, not a silent wrong
+//    answer;
 //  * the writer emits O_SYNC chunks (checkpoint-style durability: a crashed
 //    simulation must not lose committed steps), which is what makes the
 //    write stage cost ~30% of case study 1;

@@ -131,6 +131,7 @@ OracleResult pipeline_serial_vs_pool() {
     core::Testbed bed;
     core::PipelineOptions options;
     options.host_threads = threads;
+    options.frame_digests = true;
     core::PipelineOutput out = core::run_pipeline(bed, kind, config, options);
     return std::pair<core::PipelineOutput, util::Seconds>{
         std::move(out), bed.clock().now()};
@@ -140,8 +141,9 @@ OracleResult pipeline_serial_vs_pool() {
     const auto [serial, serial_clock] = run(kind, 1);
     const auto [pooled, pooled_clock] = run(kind, 4);
     const char* name = core::pipeline_kind_name(kind);
-    if (serial.image_digests != pooled.image_digests) {
-      return fail(std::string(name) + ": image digests differ");
+    if (!core::same_frames(serial, pooled)) {
+      return fail(std::string(name) +
+                  ": image digests differ or are missing");
     }
     if (!bits_equal(serial.final_field.values(),
                     pooled.final_field.values())) {
@@ -171,6 +173,7 @@ OracleResult pipeline_sync_vs_async() {
     core::PipelineOptions options;
     options.host_threads = 4;
     options.stage_buffers = 2;
+    options.frame_digests = true;
     Run r;
     r.out = core::run_pipeline(bed, kind, config, options);
     // Checksum what actually landed on disk, independent of the pipeline's
@@ -188,8 +191,8 @@ OracleResult pipeline_sync_vs_async() {
   if (sync.disk_sums != async.disk_sums) {
     return fail("on-disk snapshot bytes differ between sync and async");
   }
-  if (sync.out.image_digests != async.out.image_digests) {
-    return fail("image digests differ between sync and async");
+  if (!core::same_frames(sync.out, async.out)) {
+    return fail("image digests differ or are missing between sync and async");
   }
   if (!bits_equal(sync.out.final_field.values(),
                   async.out.final_field.values())) {
@@ -225,6 +228,7 @@ OracleResult batch_sharded_vs_serial() {
       job.kind = kind;
       job.config = base;
       job.config.io_period = period;
+      job.options.frame_digests = true;
       jobs.push_back(job);
     }
   }
@@ -257,7 +261,7 @@ OracleResult batch_sharded_vs_serial() {
       return fail("job " + std::to_string(i) +
                   ": headline metrics differ between serial and sharded");
     }
-    if (a.output.image_digests != b.output.image_digests ||
+    if (!core::same_frames(a.output, b.output) ||
         !bits_equal(a.output.final_field.values(),
                     b.output.final_field.values())) {
       return fail("job " + std::to_string(i) +
@@ -584,6 +588,7 @@ OracleResult obs_on_vs_off() {
     core::Testbed bed;
     core::PipelineOptions options;
     options.host_threads = 2;
+    options.frame_digests = true;
     auto out = core::run_pipeline(bed, core::PipelineKind::kPostProcessing,
                                   config, options);
     return std::pair<core::PipelineOutput, util::Seconds>{std::move(out),
@@ -595,8 +600,8 @@ OracleResult obs_on_vs_off() {
   const auto [on, on_clock] = run();
   obs::set_enabled(false);
 
-  if (off.image_digests != on.image_digests) {
-    return fail("image digests changed when obs was enabled");
+  if (!core::same_frames(off, on)) {
+    return fail("image digests changed or are missing when obs was enabled");
   }
   if (!bits_equal(off.final_field.values(), on.final_field.values())) {
     return fail("final field changed when obs was enabled");
@@ -622,6 +627,7 @@ OracleResult profiler_on_vs_off() {
   const auto run = [&] {
     core::PipelineOptions options;
     options.host_threads = 2;
+    options.frame_digests = true;
     return core::Experiment().run(core::PipelineKind::kPostProcessing,
                                   config, options);
   };
@@ -631,8 +637,9 @@ OracleResult profiler_on_vs_off() {
   const core::PipelineMetrics on = run();
   obs::set_energy_profiler_enabled(false);
 
-  if (off.output.image_digests != on.output.image_digests) {
-    return fail("image digests changed when the energy profiler was enabled");
+  if (!core::same_frames(off.output, on.output)) {
+    return fail("image digests changed or are missing when the energy "
+                "profiler was enabled");
   }
   if (!bits_equal(off.output.final_field.values(),
                   on.output.final_field.values())) {

@@ -277,6 +277,7 @@ void register_pipeline_properties() {
           core::PipelineOptions options;
           options.host_threads = 2;
           options.stage_buffers = buffers;
+          options.frame_digests = true;
           core::PipelineOutput out =
               core::run_pipeline(bed, kind, config, options, transform);
           std::vector<std::uint64_t> sums;
@@ -301,8 +302,9 @@ void register_pipeline_properties() {
         if (async_sums != sync_sums) {
           return std::string("on-disk bytes differ between sync and async");
         }
-        if (async_out.image_digests != sync_out.image_digests) {
-          return std::string("image digests differ between sync and async");
+        if (!core::same_frames(async_out, sync_out)) {
+          return std::string(
+              "image digests differ or are missing between sync and async");
         }
         if (async_out.snapshot_bytes_written.value() !=
                 sync_out.snapshot_bytes_written.value() ||

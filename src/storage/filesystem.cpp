@@ -40,6 +40,14 @@ void Filesystem::charge_syscall() {
   clock_.advance(params_.syscall_overhead);
 }
 
+void Filesystem::settle_failed_batch() {
+  Seconds end = clock_.now();
+  for (const CompletionRecord& record : queue_.last_batch()) {
+    end = std::max(end, record.complete);
+  }
+  clock_.advance_to(end);
+}
+
 Filesystem::Fd Filesystem::create(const std::string& name,
                                   bool force_contiguous) {
   GREENVIS_REQUIRE_MSG(!files_.contains(name), "file already exists: " + name);
@@ -160,7 +168,7 @@ void Filesystem::grow_to(FileNode& node, std::uint64_t size) {
 
 void Filesystem::do_write(Fd fd, std::span<const std::uint8_t> data,
                           std::uint64_t synthetic_len, std::uint64_t offset,
-                          WriteMode mode) {
+                          WriteMode mode) try {
   FileNode& node = node_for(fd);
   const std::uint64_t length =
       data.empty() ? synthetic_len : static_cast<std::uint64_t>(data.size());
@@ -218,6 +226,9 @@ void Filesystem::do_write(Fd fd, std::span<const std::uint8_t> data,
     flush_file_data(node);
     journal_commit();
   }
+} catch (const DeviceError&) {
+  settle_failed_batch();
+  throw;
 }
 
 void Filesystem::write(Fd fd, std::span<const std::uint8_t> data,
@@ -242,7 +253,8 @@ std::uint8_t Filesystem::synthetic_byte(std::uint64_t file_id,
 std::uint64_t Filesystem::read_internal(FileNode& node,
                                         std::span<std::uint8_t> out,
                                         std::uint64_t offset,
-                                        std::uint64_t length, ReadMode mode) {
+                                        std::uint64_t length,
+                                        ReadMode mode) try {
   if (offset >= node.size) {
     return 0;
   }
@@ -337,6 +349,9 @@ std::uint64_t Filesystem::read_internal(FileNode& node,
     }
   }
   return length;
+} catch (const DeviceError&) {
+  settle_failed_batch();
+  throw;
 }
 
 std::uint64_t Filesystem::read(Fd fd, std::span<std::uint8_t> out,
@@ -360,7 +375,7 @@ std::uint64_t Filesystem::pread_timed(Fd fd, std::uint64_t offset,
 }
 
 void Filesystem::mark_dirty(const std::string& name, std::uint64_t offset,
-                            std::uint64_t length) {
+                            std::uint64_t length) try {
   GREENVIS_REQUIRE_MSG(files_.contains(name), "no such file: " + name);
   FileNode& node = files_.at(name);
   GREENVIS_REQUIRE(length > 0 && offset + length <= node.size);
@@ -383,6 +398,9 @@ void Filesystem::mark_dirty(const std::string& name, std::uint64_t offset,
   }
   t = cache_.write(run_dev, run_len, t);
   clock_.advance_to(t);
+} catch (const DeviceError&) {
+  settle_failed_batch();
+  throw;
 }
 
 void Filesystem::seek_to(Fd fd, std::uint64_t offset) {
@@ -433,7 +451,7 @@ void Filesystem::journal_commit() {
   clock_.advance_to(t);
 }
 
-void Filesystem::fsync(Fd fd) {
+void Filesystem::fsync(Fd fd) try {
   const FileNode& node = node_for(fd);
   charge_syscall();
   const std::uint64_t bs = params_.block_size.value();
@@ -449,9 +467,12 @@ void Filesystem::fsync(Fd fd) {
   }
   flush_file_data(node);
   journal_commit();
+} catch (const DeviceError&) {
+  settle_failed_batch();
+  throw;
 }
 
-void Filesystem::sync_all() {
+void Filesystem::sync_all() try {
   charge_syscall();
   const bool had_dirty = cache_.dirty_pages() > 0;
   Seconds t = cache_.flush_all(clock_.now());
@@ -460,6 +481,9 @@ void Filesystem::sync_all() {
   if (had_dirty) {
     journal_commit();
   }
+} catch (const DeviceError&) {
+  settle_failed_batch();
+  throw;
 }
 
 void Filesystem::drop_caches() {

@@ -187,6 +187,11 @@ class Filesystem {
   /// Ensure the file has blocks covering [0, size).
   void grow_to(FileNode& node, std::uint64_t size);
   void charge_syscall();
+  /// A batch that throws DeviceError has still been serviced and logged:
+  /// move the clock to its last completion, so the next request starts
+  /// after the failed one. The entry points that issue device requests
+  /// call this before the error leaves the filesystem.
+  void settle_failed_batch();
   /// Journal commit: descriptor write, barrier, commit record, barrier.
   void journal_commit();
   /// Flush the file's dirty pages + barrier (no journal).

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "src/obs/tracer.hpp"
 #include "src/util/checksum.hpp"
 #include "src/util/error.hpp"
 
@@ -23,6 +24,7 @@ void Image::set_clipped(std::int64_t x, std::int64_t y, Rgb color) {
 
 std::uint64_t Image::digest() const {
   static_assert(sizeof(Rgb) == 3);
+  obs::ScopedSpan span("vis.digest", obs::kCatVis);
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(pixels_.data());
   return util::fnv1a64({bytes, pixels_.size() * sizeof(Rgb)});
 }

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <map>
 #include <memory>
 #include <span>
+#include <sstream>
+#include <string>
+#include <vector>
 
+#include "src/analysis/attribution.hpp"
 #include "src/core/adaptor.hpp"
 #include "src/core/batch_runner.hpp"
 #include "src/core/cinema.hpp"
@@ -28,6 +33,7 @@ CaseStudyConfig fast_case(int io_period) {
 PipelineOptions serial_options() {
   PipelineOptions o;
   o.host_threads = 2;
+  o.frame_digests = true;  // the tests below compare frame digests
   return o;
 }
 
@@ -76,8 +82,7 @@ TEST(Pipelines, ProduceIdenticalImages) {
       post_bed, PipelineKind::kPostProcessing, config, serial_options());
   const PipelineOutput insitu = run_pipeline(
       insitu_bed, PipelineKind::kInSitu, config, serial_options());
-  ASSERT_EQ(post.image_digests.size(), insitu.image_digests.size());
-  EXPECT_EQ(post.image_digests, insitu.image_digests);
+  EXPECT_TRUE(same_frames(post, insitu));
   EXPECT_EQ(post.final_field, insitu.final_field);
 }
 
@@ -118,6 +123,56 @@ TEST(Pipelines, InSituFasterAndPhaseStructureCorrect) {
               post_bed.phases().total(stage::kSimulation).value(), 1e-6);
 }
 
+TEST(Pipelines, FrameDigestsAreOnDemandAndChangeNothingElse) {
+  // Case 1 post-processing with and without frame digests: the flag only
+  // decides whether image_digests is filled.
+  const CaseStudyConfig config = case_study(1);
+  const auto profile_json = [&](const PipelineMetrics& m) {
+    std::ostringstream os;
+    analysis::write_energy_profile_json(os, m.attribution, m.pipeline_name,
+                                        m.case_name);
+    return os.str();
+  };
+  const auto disk_bytes = [](Testbed& bed) {
+    std::map<std::string, std::vector<std::uint8_t>> files;
+    for (const std::string& name : bed.fs().list_files()) {
+      std::vector<std::uint8_t> bytes(bed.fs().file_size(name).value());
+      const auto fd = bed.fs().open(name);
+      (void)bed.fs().pread(fd, bytes, 0, storage::ReadMode::kBuffered);
+      bed.fs().close(fd);
+      files.emplace(name, std::move(bytes));
+    }
+    return files;
+  };
+  PipelineOptions off;
+  off.host_threads = 2;
+  PipelineOptions on = off;
+  on.frame_digests = true;
+
+  const Experiment experiment;
+  const PipelineMetrics m_off =
+      experiment.run(PipelineKind::kPostProcessing, config, off);
+  const PipelineMetrics m_on =
+      experiment.run(PipelineKind::kPostProcessing, config, on);
+  EXPECT_TRUE(m_off.output.image_digests.empty());
+  EXPECT_EQ(m_off.output.visualized_steps, 50);
+  EXPECT_EQ(m_on.output.image_digests.size(), 50u);
+  EXPECT_FALSE(same_frames(m_off.output, m_off.output));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(m_off.duration.value()),
+            std::bit_cast<std::uint64_t>(m_on.duration.value()));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(m_off.energy.value()),
+            std::bit_cast<std::uint64_t>(m_on.energy.value()));
+  EXPECT_EQ(profile_json(m_off), profile_json(m_on));
+  EXPECT_EQ(m_off.output.final_field, m_on.output.final_field);
+
+  Testbed bed_off, bed_on;
+  (void)run_pipeline(bed_off, PipelineKind::kPostProcessing, config, off);
+  (void)run_pipeline(bed_on, PipelineKind::kPostProcessing, config, on);
+  const auto files = disk_bytes(bed_off);
+  EXPECT_FALSE(files.empty());
+  EXPECT_EQ(files, disk_bytes(bed_on));
+}
+
 TEST(Pipelines, AsyncStagingOverlapsWritesWithoutChangingResults) {
   // Case study 1 writes every step — the configuration where overlap pays
   // the most. Async must finish strictly sooner on the virtual clock while
@@ -132,7 +187,7 @@ TEST(Pipelines, AsyncStagingOverlapsWritesWithoutChangingResults) {
   const PipelineOutput async_out = run_pipeline(
       async_bed, PipelineKind::kPostProcessingAsync, config, serial_options());
   EXPECT_LT(async_bed.clock().now().value(), sync_bed.clock().now().value());
-  EXPECT_EQ(async_out.image_digests, sync_out.image_digests);
+  EXPECT_TRUE(same_frames(async_out, sync_out));
   EXPECT_EQ(async_out.final_field, sync_out.final_field);
   EXPECT_EQ(async_bed.fs().list_files().size(),
             sync_bed.fs().list_files().size());
@@ -158,7 +213,7 @@ TEST(Pipelines, AsyncStagingSingleBufferStillDrainsCorrectly) {
       run_pipeline(sync_bed, PipelineKind::kPostProcessing, config, options);
   const PipelineOutput async_out = run_pipeline(
       async_bed, PipelineKind::kPostProcessingAsync, config, options);
-  EXPECT_EQ(async_out.image_digests, sync_out.image_digests);
+  EXPECT_TRUE(same_frames(async_out, sync_out));
   EXPECT_EQ(async_out.snapshot_bytes_written.value(),
             sync_out.snapshot_bytes_written.value());
   EXPECT_EQ(async_bed.fs().list_files().size(),
@@ -194,7 +249,7 @@ TEST(Experiment, DeterministicRuns) {
   const auto b = exp.run(PipelineKind::kInSitu, fast_case(2), serial_options());
   EXPECT_DOUBLE_EQ(a.duration.value(), b.duration.value());
   EXPECT_DOUBLE_EQ(a.energy.value(), b.energy.value());
-  EXPECT_EQ(a.output.image_digests, b.output.image_digests);
+  EXPECT_TRUE(same_frames(a.output, b.output));
 }
 
 TEST(Experiment, MetricsIdenticalForAnyPoolSize) {
@@ -208,16 +263,18 @@ TEST(Experiment, MetricsIdenticalForAnyPoolSize) {
         PipelineKind::kInSitu}) {
     PipelineOptions one;
     one.host_threads = 1;
+    one.frame_digests = true;
     const PipelineMetrics reference = experiment.run(kind, config, one);
     for (std::size_t threads : {std::size_t{4}, std::size_t{0}}) {
       PipelineOptions options;
       options.host_threads = threads;
+      options.frame_digests = true;
       const PipelineMetrics m = experiment.run(kind, config, options);
       EXPECT_EQ(m.duration.value(), reference.duration.value());
       EXPECT_EQ(m.energy.value(), reference.energy.value());
       EXPECT_EQ(m.average_power.value(), reference.average_power.value());
       EXPECT_EQ(m.peak_power.value(), reference.peak_power.value());
-      EXPECT_EQ(m.output.image_digests, reference.output.image_digests);
+      EXPECT_TRUE(same_frames(m.output, reference.output));
       EXPECT_EQ(m.output.final_field, reference.output.final_field);
     }
   }
@@ -241,8 +298,7 @@ TEST(BatchRunner, ConcurrentBatchMatchesSerialInJobOrder) {
     EXPECT_EQ(serial[i].pipeline_name, concurrent[i].pipeline_name);
     EXPECT_EQ(serial[i].duration.value(), concurrent[i].duration.value());
     EXPECT_EQ(serial[i].energy.value(), concurrent[i].energy.value());
-    EXPECT_EQ(serial[i].output.image_digests,
-              concurrent[i].output.image_digests);
+    EXPECT_TRUE(same_frames(serial[i].output, concurrent[i].output));
   }
 }
 
@@ -308,7 +364,7 @@ TEST(Pipelines, CompressedVariantLosslessMatchesExactImages) {
   const auto comp = run_pipeline(comp_bed, PipelineKind::kPostProcessing,
                                  config, serial_options(), Predictive{});
   EXPECT_DOUBLE_EQ(comp.max_abs_error, 0.0);
-  EXPECT_EQ(comp.image_digests, plain.image_digests);
+  EXPECT_TRUE(same_frames(comp, plain));
 }
 
 TEST(Pipelines, CompressedVariantLossyBoundedAndSmaller) {
@@ -391,6 +447,8 @@ TEST(Pipelines, TransformResultsPinned) {
     EXPECT_EQ(bits(out.max_abs_error), p.max_err_bits) << p.name;
     EXPECT_EQ(bits(out.mean_compression_ratio), p.ratio_bits) << p.name;
     const auto& digests = out.image_digests;
+    ASSERT_EQ(digests.size(), static_cast<std::size_t>(out.visualized_steps))
+        << p.name;
     EXPECT_EQ(util::fnv1a64(std::span<const std::uint8_t>(
                   reinterpret_cast<const std::uint8_t*>(digests.data()),
                   digests.size() * sizeof(std::uint64_t))),

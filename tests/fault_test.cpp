@@ -147,6 +147,31 @@ TEST(FaultyDisk, HardErrorSurfacesThroughDatasetLayer) {
   EXPECT_THROW((void)reader.read_step(0), DeviceError);
 }
 
+// After a read on `fs` threw DeviceError, the filesystem clock stands at or
+// past the failed request's completion, and a read of a healthy file
+// succeeds and starts no earlier than that.
+void expect_next_read_follows_the_fault(Filesystem& fs, FaultyDisk& disk,
+                                        ReadMode mode) {
+  const auto& segments = disk.activity().segments();
+  ASSERT_FALSE(segments.empty());
+  const Seconds failed_end = segments.back().end;
+  const std::size_t logged = segments.size();
+  EXPECT_GE(fs.clock().now().value(), failed_end.value());
+
+  const auto fd = fs.create("good.bin");
+  const std::vector<std::uint8_t> data(8192, 0xC3);
+  fs.write(fd, data, WriteMode::kSync);
+  fs.drop_caches();
+  std::vector<std::uint8_t> back(data.size());
+  EXPECT_EQ(fs.pread(fd, back, 0, mode), data.size());
+  EXPECT_EQ(back, data);
+  ASSERT_GT(segments.size(), logged);
+  for (std::size_t i = logged; i < segments.size(); ++i) {
+    EXPECT_GE(segments[i].begin.value(), failed_end.value())
+        << "segment " << i;
+  }
+}
+
 TEST(FaultyDisk, DirectReadFaultIsCountedByTheQueue) {
   struct ObsGuard {
     ~ObsGuard() { obs::set_enabled(false); }
@@ -167,13 +192,28 @@ TEST(FaultyDisk, DirectReadFaultIsCountedByTheQueue) {
   const std::uint64_t errors0 =
       registry.counter("storage.async.errors").value();
   std::vector<std::uint8_t> buf(4096);
-  // No request follows on this filesystem: its clock stays behind the
-  // failed request's activity segment.
   EXPECT_THROW((void)fs.pread(fd, buf, 0, ReadMode::kDirect), DeviceError);
   EXPECT_EQ(disk.hard_errors(), 1u);
   EXPECT_EQ(registry.counter("storage.async.completed").value(),
             completed0 + 1);
   EXPECT_EQ(registry.counter("storage.async.errors").value(), errors0 + 1);
+  expect_next_read_follows_the_fault(fs, disk, ReadMode::kDirect);
+}
+
+TEST(FaultyDisk, BufferedReadFaultLeavesTheClockAtItsCompletion) {
+  trace::VirtualClock clock;
+  HddModel inner{HddParams{}};
+  FaultyDisk disk(inner, FaultConfig{});
+  Filesystem fs(disk, clock, FsParams{});
+  const auto fd = fs.create("bad.bin");
+  fs.write(fd, std::vector<std::uint8_t>(4096, 0x5A), WriteMode::kBuffered);
+  fs.drop_caches();
+  disk.mark_bad(fs.extents("bad.bin").front().device_offset, 4096);
+
+  std::vector<std::uint8_t> buf(4096);
+  EXPECT_THROW((void)fs.pread(fd, buf, 0, ReadMode::kBuffered), DeviceError);
+  EXPECT_EQ(disk.hard_errors(), 1u);
+  expect_next_read_follows_the_fault(fs, disk, ReadMode::kBuffered);
 }
 
 TEST(FaultyDisk, FailWritesSurfacesOnTheWritePath) {

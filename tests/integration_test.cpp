@@ -28,12 +28,14 @@ core::PipelineOptions opts() {
 TEST(Integration, FullComparisonHasPaperShape) {
   const core::Experiment exp;
   const auto config = small_case(1);
+  core::PipelineOptions options = opts();
+  options.frame_digests = true;
   const auto post =
-      exp.run(core::PipelineKind::kPostProcessing, config, opts());
-  const auto insitu = exp.run(core::PipelineKind::kInSitu, config, opts());
+      exp.run(core::PipelineKind::kPostProcessing, config, options);
+  const auto insitu = exp.run(core::PipelineKind::kInSitu, config, options);
 
   // Identical science.
-  EXPECT_EQ(post.output.image_digests, insitu.output.image_digests);
+  EXPECT_TRUE(core::same_frames(post.output, insitu.output));
 
   const auto c = analysis::compare(post, insitu);
   EXPECT_GT(c.time_reduction(), 0.0);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
+#include <string>
 
 #include "src/io/catalog.hpp"
 #include "src/io/dataset.hpp"
@@ -83,6 +85,78 @@ TEST(Dataset, DetectsCorruptedStep) {
   TimestepReader reader(f.fs, config);
   EXPECT_TRUE(reader.has_step(1));
   EXPECT_THROW((void)reader.read_step(1), util::ContractViolation);
+}
+
+// Rewrites step `step`'s stored frame after `edit` changes its bytes: read
+// the file back, then remove, create and write it again.
+void tamper_with_step(storage::Filesystem& fs, const DatasetConfig& config,
+                      int step,
+                      const std::function<void(std::vector<std::uint8_t>&)>&
+                          edit) {
+  const std::string name = step_file_name(config, step);
+  std::vector<std::uint8_t> frame(fs.file_size(name).value());
+  const auto in = fs.open(name);
+  ASSERT_EQ(fs.pread(in, frame, 0, storage::ReadMode::kBuffered),
+            frame.size());
+  fs.close(in);
+  edit(frame);
+  fs.remove(name);
+  const auto out = fs.create(name);
+  fs.write(out, frame, storage::WriteMode::kBuffered);
+  fs.close(out);
+}
+
+/// The ContractViolation message read_step throws, or "" if it returns.
+std::string read_step_error(TimestepReader& reader, int step) {
+  try {
+    (void)reader.read_step(step);
+  } catch (const util::ContractViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Dataset, FlippedPayloadBitFailsTheChecksum) {
+  IoFixture f;
+  const DatasetConfig config;
+  TimestepWriter writer(f.fs, config);
+  writer.write_step(0, demo_payload());
+  tamper_with_step(f.fs, config, 0, [](std::vector<std::uint8_t>& frame) {
+    frame[32 + 1000] ^= 0x10;  // one bit of the payload
+  });
+  TimestepReader reader(f.fs, config);
+  EXPECT_NE(read_step_error(reader, 0).find("checksum mismatch"),
+            std::string::npos);
+  EXPECT_EQ(reader.steps_read(), 0u);
+}
+
+TEST(Dataset, FlippedHeaderChecksumBitFailsTheChecksum) {
+  IoFixture f;
+  const DatasetConfig config;
+  TimestepWriter writer(f.fs, config);
+  writer.write_step(3, demo_payload());
+  tamper_with_step(f.fs, config, 3, [](std::vector<std::uint8_t>& frame) {
+    frame[24 + 5] ^= 0x01;  // bytes 24..31 hold the checksum
+  });
+  TimestepReader reader(f.fs, config);
+  EXPECT_NE(read_step_error(reader, 3).find("checksum mismatch"),
+            std::string::npos);
+}
+
+TEST(Dataset, FrameWithTheFnvEraMagicFailsOnBadMagic) {
+  IoFixture f;
+  const DatasetConfig config;
+  TimestepWriter writer(f.fs, config);
+  writer.write_step(1, demo_payload());
+  tamper_with_step(f.fs, config, 1, [](std::vector<std::uint8_t>& frame) {
+    const std::uint64_t old_magic = 0x475645'48454154ULL;  // "GVE-HEAT"
+    for (int i = 0; i < 8; ++i) {
+      frame[static_cast<std::size_t>(i)] =
+          static_cast<std::uint8_t>(old_magic >> (8 * i));
+    }
+  });
+  TimestepReader reader(f.fs, config);
+  EXPECT_NE(read_step_error(reader, 1).find("bad magic"), std::string::npos);
 }
 
 TEST(Dataset, MissingStepThrows) {
@@ -174,7 +248,11 @@ TEST(Catalog, RejectsDuplicatesAndGarbage) {
   EXPECT_THROW(catalog.record(1, 10, 1), util::ContractViolation);
   EXPECT_THROW((void)DatasetCatalog::parse("not a catalog"),
                util::ContractViolation);
-  EXPECT_THROW((void)DatasetCatalog::parse("greenvis-catalog 2\n"),
+  // Version 1 recorded FNV-1a checksums under `fnv`.
+  EXPECT_THROW((void)DatasetCatalog::parse("greenvis-catalog 1\n"),
+               util::ContractViolation);
+  EXPECT_THROW((void)DatasetCatalog::parse(
+                   "greenvis-catalog 2\nstep 0 bytes 8 fnv 1f\n"),
                util::ContractViolation);
 }
 
@@ -195,7 +273,7 @@ TEST(Catalog, WriterMaintainsItAndItPersists) {
   // The cataloged checksum matches what the reader verifies.
   TimestepReader reader(f.fs, config);
   const auto back = reader.read_step(6);
-  EXPECT_EQ(util::fnv1a64(back), loaded.entry(6)->checksum);
+  EXPECT_EQ(util::wide_checksum64(back), loaded.entry(6)->checksum);
 }
 
 TEST(Catalog, DiscoversStepsWithoutProbing) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 
@@ -483,6 +484,68 @@ TEST(Checksum, StableAndSensitive) {
   const std::vector<std::uint8_t> b{1, 2, 4};
   EXPECT_EQ(fnv1a64(a), fnv1a64(a));
   EXPECT_NE(fnv1a64(a), fnv1a64(b));
+}
+
+std::vector<std::uint8_t> checksum_input(std::size_t n) {
+  std::vector<std::uint8_t> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  return out;
+}
+
+// The layout wide_checksum64 documents, written out lane by lane: lane k
+// hashes words k, k+8, ... with FNV-1a, the tail seeds the final state
+// byte by byte, and the lanes fold into it in order.
+std::uint64_t wide_checksum_by_lanes(std::span<const std::uint8_t> data) {
+  const std::size_t words = data.size() / 64 * 8;
+  std::vector<std::uint64_t> lanes(8, 0xCBF29CE484222325ULL);
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t word = 0;
+    for (std::size_t i = 8; i-- > 0;) {
+      word = (word << 8) | data[8 * w + i];
+    }
+    lanes[w % 8] = (lanes[w % 8] ^ word) * 0x100000001B3ULL;
+  }
+  std::uint64_t h = fnv1a64(data.subspan(8 * words));
+  for (const std::uint64_t lane : lanes) {
+    h = (h ^ lane) * 0x100000001B3ULL;
+  }
+  return h;
+}
+
+TEST(Checksum, WideChecksumKnownAnswers) {
+  EXPECT_EQ(wide_checksum64({}), 0x52fcc39ebac1808dULL);
+  EXPECT_EQ(wide_checksum64(checksum_input(1000)), 0x47dd699c4443eb25ULL);
+  for (const std::size_t n : {0, 1, 7, 8, 63, 64, 65, 127, 128, 129, 1000}) {
+    const auto data = checksum_input(n);
+    EXPECT_EQ(wide_checksum64(data), wide_checksum_by_lanes(data)) << n;
+  }
+}
+
+TEST(Checksum, WideChecksumCatchesEverySingleBitFlip) {
+  // Flips `bit` of `data`, checksums, and flips it back.
+  const auto flip_changes_sum = [](std::vector<std::uint8_t>& data,
+                                   std::uint64_t clean, std::size_t bit) {
+    const auto mask = static_cast<std::uint8_t>(1U << (bit % 8));
+    data[bit / 8] ^= mask;
+    const bool changed = wide_checksum64(data) != clean;
+    data[bit / 8] ^= mask;
+    return changed;
+  };
+  for (const std::size_t n : {1, 7, 8, 63, 64, 65, 127, 129, 1000}) {
+    auto data = checksum_input(n);
+    const std::uint64_t clean = wide_checksum64(data);
+    for (std::size_t bit = 0; bit < 8 * n; ++bit) {
+      ASSERT_TRUE(flip_changes_sum(data, clean, bit))
+          << n << " bytes, bit " << bit;
+    }
+  }
+  auto frame = checksum_input(128 * 1024);
+  const std::uint64_t clean = wide_checksum64(frame);
+  for (std::size_t bit = 0; bit < 8 * frame.size(); bit += 97) {
+    ASSERT_TRUE(flip_changes_sum(frame, clean, bit)) << "128 KiB, bit " << bit;
+  }
 }
 
 // ---------- log ----------

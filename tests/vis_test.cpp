@@ -239,8 +239,10 @@ TEST(PixelPins, CaseOneFramesPerPalette) {
     core::Testbed bed;
     core::PipelineOptions options;
     options.host_threads = 2;
+    options.frame_digests = true;
     const core::PipelineOutput out =
         core::run_pipeline(bed, core::PipelineKind::kInSitu, config, options);
+    ASSERT_EQ(out.visualized_steps, 50);
     ASSERT_EQ(out.image_digests.size(), 50u);
     EXPECT_EQ(digests_fnv(out.image_digests), pin.fnv)
         << palette_name(pin.palette);

@@ -5,9 +5,9 @@
 # Usage: tools/check.sh [--asan] [--bench-smoke] [--simd] [build-dir]
 #
 # The suite includes the `golden` ctest label (tools/golden_check.cmake): the
-# committed ENERGY/SERVE profile goldens, serve rerun determinism, the
-# campaign interrupt/resume byte-identity and the scalar-vs-auto
-# `greenvis compare` byte-identity. `greenvis verify` runs as the
+# committed ENERGY/SERVE profile and CAMPAIGN sweep goldens, serve rerun
+# determinism, the campaign interrupt/resume byte-identity and the
+# scalar-vs-auto `greenvis compare` byte-identity. `greenvis verify` runs as the
 # cli_verify_smoke test.
 #
 #   --asan        build with AddressSanitizer + UndefinedBehaviorSanitizer

@@ -14,7 +14,9 @@
 #            golden tools/golden/SERVE_profile_case1.json.
 #   campaign a small sweep cut short by --limit=3 exits 3 (interrupted);
 #            resumed from its journal, its JSON equals that of an
-#            uninterrupted reference run.
+#            uninterrupted reference run, and that run's JSON equals the
+#            committed golden tools/golden/CAMPAIGN_small.json (so frame
+#            or field digests lost on both sides still fail).
 #   simd     `greenvis compare --case 1/2/3` prints byte-identical reports
 #            under GREENVIS_SIMD=scalar and GREENVIS_SIMD=auto: the vector
 #            kernels are a pure performance substitution, end to end.
@@ -68,6 +70,7 @@ elseif(CHECK STREQUAL "campaign")
            --out=${WORK_DIR}/partial.json)
   greenvis(0 ${sweep} --journal=${WORK_DIR}/resume.journal --resume
            --out=${WORK_DIR}/resumed.json)
+  same("${WORK_DIR}/ref.json" "${golden}/CAMPAIGN_small.json")
   same("${WORK_DIR}/ref.json" "${WORK_DIR}/resumed.json")
 elseif(CHECK STREQUAL "simd")
   foreach(case_no 1 2 3)
