@@ -64,35 +64,7 @@ void InSituAdaptor::add_trigger(std::unique_ptr<Trigger> trigger) {
   triggers_.push_back(std::move(trigger));
 }
 
-void InSituAdaptor::enable_snapshot_export(io::TimestepWriter& writer,
-                                           const codec::CodecConfig& config,
-                                           double io_cores,
-                                           double io_utilization,
-                                           std::size_t stage_buffers) {
-  snapshot_writer_ = &writer;
-  snapshot_arena_ = std::make_unique<util::ScratchArena>();
-  snapshot_codec_ =
-      std::make_unique<codec::FieldCodec>(config, snapshot_arena_.get());
-  snapshot_io_cores_ = io_cores;
-  snapshot_io_utilization_ = io_utilization;
-  staged_.clear();
-  staged_.resize(stage_buffers);
-  staged_count_ = 0;
-}
-
-void InSituAdaptor::flush_staged() {
-  for (std::size_t i = 0; i < staged_count_; ++i) {
-    StagedExport& e = staged_[i];
-    bed_->run_io(stage::kWrite, snapshot_io_cores_, snapshot_io_utilization_,
-                 [&] { snapshot_writer_->write_step(e.step, e.payload); });
-  }
-  staged_count_ = 0;
-}
-
-void InSituAdaptor::drain() { flush_staged(); }
-
-std::optional<std::uint64_t> InSituAdaptor::process(
-    int step, const util::Field2D& field) {
+bool InSituAdaptor::process(int step, const util::Field2D& field) {
   GREENVIS_REQUIRE_MSG(!triggers_.empty(), "adaptor has no triggers");
   ++offered_;
 
@@ -113,39 +85,12 @@ std::optional<std::uint64_t> InSituAdaptor::process(
     }
   }
   if (!fire) {
-    return std::nullopt;
+    return false;
   }
-  const vis::Image image = pipeline_.render(field);
+  (void)pipeline_.render(field);
   bed_->run_compute(pipeline_.render_activity(), stage::kVisualization);
   ++rendered_;
-
-  if (snapshot_writer_ != nullptr) {
-    snapshot_arena_->reset();
-    snapshot_codec_->encode(field, snapshot_buf_);
-    if (snapshot_codec_->active()) {
-      machine::ActivityRecord codec_work;
-      codec_work.flops = static_cast<double>(field.size()) * 12.0;
-      codec_work.active_cores = 1;
-      codec_work.dram_bytes = util::Bytes{field.size() * 16};
-      bed_->run_compute(codec_work, stage::kWrite);
-    }
-    snapshot_bytes_ += util::Bytes{snapshot_buf_.size()};
-    if (staged_.empty()) {
-      // Write-through: one Write interval per rendered step.
-      bed_->run_io(stage::kWrite, snapshot_io_cores_,
-                   snapshot_io_utilization_,
-                   [&] { snapshot_writer_->write_step(step, snapshot_buf_); });
-    } else {
-      // Burst buffer: defer; flush back-to-back once the ring is full.
-      if (staged_count_ == staged_.size()) {
-        flush_staged();
-      }
-      StagedExport& e = staged_[staged_count_++];
-      e.step = step;
-      e.payload.assign(snapshot_buf_.begin(), snapshot_buf_.end());
-    }
-  }
-  return image.digest();
+  return true;
 }
 
 }  // namespace greenvis::core

@@ -9,16 +9,12 @@
 // happening, saving visualization energy on quiescent stretches.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "src/codec/field_codec.hpp"
 #include "src/core/testbed.hpp"
-#include "src/io/dataset.hpp"
-#include "src/util/arena.hpp"
 #include "src/util/field.hpp"
 #include "src/vis/pipeline.hpp"
 
@@ -81,38 +77,12 @@ class InSituAdaptor {
 
   void add_trigger(std::unique_ptr<Trigger> trigger);
 
-  /// Optional triggered snapshot export: when enabled, every *rendered*
-  /// step's field is also encoded with `config` and written through
-  /// `writer` (charged as Write-stage I/O). The in-situ analogue of the
-  /// post-processing snapshot path — triggered steps can still be archived
-  /// for later analysis, at codec-reduced byte cost.
-  ///
-  /// `stage_buffers == 0` writes through immediately (one Write interval
-  /// per rendered step). `stage_buffers >= 1` stages encoded payloads in a
-  /// bounded burst-buffer ring instead: writes are deferred until the ring
-  /// fills (or drain()), then flushed back-to-back on the shared clock —
-  /// the in-situ side of the in-transit design, trading buffer memory for
-  /// streaming-friendly write bursts. Bytes on disk are identical.
-  void enable_snapshot_export(io::TimestepWriter& writer,
-                              const codec::CodecConfig& config,
-                              double io_cores = 3.0,
-                              double io_utilization = 0.5,
-                              std::size_t stage_buffers = 0);
-
-  /// Flush any staged-but-unwritten snapshot exports (no-op when export is
-  /// write-through or the ring is empty). Call at end-of-run.
-  void drain();
-
   /// Offer one timestep; renders (and charges the testbed) when any trigger
-  /// fires. Returns the image digest if rendered.
-  std::optional<std::uint64_t> process(int step, const util::Field2D& field);
+  /// fires. Returns whether the step was rendered.
+  bool process(int step, const util::Field2D& field);
 
   [[nodiscard]] int steps_offered() const { return offered_; }
   [[nodiscard]] int steps_rendered() const { return rendered_; }
-  /// Encoded bytes exported so far (0 unless snapshot export is enabled).
-  [[nodiscard]] util::Bytes snapshot_bytes_written() const {
-    return snapshot_bytes_;
-  }
 
  private:
   Testbed* bed_;
@@ -120,23 +90,6 @@ class InSituAdaptor {
   std::vector<std::unique_ptr<Trigger>> triggers_;
   int offered_{0};
   int rendered_{0};
-  io::TimestepWriter* snapshot_writer_{nullptr};
-  std::unique_ptr<util::ScratchArena> snapshot_arena_;
-  std::unique_ptr<codec::FieldCodec> snapshot_codec_;
-  std::vector<std::uint8_t> snapshot_buf_;
-  util::Bytes snapshot_bytes_{0};
-  double snapshot_io_cores_{3.0};
-  double snapshot_io_utilization_{0.5};
-  /// Burst-buffer ring for staged export (entries and their payload
-  /// storage are reused across flush laps).
-  struct StagedExport {
-    int step{-1};
-    std::vector<std::uint8_t> payload;
-  };
-  std::vector<StagedExport> staged_;
-  std::size_t staged_count_{0};
-
-  void flush_staged();
 };
 
 }  // namespace greenvis::core

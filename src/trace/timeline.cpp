@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "src/trace/clock.hpp"
 #include "src/util/csv.hpp"
 #include "src/util/error.hpp"
 
@@ -109,17 +108,6 @@ void Timeline::write_csv(std::ostream& os) const {
     csv.field(iv.duration().value());
     csv.end_row();
   }
-}
-
-ScopedPhase::ScopedPhase(Timeline& timeline, const VirtualClock& clock,
-                         std::string category)
-    : timeline_(timeline),
-      clock_(clock),
-      category_(std::move(category)),
-      begin_(clock.now()) {}
-
-ScopedPhase::~ScopedPhase() {
-  timeline_.record(category_, begin_, clock_.now());
 }
 
 }  // namespace greenvis::trace

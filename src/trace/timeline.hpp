@@ -69,20 +69,4 @@ class Timeline {
   std::vector<Interval> intervals_;
 };
 
-/// RAII phase marker: records [t_open, t_close) on destruction.
-class ScopedPhase {
- public:
-  ScopedPhase(Timeline& timeline, const class VirtualClock& clock,
-              std::string category);
-  ~ScopedPhase();
-  ScopedPhase(const ScopedPhase&) = delete;
-  ScopedPhase& operator=(const ScopedPhase&) = delete;
-
- private:
-  Timeline& timeline_;
-  const VirtualClock& clock_;
-  std::string category_;
-  Seconds begin_;
-};
-
 }  // namespace greenvis::trace

@@ -1,5 +1,7 @@
 #include "src/util/args.hpp"
 
+#include <algorithm>
+
 #include "src/util/error.hpp"
 
 namespace greenvis::util {
@@ -30,14 +32,9 @@ ArgParser::ArgParser(int argc, const char* const* argv, int first) {
 
 void ArgParser::allow_only(const std::vector<std::string>& allowed) const {
   for (const auto& [key, value] : options_) {
-    bool ok = false;
-    for (const auto& a : allowed) {
-      if (key == a) {
-        ok = true;
-        break;
-      }
+    if (std::ranges::find(allowed, key) == allowed.end()) {
+      throw ContractViolation("unknown option --" + key);
     }
-    GREENVIS_REQUIRE_MSG(ok, "unknown option --" + key);
   }
 }
 

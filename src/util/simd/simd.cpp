@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "src/util/error.hpp"
-#include "src/util/log.hpp"
 #include "src/util/simd/kernels_impl.hpp"
 
 namespace greenvis::util::simd {
@@ -79,10 +78,6 @@ struct Dispatcher {
                          "GREENVIS_SIMD=" + name +
                              " is not supported on this host (detected " +
                              path_name(detected) + ")");
-    if (forced != detected) {
-      log_debug() << "simd: GREENVIS_SIMD forces " << path_name(forced)
-                  << " (detected " << path_name(detected) << ")";
-    }
     active.store(table_or_null(forced), std::memory_order_relaxed);
   }
 };

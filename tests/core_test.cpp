@@ -469,8 +469,7 @@ TEST(Adaptor, PeriodicTriggerMatchesPipelineSchedule) {
   adaptor.add_trigger(std::make_unique<PeriodicTrigger>(3));
   util::Field2D field(16, 16, 1.0);
   for (int step = 0; step < 10; ++step) {
-    const auto digest = adaptor.process(step, field);
-    EXPECT_EQ(digest.has_value(), step % 3 == 0);
+    EXPECT_EQ(adaptor.process(step, field), step % 3 == 0);
   }
   EXPECT_EQ(adaptor.steps_offered(), 10);
   EXPECT_EQ(adaptor.steps_rendered(), 4);
@@ -521,67 +520,6 @@ TEST(Adaptor, ChargesTestbedForRenderedStepsOnly) {
   }
   EXPECT_GT(dense_bed.clock().now().value(),
             5.0 * sparse_bed.clock().now().value());
-}
-
-TEST(Adaptor, StagedSnapshotExportMatchesWriteThroughBytes) {
-  // Burst-buffer export defers writes until the ring fills (or drain()),
-  // but what lands on disk must be byte-identical to write-through.
-  vis::VisConfig vis_config;
-  vis_config.width = 32;
-  vis_config.height = 32;
-  codec::CodecConfig codec_config;
-  codec_config.kind = codec::Kind::kDelta;
-  io::DatasetConfig dataset;
-  const auto run = [&](std::size_t stage_buffers, Testbed& bed) {
-    io::TimestepWriter writer(bed.fs(), dataset);
-    InSituAdaptor adaptor(bed, vis_config, nullptr);
-    adaptor.add_trigger(std::make_unique<PeriodicTrigger>(1));
-    adaptor.enable_snapshot_export(writer, codec_config, 3.0, 0.5,
-                                   stage_buffers);
-    util::Field2D field(16, 16, 0.0);
-    for (int step = 0; step < 7; ++step) {
-      field.at(static_cast<std::size_t>(step), 0) = 10.0 + step;
-      (void)adaptor.process(step, field);
-    }
-    adaptor.drain();
-    return adaptor.snapshot_bytes_written();
-  };
-  Testbed through_bed, staged_bed;
-  const util::Bytes through = run(0, through_bed);
-  const util::Bytes staged = run(3, staged_bed);
-  EXPECT_EQ(staged.value(), through.value());
-  io::TimestepReader through_reader(through_bed.fs(), dataset);
-  io::TimestepReader staged_reader(staged_bed.fs(), dataset);
-  for (int step = 0; step < 7; ++step) {
-    EXPECT_EQ(staged_reader.read_step(step), through_reader.read_step(step))
-        << "step " << step;
-  }
-}
-
-TEST(Adaptor, StagedExportDefersWritesUntilRingFillsOrDrains) {
-  vis::VisConfig vis_config;
-  vis_config.width = 32;
-  vis_config.height = 32;
-  io::DatasetConfig dataset;
-  Testbed bed;
-  io::TimestepWriter writer(bed.fs(), dataset);
-  InSituAdaptor adaptor(bed, vis_config, nullptr);
-  adaptor.add_trigger(std::make_unique<PeriodicTrigger>(1));
-  adaptor.enable_snapshot_export(writer, codec::CodecConfig{}, 3.0, 0.5, 4);
-  util::Field2D field(16, 16, 2.0);
-  for (int step = 0; step < 3; ++step) {
-    (void)adaptor.process(step, field);
-  }
-  // Three staged, ring holds four: nothing on disk yet.
-  EXPECT_TRUE(bed.fs().list_files().empty());
-  (void)adaptor.process(3, field);
-  (void)adaptor.process(4, field);
-  // The fifth export found the ring full: the first four flushed.
-  EXPECT_EQ(bed.fs().list_files().size(), 4u);
-  adaptor.drain();
-  EXPECT_EQ(bed.fs().list_files().size(), 5u);
-  adaptor.drain();  // idempotent
-  EXPECT_EQ(bed.fs().list_files().size(), 5u);
 }
 
 // ---------- Cinema image database ----------

@@ -1,26 +1,10 @@
 // greenvis — command-line front end to the library.
 //
-//   greenvis compare [--case N] [--cap WATTS] [--io-ghz F]
-//                    [--codec raw|delta|rle] [--tolerance T]
-//                    [--pipeline sync|async] [--stage-buffers N]
-//                    [--stage-queue-depth N]
-//                    [--device hdd|ssd|nvram|nvme|raid0]
-//                    [--io-queue-depth N]
-//                    [--io-sched device|noop|elevator|deadline]
-//   greenvis fio <seq-read|rand-read|seq-write|rand-write> [--size MIB]
-//               [--device hdd|ssd|nvram]
-//   greenvis advise --accesses N --kib K --random F --reads F
-//                   [--no-exploration]
-//   greenvis replay (<trace-file>|--builtin mpas|xrage) [--in-situ]
-//   greenvis cluster [--nodes N] [--staging S] [--targets T]
-//   greenvis campaign [--pipelines ...] [--grids ...] [--journal FILE]
-//                     [--resume] [--limit N] [--whatif]
-//   greenvis profile [--case N] [--pipeline sync|async|insitu] [--top N]
-//                    [--out FILE]      # span-level joule attribution
-//   greenvis serve [--case N] [--viewers N] [--views G] [--no-cache]
-//                  [--out FILE]        # multi-viewer frame serving
-//   greenvis trace-template            # print a starter trace to stdout
+//   greenvis <command> [options]
 //
+// usage() below lists every command and the options it accepts. A command
+// rejects any option it does not read, so a misspelled flag stops the run
+// with "error: unknown option --..." instead of silently using a default.
 // Any command also accepts the global observability flags
 //   --trace-out=FILE     write a Chrome trace-event JSON of the run
 //   --metrics-out=FILE   write the metrics snapshot (.csv suffix → CSV,
@@ -62,32 +46,60 @@ using namespace greenvis;
 
 using Args = util::ArgParser;
 
-double opt_double(const Args& args, const std::string& key, double fallback) {
-  return args.get(key, fallback);
+/// Reject every option outside `flags` and the global observability flags.
+void accept_only(const Args& args, std::vector<std::string> flags) {
+  flags.insert(flags.end(), {"trace-out", "metrics-out"});
+  args.allow_only(flags);
 }
 
-std::string opt_string(const Args& args, const std::string& key,
-                       const std::string& fallback) {
-  return args.get(key, fallback);
-}
+/// What the run flags of `compare`, `profile` and `serve` configure.
+struct RunFlags {
+  core::TestbedConfig testbed;
+  core::CaseStudyConfig workload;
+  core::PipelineOptions options;
+};
 
-int cmd_compare(const Args& args) {
-  const int case_number = static_cast<int>(opt_double(args, "case", 1));
-  core::TestbedConfig config;
-  config.package_cap = util::Watts{opt_double(args, "cap", 0.0)};
-  config.io_frequency_ghz = opt_double(args, "io-ghz", 0.0);
-  const std::string device = opt_string(args, "device", "hdd");
+/// The one reader of the run flags: --case, --cap and --device always, and
+/// with `snapshot_flags` also --io-ghz, --codec, --tolerance and
+/// --stage-buffers. Prints the error and returns nullopt on an unknown
+/// device.
+std::optional<RunFlags> read_run_flags(const Args& args, bool snapshot_flags) {
+  RunFlags run;
+  run.workload = core::case_study(static_cast<int>(args.get("case", 1.0)));
+  run.testbed.package_cap = util::Watts{args.get("cap", 0.0)};
+  const std::string device = args.get("device", "hdd");
   if (const auto kind = core::parse_storage_device(device)) {
-    config.device = *kind;
+    run.testbed.device = *kind;
   } else {
     std::cerr << "unknown --device '" << device
               << "' (expected hdd|ssd|nvram|nvme|raid0)\n";
+    return std::nullopt;
+  }
+  if (snapshot_flags) {
+    run.testbed.io_frequency_ghz = args.get("io-ghz", 0.0);
+    run.options.stage_buffers = static_cast<std::size_t>(args.get(
+        "stage-buffers", static_cast<double>(run.options.stage_buffers)));
+    run.workload.snapshot_codec.kind =
+        codec::parse_kind(args.get("codec", "raw"));
+    run.workload.snapshot_codec.tolerance =
+        args.get("tolerance", run.workload.snapshot_codec.tolerance);
+  }
+  return run;
+}
+
+int cmd_compare(const Args& args) {
+  accept_only(args, {"case", "cap", "device", "io-ghz", "codec", "tolerance",
+                     "stage-buffers", "stage-queue-depth", "pipeline",
+                     "io-queue-depth", "io-sched"});
+  auto run = read_run_flags(args, true);
+  if (!run) {
     return 2;
   }
+  core::TestbedConfig& config = run->testbed;
   config.fs.io_queue.queue_depth = static_cast<std::size_t>(
-      opt_double(args, "io-queue-depth",
-                 static_cast<double>(config.fs.io_queue.queue_depth)));
-  const std::string io_sched = opt_string(args, "io-sched", "device");
+      args.get("io-queue-depth",
+               static_cast<double>(config.fs.io_queue.queue_depth)));
+  const std::string io_sched = args.get("io-sched", "device");
   if (const auto sched = storage::parse_io_scheduler(io_sched)) {
     config.fs.io_queue.scheduler = *sched;
   } else {
@@ -95,25 +107,19 @@ int cmd_compare(const Args& args) {
               << "' (expected device|noop|elevator|deadline)\n";
     return 2;
   }
-  const std::string pipeline = opt_string(args, "pipeline", "sync");
+  const std::string pipeline = args.get("pipeline", "sync");
   if (pipeline != "sync" && pipeline != "async") {
     std::cerr << "unknown --pipeline '" << pipeline
               << "' (expected sync or async)\n";
     return 2;
   }
   const bool async_post = pipeline == "async";
-  core::PipelineOptions options;
-  options.stage_buffers = static_cast<std::size_t>(
-      opt_double(args, "stage-buffers", static_cast<double>(options.stage_buffers)));
+  core::PipelineOptions& options = run->options;
   options.stage_queue_depth = static_cast<std::size_t>(
-      opt_double(args, "stage-queue-depth",
-                 static_cast<double>(options.stage_queue_depth)));
+      args.get("stage-queue-depth",
+               static_cast<double>(options.stage_queue_depth)));
   const core::Experiment experiment(config);
-  auto workload = core::case_study(case_number);
-  workload.snapshot_codec.kind =
-      codec::parse_kind(opt_string(args, "codec", "raw"));
-  workload.snapshot_codec.tolerance =
-      opt_double(args, "tolerance", workload.snapshot_codec.tolerance);
+  const core::CaseStudyConfig& workload = run->workload;
   std::cerr << "running " << workload.name << " (codec="
             << codec::kind_name(workload.snapshot_codec.kind)
             << ", post pipeline=" << pipeline << ")...\n";
@@ -159,6 +165,7 @@ int cmd_compare(const Args& args) {
 }
 
 int cmd_fio(const Args& args) {
+  accept_only(args, {"size", "device"});
   if (args.positional().empty()) {
     std::cerr << "usage: greenvis fio <seq-read|rand-read|seq-write|"
                  "rand-write> [--size MIB] [--device hdd|ssd|nvram]\n";
@@ -174,13 +181,21 @@ int cmd_fio(const Args& args) {
     std::cerr << "unknown fio mode '" << args.positional()[0] << "'\n";
     return 2;
   }
+  const std::map<std::string, fio::DeviceKind> devices{
+      {"hdd", fio::DeviceKind::kHdd},
+      {"ssd", fio::DeviceKind::kSsd},
+      {"nvram", fio::DeviceKind::kNvram}};
+  const std::string device = args.get("device", "hdd");
+  const auto dev = devices.find(device);
+  if (dev == devices.end()) {
+    std::cerr << "unknown --device '" << device
+              << "' (expected hdd|ssd|nvram)\n";
+    return 2;
+  }
   fio::FioRunnerConfig config;
-  const std::string device = opt_string(args, "device", "hdd");
-  config.device = device == "ssd"    ? fio::DeviceKind::kSsd
-                  : device == "nvram" ? fio::DeviceKind::kNvram
-                                      : fio::DeviceKind::kHdd;
+  config.device = dev->second;
   fio::FioJob job = fio::table3_job(it->second);
-  const double mib = opt_double(args, "size", 0.0);
+  const double mib = args.get("size", 0.0);
   if (mib > 0.0) {
     job.total_size = util::mebibytes(static_cast<std::uint64_t>(mib));
   }
@@ -200,13 +215,14 @@ int cmd_fio(const Args& args) {
 }
 
 int cmd_advise(const Args& args) {
+  accept_only(args, {"accesses", "kib", "random", "reads", "no-exploration"});
   analysis::AccessPattern pattern;
   pattern.accesses =
-      static_cast<std::uint64_t>(opt_double(args, "accesses", 1 << 18));
+      static_cast<std::uint64_t>(args.get("accesses", double{1 << 18}));
   pattern.bytes_per_access = util::kibibytes(
-      static_cast<std::uint64_t>(opt_double(args, "kib", 16)));
-  pattern.random_fraction = opt_double(args, "random", 1.0);
-  pattern.read_fraction = opt_double(args, "reads", 0.9);
+      static_cast<std::uint64_t>(args.get("kib", 16.0)));
+  pattern.random_fraction = args.get("random", 1.0);
+  pattern.read_fraction = args.get("reads", 0.9);
   pattern.exploratory_analysis_required =
       !args.has("no-exploration");
 
@@ -230,6 +246,7 @@ int cmd_advise(const Args& args) {
 }
 
 int cmd_replay(const Args& args) {
+  accept_only(args, {"builtin", "in-situ"});
   std::string text;
   if (args.has("builtin")) {
     const std::string which = args.get("builtin", std::string{});
@@ -277,13 +294,12 @@ int cmd_replay(const Args& args) {
 }
 
 int cmd_cluster(const Args& args) {
+  accept_only(args, {"nodes", "staging", "targets"});
   net::ClusterSpec cluster;
-  cluster.compute_nodes =
-      static_cast<std::size_t>(opt_double(args, "nodes", 32));
-  cluster.staging_nodes =
-      static_cast<std::size_t>(opt_double(args, "staging", 2));
+  cluster.compute_nodes = static_cast<std::size_t>(args.get("nodes", 32.0));
+  cluster.staging_nodes = static_cast<std::size_t>(args.get("staging", 2.0));
   cluster.pfs.storage_targets =
-      static_cast<std::size_t>(opt_double(args, "targets", 4));
+      static_cast<std::size_t>(args.get("targets", 4.0));
   const net::MultiNodeStudy study(cluster, core::case_study(1));
   const auto post = study.post_processing();
   const auto insitu = study.in_situ();
@@ -300,7 +316,8 @@ int cmd_cluster(const Args& args) {
   return 0;
 }
 
-int cmd_trace_template() {
+int cmd_trace_template(const Args& args) {
+  accept_only(args, {});
   std::cout << replay::mpas_like_trace();
   return 0;
 }
@@ -324,9 +341,13 @@ std::vector<std::string> split_csv(const std::string& text) {
 }
 
 int cmd_campaign(const Args& args) {
+  accept_only(args, {"pipelines", "grids", "periods", "iterations", "codecs",
+                     "tolerances", "devices", "freqs", "io-freqs", "caps",
+                     "io-scheds", "io-queue-depths", "viewers", "journal",
+                     "resume", "threads", "shards", "limit", "out", "whatif"});
   campaign::CampaignSpec spec;
   for (const std::string& name :
-       split_csv(opt_string(args, "pipelines", "post,insitu"))) {
+       split_csv(args.get("pipelines", "post,insitu"))) {
     if (name == "post") {
       spec.pipelines.push_back(core::PipelineKind::kPostProcessing);
     } else if (name == "async") {
@@ -339,23 +360,22 @@ int cmd_campaign(const Args& args) {
       return 2;
     }
   }
-  for (const std::string& g : split_csv(opt_string(args, "grids", "128"))) {
+  for (const std::string& g : split_csv(args.get("grids", "128"))) {
     spec.grids.push_back(static_cast<std::size_t>(std::stoul(g)));
   }
-  for (const std::string& p : split_csv(opt_string(args, "periods", "1,2,8"))) {
+  for (const std::string& p : split_csv(args.get("periods", "1,2,8"))) {
     spec.io_periods.push_back(std::stoi(p));
   }
-  for (const std::string& i :
-       split_csv(opt_string(args, "iterations", "50"))) {
+  for (const std::string& i : split_csv(args.get("iterations", "50"))) {
     spec.iterations.push_back(std::stoi(i));
   }
-  for (const std::string& c : split_csv(opt_string(args, "codecs", "raw"))) {
+  for (const std::string& c : split_csv(args.get("codecs", "raw"))) {
     spec.codecs.push_back(codec::parse_kind(c));
   }
-  for (const std::string& t : split_csv(opt_string(args, "tolerances", ""))) {
+  for (const std::string& t : split_csv(args.get("tolerances", ""))) {
     spec.tolerances.push_back(std::stod(t));
   }
-  for (const std::string& d : split_csv(opt_string(args, "devices", "hdd"))) {
+  for (const std::string& d : split_csv(args.get("devices", "hdd"))) {
     if (const auto kind = core::parse_storage_device(d)) {
       spec.devices.push_back(*kind);
     } else {
@@ -364,16 +384,16 @@ int cmd_campaign(const Args& args) {
       return 2;
     }
   }
-  for (const std::string& f : split_csv(opt_string(args, "freqs", ""))) {
+  for (const std::string& f : split_csv(args.get("freqs", ""))) {
     spec.frequencies.push_back(std::stod(f));
   }
-  for (const std::string& f : split_csv(opt_string(args, "io-freqs", ""))) {
+  for (const std::string& f : split_csv(args.get("io-freqs", ""))) {
     spec.io_frequencies.push_back(std::stod(f));
   }
-  for (const std::string& c : split_csv(opt_string(args, "caps", ""))) {
+  for (const std::string& c : split_csv(args.get("caps", ""))) {
     spec.package_caps.push_back(std::stod(c));
   }
-  for (const std::string& s : split_csv(opt_string(args, "io-scheds", ""))) {
+  for (const std::string& s : split_csv(args.get("io-scheds", ""))) {
     if (const auto kind = storage::parse_io_scheduler(s)) {
       spec.io_scheds.push_back(*kind);
     } else {
@@ -382,17 +402,16 @@ int cmd_campaign(const Args& args) {
       return 2;
     }
   }
-  for (const std::string& d :
-       split_csv(opt_string(args, "io-queue-depths", ""))) {
+  for (const std::string& d : split_csv(args.get("io-queue-depths", ""))) {
     spec.io_queue_depths.push_back(static_cast<std::size_t>(std::stoul(d)));
   }
-  for (const std::string& v : split_csv(opt_string(args, "viewers", ""))) {
+  for (const std::string& v : split_csv(args.get("viewers", ""))) {
     spec.viewer_counts.push_back(std::stoi(v));
   }
   const std::vector<campaign::CampaignConfig> configs = spec.expand();
 
   campaign::ResultCache cache;
-  const std::string journal_path = opt_string(args, "journal", "");
+  const std::string journal_path = args.get("journal", "");
   if (args.has("resume") && journal_path.empty()) {
     std::cerr << "--resume requires --journal=FILE\n";
     return 2;
@@ -417,9 +436,9 @@ int cmd_campaign(const Args& args) {
   }
 
   campaign::CampaignOptions options;
-  options.threads = static_cast<std::size_t>(opt_double(args, "threads", 0));
-  options.shards = static_cast<std::size_t>(opt_double(args, "shards", 0));
-  options.job_limit = static_cast<std::size_t>(opt_double(args, "limit", 0));
+  options.threads = static_cast<std::size_t>(args.get("threads", 0.0));
+  options.shards = static_cast<std::size_t>(args.get("shards", 0.0));
+  options.job_limit = static_cast<std::size_t>(args.get("limit", 0.0));
 
   std::cerr << "campaign: " << configs.size() << " config(s)...\n";
   const campaign::CampaignEngine engine(
@@ -437,7 +456,7 @@ int cmd_campaign(const Args& args) {
     return 3;
   }
 
-  const std::string out = opt_string(args, "out", "CAMPAIGN_results.json");
+  const std::string out = args.get("out", "CAMPAIGN_results.json");
   std::ofstream file(out);
   if (file.good()) {
     campaign::write_campaign_json(file, report);
@@ -500,19 +519,13 @@ int cmd_campaign(const Args& args) {
 }
 
 int cmd_profile(const Args& args) {
-  const int case_number = static_cast<int>(opt_double(args, "case", 1));
-  core::TestbedConfig config;
-  config.package_cap = util::Watts{opt_double(args, "cap", 0.0)};
-  config.io_frequency_ghz = opt_double(args, "io-ghz", 0.0);
-  const std::string device = opt_string(args, "device", "hdd");
-  if (const auto dev = core::parse_storage_device(device)) {
-    config.device = *dev;
-  } else {
-    std::cerr << "unknown --device '" << device
-              << "' (expected hdd|ssd|nvram|nvme|raid0)\n";
+  accept_only(args, {"case", "cap", "device", "io-ghz", "codec", "tolerance",
+                     "stage-buffers", "pipeline", "top", "out"});
+  const auto run = read_run_flags(args, true);
+  if (!run) {
     return 2;
   }
-  const std::string pipeline = opt_string(args, "pipeline", "sync");
+  const std::string pipeline = args.get("pipeline", "sync");
   core::PipelineKind kind = core::PipelineKind::kPostProcessing;
   if (pipeline == "async") {
     kind = core::PipelineKind::kPostProcessingAsync;
@@ -523,19 +536,12 @@ int cmd_profile(const Args& args) {
               << "' (expected sync, async or insitu)\n";
     return 2;
   }
-  core::PipelineOptions options;
-  options.stage_buffers = static_cast<std::size_t>(opt_double(
-      args, "stage-buffers", static_cast<double>(options.stage_buffers)));
-  auto workload = core::case_study(case_number);
-  workload.snapshot_codec.kind =
-      codec::parse_kind(opt_string(args, "codec", "raw"));
-  workload.snapshot_codec.tolerance =
-      opt_double(args, "tolerance", workload.snapshot_codec.tolerance);
+  const core::CaseStudyConfig& workload = run->workload;
 
   obs::set_energy_profiler_enabled(true);
   std::cerr << "profiling " << workload.name << " (" << pipeline << ")...\n";
-  const core::Experiment experiment(config);
-  const auto metrics = experiment.run(kind, workload, options);
+  const core::Experiment experiment(run->testbed);
+  const auto metrics = experiment.run(kind, workload, run->options);
   const obs::EnergyReport& rep = metrics.attribution;
 
   util::TextTable t(
@@ -559,8 +565,7 @@ int cmd_profile(const Args& args) {
             << util::cell_percent(1.0 - rep.static_share())
             << " dynamic (conservation error " << rep.conservation_error
             << ").\n";
-  const auto top_n =
-      static_cast<std::size_t>(opt_double(args, "top", 5));
+  const auto top_n = static_cast<std::size_t>(args.get("top", 5.0));
   const auto ranked = analysis::top_consumers(rep, top_n);
   std::cout << "Top consumers:";
   for (const auto& c : ranked) {
@@ -570,7 +575,7 @@ int cmd_profile(const Args& args) {
   }
   std::cout << '\n';
 
-  const std::string out = opt_string(args, "out", "ENERGY_profile.json");
+  const std::string out = args.get("out", "ENERGY_profile.json");
   std::ofstream file(out);
   if (file.good()) {
     analysis::write_energy_profile_json(file, rep, metrics.pipeline_name,
@@ -585,32 +590,26 @@ int cmd_profile(const Args& args) {
 }
 
 int cmd_serve(const Args& args) {
-  const int case_number = static_cast<int>(opt_double(args, "case", 1));
-  const int viewers = static_cast<int>(opt_double(args, "viewers", 16));
-  const int views = static_cast<int>(opt_double(args, "views", 4));
+  accept_only(args, {"case", "cap", "device", "viewers", "views", "no-cache",
+                     "cache-capacity", "link-mbps", "out"});
+  const int viewers = static_cast<int>(args.get("viewers", 16.0));
+  const int views = static_cast<int>(args.get("views", 4.0));
   if (viewers < 1 || views < 1 || views > viewers) {
     std::cerr << "expected 1 <= --views <= --viewers\n";
     return 2;
   }
-  core::TestbedConfig bed_config;
-  bed_config.package_cap = util::Watts{opt_double(args, "cap", 0.0)};
-  const std::string device = opt_string(args, "device", "hdd");
-  if (const auto dev = core::parse_storage_device(device)) {
-    bed_config.device = *dev;
-  } else {
-    std::cerr << "unknown --device '" << device
-              << "' (expected hdd|ssd|nvram|nvme|raid0)\n";
+  const auto run = read_run_flags(args, false);
+  if (!run) {
     return 2;
   }
 
   serve::ServeConfig config;
-  config.base = core::case_study(case_number);
+  config.base = run->workload;
   config.viewers = serve::default_fleet(viewers, views);
   config.cache_enabled = !args.has("no-cache");
-  config.cache_capacity = static_cast<std::size_t>(opt_double(
-      args, "cache-capacity", static_cast<double>(config.cache_capacity)));
-  config.delivery_mb_per_s =
-      opt_double(args, "link-mbps", config.delivery_mb_per_s);
+  config.cache_capacity = static_cast<std::size_t>(args.get(
+      "cache-capacity", static_cast<double>(config.cache_capacity)));
+  config.delivery_mb_per_s = args.get("link-mbps", config.delivery_mb_per_s);
   // A deterministic mid-run steer so the default profile exercises the
   // command queue: viewer 0 re-zooms and re-colors halfway through.
   serve::SteerCommand steer;
@@ -630,7 +629,7 @@ int cmd_serve(const Args& args) {
             << " viewers (" << views << " view groups, cache "
             << (config.cache_enabled ? "on" : "off") << ")...\n";
   const serve::ServeReport report =
-      serve::run_serve_with_baseline(config, bed_config);
+      serve::run_serve_with_baseline(config, run->testbed);
 
   util::TextTable t({"Viewer", "Frames", "MB", "Render (s)", "Render (J)",
                      "Encode (J)", "Deliver (J)", "Total (J)"});
@@ -655,7 +654,7 @@ int cmd_serve(const Args& args) {
             << " kJ, marginal "
             << util::cell(report.marginal_j_per_viewer) << " J/viewer.\n";
 
-  const std::string out = opt_string(args, "out", "SERVE_profile.json");
+  const std::string out = args.get("out", "SERVE_profile.json");
   std::ofstream file(out);
   if (file.good()) {
     serve::write_serve_profile_json(file, config, report);
@@ -669,6 +668,7 @@ int cmd_serve(const Args& args) {
 }
 
 int cmd_verify(const Args& args) {
+  accept_only(args, {"qa-repro", "codec", "tolerance", "label", "out"});
   // Replay path: re-run one shrunk property counterexample from a
   // reproducer file written by a failing property check.
   if (args.has("qa-repro")) {
@@ -680,11 +680,10 @@ int cmd_verify(const Args& args) {
   }
 
   qa::ConformanceOptions options;
-  options.snapshot_codec.kind =
-      codec::parse_kind(opt_string(args, "codec", "raw"));
-  options.snapshot_codec.tolerance = opt_double(
-      args, "tolerance", options.snapshot_codec.tolerance);
-  options.build_label = opt_string(args, "label", "default");
+  options.snapshot_codec.kind = codec::parse_kind(args.get("codec", "raw"));
+  options.snapshot_codec.tolerance =
+      args.get("tolerance", options.snapshot_codec.tolerance);
+  options.build_label = args.get("label", "default");
 
   std::cerr << "running differential oracles...\n";
   qa::register_builtin_oracles();
@@ -710,7 +709,7 @@ int cmd_verify(const Args& args) {
     }
   }
 
-  const std::string out = opt_string(args, "out", "QA_conformance.json");
+  const std::string out = args.get("out", "QA_conformance.json");
   std::ofstream file(out);
   if (file.good()) {
     report.write_json(file);
@@ -731,6 +730,7 @@ void usage() {
 
 commands:
   compare [--case 1|2|3] [--cap WATTS] [--io-ghz F]   run both pipelines
+          [--codec raw|delta|rle] [--tolerance T]
           [--pipeline sync|async] [--stage-buffers N]  (async = overlapped
           [--stage-queue-depth N]                      snapshot staging)
           [--device hdd|ssd|nvram|nvme|raid0]
@@ -754,6 +754,7 @@ commands:
                                                       resumable journal
   profile [--case 1|2|3] [--pipeline sync|async|insitu] [--codec raw|delta|rle]
       [--tolerance T] [--stage-buffers N] [--cap W] [--io-ghz F]
+      [--device hdd|ssd|nvram|nvme|raid0]
       [--top N] [--out FILE]                          span-level joule
                                                       attribution table +
                                                       ENERGY_profile.json
@@ -770,6 +771,8 @@ commands:
          [--qa-repro=FILE]                            qa conformance suite
                                                       (or replay a property
                                                       reproducer file)
+
+A command rejects any option it does not list.
 
 global options (any command):
   --trace-out=FILE     write a Chrome trace-event JSON (chrome://tracing)
@@ -849,7 +852,7 @@ int main(int argc, char** argv) {
     } else if (command == "serve") {
       rc = cmd_serve(args);
     } else if (command == "trace-template") {
-      rc = cmd_trace_template();
+      rc = cmd_trace_template(args);
     } else if (command == "verify") {
       rc = cmd_verify(args);
     } else {
