@@ -19,21 +19,6 @@ std::string PeriodicTrigger::describe() const {
   return "every " + std::to_string(period_) + " steps";
 }
 
-ThresholdTrigger::ThresholdTrigger(double threshold, double min_fraction)
-    : threshold_(threshold), min_fraction_(min_fraction) {
-  GREENVIS_REQUIRE(min_fraction >= 0.0 && min_fraction <= 1.0);
-}
-
-bool ThresholdTrigger::fires(int step, const util::Field2D& field) {
-  (void)step;
-  return vis::fraction_above(field, threshold_) >= min_fraction_;
-}
-
-std::string ThresholdTrigger::describe() const {
-  return ">=" + std::to_string(min_fraction_ * 100.0) + "% of cells above " +
-         std::to_string(threshold_);
-}
-
 ChangeTrigger::ChangeTrigger(double min_rms) : min_rms_(min_rms) {
   GREENVIS_REQUIRE(min_rms >= 0.0);
 }

@@ -3,10 +3,10 @@
 // The ParaView/VisIt coupling libraries the paper surveys ([15], [16])
 // expose in-situ processing as an *adaptor*: the simulation hands each
 // timestep to the adaptor, and triggers decide whether this step is worth
-// rendering. Periodic triggers reproduce the paper's every-k-th-step
-// configurations; data-dependent triggers implement "importance-driven"
-// triage (Wang, Yu & Ma [23]) — render only when something interesting is
-// happening, saving visualization energy on quiescent stretches.
+// rendering. The periodic trigger reproduces the paper's every-k-th-step
+// configurations; the change trigger implements "importance-driven" triage
+// (Wang, Yu & Ma [23]) — render only when the field has moved, saving
+// visualization energy on quiescent stretches.
 #pragma once
 
 #include <memory>
@@ -38,19 +38,6 @@ class PeriodicTrigger final : public Trigger {
 
  private:
   int period_;
-};
-
-/// Fires while at least `min_fraction` of cells are at or above `threshold`
-/// (feature-presence triage).
-class ThresholdTrigger final : public Trigger {
- public:
-  ThresholdTrigger(double threshold, double min_fraction);
-  [[nodiscard]] bool fires(int step, const util::Field2D& field) override;
-  [[nodiscard]] std::string describe() const override;
-
- private:
-  double threshold_;
-  double min_fraction_;
 };
 
 /// Fires when the field has drifted at least `min_rms` (RMS) from the last

@@ -209,22 +209,13 @@ PipelineOutput run_pipeline(Testbed& bed, PipelineKind kind,
   std::optional<sched::AsyncStager> stager;
   if (staged) {
     stager.emplace(
-        sched::StagingConfig{options.stage_buffers,
-                             std::min(options.stage_queue_depth,
-                                      options.stage_buffers)},
-        [&](std::span<sched::StagedSnapshot* const> batch,
-            util::Seconds start) {
-          // One claimed window: successive writes chain through `t`, and no
-          // snapshot's write starts before its encode finished.
-          util::Seconds t = start;
-          for (sched::StagedSnapshot* snap : batch) {
-            t = bed.run_io_at(
-                std::max(t, snap->ready), stage::kWrite, config.io_stage_cores,
-                config.io_stage_utilization,
-                [&] { writer.write_step(snap->step, snap->payload); },
-                &writer_loads, &writer_phases);
-          }
-          return t;
+        options.stage_buffers,
+        [&](sched::StagedSnapshot& snap, util::Seconds start) {
+          return bed.run_io_at(
+              start, stage::kWrite, config.io_stage_cores,
+              config.io_stage_utilization,
+              [&] { writer.write_step(snap.step, snap.payload); },
+              &writer_loads, &writer_phases);
         });
   }
   util::Seconds cpu = bed.clock().now();

@@ -104,11 +104,6 @@ struct PipelineOptions {
   std::size_t host_threads{0};
   /// Staging ring slots for kPostProcessingAsync (>= 1).
   std::size_t stage_buffers{2};
-  /// Snapshots the staging writer claims per wake and submits to storage
-  /// as one window (>= 1; capped by stage_buffers). 1 is the legacy
-  /// one-write-per-wake behavior and keeps async-pipeline figures
-  /// byte-identical.
-  std::size_t stage_queue_depth{1};
 };
 
 /// True when both outputs hold one digest per visualized step (both runs

@@ -14,7 +14,6 @@ CaseStudyConfig case_study(int n) {
   // simple physics with visually evolving isotherms.
   c.problem.nx = 128;
   c.problem.ny = 128;
-  c.problem.boundary = heat::BoundaryKind::kDirichlet;
   c.problem.boundary_value = 0.0;
   c.problem.sources = {
       heat::HeatSource{40.0, 44.0, 6.0, 100.0},

@@ -31,11 +31,6 @@ namespace greenvis::heat {
 
 using util::Field2D;
 
-enum class BoundaryKind {
-  kDirichlet,  // fixed temperature on all four edges
-  kInsulated,  // zero-flux (Neumann) on all four edges
-};
-
 /// A circular region held at a fixed temperature (a heat source/sink).
 struct HeatSource {
   double cx{0.0};
@@ -50,11 +45,7 @@ struct HeatProblem {
   double alpha{1.0};  // thermal diffusivity
   double dx{1.0};     // grid spacing
   double dt{0.25};    // timestep (r = alpha dt / dx^2)
-  /// Time-integration theta: 1.0 = backward Euler (the default, first-order,
-  /// very damped — the testbed proxy's scheme), 0.5 = Crank-Nicolson
-  /// (second-order). Must lie in [0.5, 1] for unconditional stability.
-  double theta{1.0};
-  BoundaryKind boundary{BoundaryKind::kDirichlet};
+  /// Dirichlet temperature held on all four edges.
   double boundary_value{0.0};
   std::vector<HeatSource> sources;
   /// Optional heterogeneous relative conductivity per cell (empty = uniform
@@ -89,8 +80,7 @@ class HeatSolver {
   [[nodiscard]] int steps_taken() const { return steps_; }
   [[nodiscard]] const HeatProblem& problem() const { return problem_; }
 
-  /// Total heat content (sum of cell temperatures x cell area) — conserved
-  /// under insulated boundaries with no sources.
+  /// Total heat content (sum of cell temperatures x cell area).
   [[nodiscard]] double total_heat() const;
 
   /// Machine-visible work of one timestep (modeled sweep count; see header
@@ -100,18 +90,20 @@ class HeatSolver {
   /// Set a smooth initial condition: the (p,q) Dirichlet eigenmode. Useful
   /// for analytic validation.
   void set_eigenmode(int p, int q, double amplitude);
-  /// Discrete per-step decay factor of the (p,q) eigenmode under the
-  /// configured theta scheme (the exact answer `step()` must reproduce once
-  /// converged): (1 - (1-theta) r mu) / (1 + theta r mu).
+  /// Discrete per-step backward-Euler decay factor of the (p,q) eigenmode
+  /// (the exact answer `step()` must reproduce once converged):
+  /// 1 / (1 + r mu).
   [[nodiscard]] double eigenmode_decay(int p, int q) const;
 
  private:
   void apply_boundary(Field2D& f) const;
   void apply_sources(Field2D& f) const;
-  /// Harmonic-mean face conductivity between cells a and b (1.0 when the
-  /// problem is homogeneous).
-  [[nodiscard]] double face_conductivity(std::size_t ia, std::size_t ja,
-                                         std::size_t ib, std::size_t jb) const;
+  /// Harmonic-mean conductivities of the west, east, south and north faces
+  /// of interior cell (i, j) (heterogeneous problems only).
+  struct Faces {
+    double w, e, s, n;
+  };
+  [[nodiscard]] Faces faces(std::size_t i, std::size_t j) const;
 
   HeatProblem problem_;
   util::ThreadPool* pool_;

@@ -26,9 +26,6 @@ HeatSolver3D::HeatSolver3D(const HeatProblem3D& problem,
 }
 
 void HeatSolver3D::apply_boundary(util::Field3D& f) const {
-  if (problem_.insulated) {
-    return;
-  }
   const std::size_t nx = problem_.nx, ny = problem_.ny, nz = problem_.nz;
   const double v = problem_.boundary_value;
   for (std::size_t k = 0; k < nz; ++k) {
@@ -74,60 +71,35 @@ double HeatSolver3D::step() {
   const std::size_t nx = problem_.nx, ny = problem_.ny, nz = problem_.nz;
   const double r = problem_.alpha * problem_.dt / (problem_.dx * problem_.dx);
   const double inv_diag = 1.0 / (1.0 + 6.0 * r);
-  const bool insulated = problem_.insulated;
 
+  // The unknowns are the interior cells, 1..n-2 on every axis; the faces
+  // hold the Dirichlet value.
   rhs_ = u_;
-  const std::size_t lo = insulated ? 0 : 1;
-  const std::size_t k_hi = insulated ? nz : nz - 1;
-  const std::size_t j_hi = insulated ? ny : ny - 1;
-  const std::size_t i_hi = insulated ? nx : nx - 1;
+  const std::size_t k_end = nz - 1;
+  const std::size_t j_end = ny - 1;
+  const std::size_t i_end = nx - 1;
 
   util::Field3D* cur = &u_;
   util::Field3D* nxt = &next_;
 
   // Cache-blocked sweep: each k-slab walks j in tiles so the three planes a
-  // stencil touches stay LLC-resident across consecutive k, and the inner
-  // i-loop reads seven hoisted flat rows with no per-cell branches (the
-  // boundary columns keep the mirrored-neighbor ternaries). Mirroring at
-  // domain edges aliases the out-of-range row pointer onto the row itself,
-  // reproducing the `? ... : c` arithmetic exactly.
+  // stencil touches stay LLC-resident across consecutive k, and the i-loop
+  // reads seven hoisted flat rows with no per-cell branches.
   constexpr std::size_t kTileJ = 32;
   const std::size_t plane = nx * ny;
   const util::simd::KernelTable& kern = util::simd::kernels();
-  auto sweep_slabs = [&](std::size_t k_begin, std::size_t k_end) {
+  auto sweep_slabs = [&](std::size_t k_begin, std::size_t k_stop) {
     const double* rhs = rhs_.values().data();
     const double* u = cur->values().data();
     double* out = nxt->values().data();
-    const std::size_t ib = std::max<std::size_t>(lo, 1);
-    const std::size_t ie = std::min(i_hi, nx - 1);
-    for (std::size_t jj = lo; jj < j_hi; jj += kTileJ) {
-      const std::size_t jj_end = std::min(j_hi, jj + kTileJ);
-      for (std::size_t k = k_begin; k < k_end; ++k) {
+    for (std::size_t jj = 1; jj < j_end; jj += kTileJ) {
+      const std::size_t jj_end = std::min(j_end, jj + kTileJ);
+      for (std::size_t k = k_begin; k < k_stop; ++k) {
         for (std::size_t j = jj; j < jj_end; ++j) {
           const std::size_t base = k * plane + j * nx;
           const double* row = u + base;
-          const double* row_s = j > 0 ? row - nx : row;
-          const double* row_n = j + 1 < ny ? row + nx : row;
-          const double* row_d = k > 0 ? row - plane : row;
-          const double* row_u = k + 1 < nz ? row + plane : row;
-          const double* rhs_row = rhs + base;
-          double* out_row = out + base;
-          auto update_cell = [&](std::size_t i) {
-            const double c = row[i];
-            const double west = i > 0 ? row[i - 1] : c;
-            const double east = i + 1 < nx ? row[i + 1] : c;
-            out_row[i] = (rhs_row[i] + r * (west + east + row_s[i] +
-                                            row_n[i] + row_d[i] + row_u[i])) *
-                         inv_diag;
-          };
-          if (lo < ib) {
-            update_cell(0);
-          }
-          kern.jacobi3d_row(out_row, rhs_row, row, row_s, row_n, row_d,
-                            row_u, r, inv_diag, ib, ie);
-          if (i_hi > ie) {
-            update_cell(nx - 1);
-          }
+          kern.jacobi3d_row(out + base, rhs + base, row, row - nx, row + nx,
+                            row - plane, row + plane, r, inv_diag, 1, i_end);
         }
       }
     }
@@ -135,19 +107,17 @@ double HeatSolver3D::step() {
 
   // Serial below one slab per executor or ~8k unknowns: dispatch overhead
   // would dominate (same policy as the 2-D solver).
-  const std::size_t slabs_total = k_hi - lo;
-  const std::size_t unknowns = slabs_total * (j_hi - lo) * (i_hi - lo);
+  const std::size_t slabs_total = k_end - 1;
+  const std::size_t unknowns = slabs_total * (j_end - 1) * (i_end - 1);
   const bool use_pool = pool_ != nullptr && pool_->size() > 1 &&
                         slabs_total >= 2 * pool_->size() && unknowns >= 8192;
 
   for (std::size_t sweep = 0; sweep < problem_.executed_sweeps; ++sweep) {
-    if (!insulated) {
-      apply_boundary(*nxt);
-    }
+    apply_boundary(*nxt);
     if (use_pool) {
-      pool_->parallel_for(lo, k_hi, sweep_slabs);
+      pool_->parallel_for(1, k_end, sweep_slabs);
     } else {
-      sweep_slabs(lo, k_hi);
+      sweep_slabs(1, k_end);
     }
     std::swap(cur, nxt);
   }
@@ -157,47 +127,25 @@ double HeatSolver3D::step() {
 
   // Max-norm is exact under any combine order, so the parallel reduction is
   // bit-equal to the serial scan for every pool size.
-  auto defect_slabs = [&](std::size_t k_begin, std::size_t k_end, double acc) {
+  auto defect_slabs = [&](std::size_t k_begin, std::size_t k_stop,
+                          double acc) {
     const double* rhs = rhs_.values().data();
     const double* u = u_.values().data();
-    for (std::size_t k = k_begin; k < k_end; ++k) {
-      for (std::size_t j = lo; j < j_hi; ++j) {
+    for (std::size_t k = k_begin; k < k_stop; ++k) {
+      for (std::size_t j = 1; j < j_end; ++j) {
         const std::size_t base = k * plane + j * nx;
         const double* row = u + base;
-        const double* row_s = j > 0 ? row - nx : row;
-        const double* row_n = j + 1 < ny ? row + nx : row;
-        const double* row_d = k > 0 ? row - plane : row;
-        const double* row_u = k + 1 < nz ? row + plane : row;
-        const double* rhs_row = rhs + base;
-        auto defect_cell = [&](std::size_t i) {
-          const double c = row[i];
-          const double west = i > 0 ? row[i - 1] : c;
-          const double east = i + 1 < nx ? row[i + 1] : c;
-          const double defect =
-              (1.0 + 6.0 * r) * c -
-              r * (west + east + row_s[i] + row_n[i] + row_d[i] + row_u[i]) -
-              rhs_row[i];
-          acc = std::max(acc, std::abs(defect));
-        };
-        const std::size_t ib = std::max<std::size_t>(lo, 1);
-        const std::size_t ie = std::min(i_hi, nx - 1);
-        if (lo < ib) {
-          defect_cell(0);
-        }
-        acc = kern.defect3d_row(rhs_row, row, row_s, row_n, row_d, row_u, r,
-                                ib, ie, acc);
-        if (i_hi > ie) {
-          defect_cell(nx - 1);
-        }
+        acc = kern.defect3d_row(rhs + base, row, row - nx, row + nx,
+                                row - plane, row + plane, r, 1, i_end, acc);
       }
     }
     return acc;
   };
   const double residual =
       use_pool ? pool_->parallel_reduce(
-                     lo, k_hi, 0.0, defect_slabs,
+                     1, k_end, 0.0, defect_slabs,
                      [](double a, double b) { return std::max(a, b); })
-               : defect_slabs(lo, k_hi, 0.0);
+               : defect_slabs(1, k_end, 0.0);
 
   apply_boundary(u_);
   apply_sources(u_);
@@ -233,7 +181,6 @@ machine::ActivityRecord HeatSolver3D::step_activity() const {
 }
 
 void HeatSolver3D::set_eigenmode(int p, int q, int r, double amplitude) {
-  GREENVIS_REQUIRE(!problem_.insulated);
   GREENVIS_REQUIRE(p >= 1 && q >= 1 && r >= 1);
   const double lx = static_cast<double>(problem_.nx - 1);
   const double ly = static_cast<double>(problem_.ny - 1);

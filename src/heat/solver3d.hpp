@@ -26,9 +26,7 @@ struct HeatProblem3D {
   double alpha{1.0};
   double dx{1.0};
   double dt{0.25};
-  /// Dirichlet value on all faces (3-D insulated boundaries are handled by
-  /// mirrored neighbors, as in 2-D).
-  bool insulated{false};
+  /// Dirichlet value on all faces.
   double boundary_value{0.0};
   std::vector<HeatSource3D> sources;
   std::size_t executed_sweeps{30};

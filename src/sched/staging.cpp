@@ -20,17 +20,12 @@ void note_occupancy(std::uint64_t in_flight) {
 
 }  // namespace
 
-AsyncStager::AsyncStager(const StagingConfig& config, WriteFn write_fn)
+AsyncStager::AsyncStager(std::size_t buffers, WriteFn write_fn)
     : write_fn_(std::move(write_fn)),
-      queue_depth_(config.queue_depth),
-      slots_(config.buffers),
-      freed_at_(config.buffers, util::Seconds{0.0}) {
-  GREENVIS_REQUIRE_MSG(config.buffers >= 1,
-                       "staging ring needs at least one buffer");
-  GREENVIS_REQUIRE_MSG(config.queue_depth >= 1,
-                       "staging queue depth must be at least 1");
+      slots_(buffers),
+      freed_at_(buffers, util::Seconds{0.0}) {
+  GREENVIS_REQUIRE_MSG(buffers >= 1, "staging ring needs at least one buffer");
   GREENVIS_REQUIRE(write_fn_ != nullptr);
-  claim_.reserve(queue_depth_);
   writer_ = std::thread([this] { writer_loop(); });
 }
 
@@ -121,6 +116,8 @@ util::Seconds AsyncStager::drain() {
 void AsyncStager::writer_loop() {
   obs::Tracer::global().set_thread_name("staging-writer");
   for (;;) {
+    StagedSnapshot* snap = nullptr;
+    std::size_t idx = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       writer_cv_.wait(
@@ -128,28 +125,16 @@ void AsyncStager::writer_loop() {
       if (completed_ == submitted_) {
         return;  // drained
       }
-      // Claim a window of up to queue_depth submitted snapshots, in
-      // submission order — the staging analogue of filling a device
-      // submission queue before dispatch.
-      const std::uint64_t claimed =
-          std::min<std::uint64_t>(queue_depth_, submitted_ - completed_);
-      claim_.clear();
-      for (std::uint64_t i = 0; i < claimed; ++i) {
-        claim_.push_back(
-            &slots_[static_cast<std::size_t>((completed_ + i) %
-                                             slots_.size())]);
-      }
+      idx = static_cast<std::size_t>(completed_ % slots_.size());
+      snap = &slots_[idx];
     }
-    // The writes run unlocked: this is the only code driving the shared
-    // clock/filesystem during the overlap region, and none of the claimed
-    // slots can be recycled until completed_ advances below.
+    // The write runs unlocked: this is the only code driving the shared
+    // clock/filesystem during the overlap region, and the slot cannot be
+    // recycled until completed_ advances below.
     util::Seconds end{0.0};
     try {
       obs::ScopedSpan span("sched.write", obs::kCatIo);
-      const util::Seconds start = std::max(io_now_, claim_.front()->ready);
-      end = write_fn_(
-          std::span<StagedSnapshot* const>(claim_.data(), claim_.size()),
-          start);
+      end = write_fn_(*snap, std::max(io_now_, snap->ready));
       io_now_ = std::max(io_now_, end);
     } catch (...) {
       {
@@ -161,12 +146,9 @@ void AsyncStager::writer_loop() {
     }
     {
       std::unique_lock<std::mutex> lock(mutex_);
-      for (std::size_t i = 0; i < claim_.size(); ++i) {
-        freed_at_[static_cast<std::size_t>((completed_ + i) %
-                                           slots_.size())] = end;
-      }
+      freed_at_[idx] = end;
       stats_.last_write_end = std::max(stats_.last_write_end, end);
-      completed_ += claim_.size();
+      ++completed_;
       note_occupancy(submitted_ - completed_);
     }
     producer_cv_.notify_all();

@@ -37,7 +37,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <span>
 #include <thread>
 #include <vector>
 
@@ -45,20 +44,6 @@
 #include "src/util/units.hpp"
 
 namespace greenvis::sched {
-
-struct StagingConfig {
-  /// Staging slots in the ring (>= 1). More buffers absorb longer write
-  /// bursts before backpressure stalls the producer; 2 already overlaps
-  /// steady-state write k with solve k+1.
-  std::size_t buffers{2};
-  /// How many submitted snapshots the writer claims per wake (>= 1) and
-  /// hands to WriteFn as one batch — the staging analogue of the async
-  /// block layer's submission-queue depth. 1 reproduces the legacy
-  /// one-write-per-wake behavior bit for bit; deeper values let the write
-  /// callback submit a whole window to storage::AsyncBlockDevice so the
-  /// device-side scheduler can reorder across snapshots.
-  std::size_t queue_depth{1};
-};
 
 /// One staging slot: the encoded payload plus the bookkeeping the writer
 /// needs. The payload vector and the arena (scratch for the encode that
@@ -90,17 +75,18 @@ struct StagingStats {
 
 class AsyncStager {
  public:
-  /// Performs one staged write window: called on the writer thread with up
-  /// to `queue_depth` snapshots in submission order and the virtual start
-  /// time (max of previous window's end and the first snapshot's ready
-  /// time — later snapshots carry their own `ready` for the callback to
-  /// respect); returns the virtual completion time of the whole window.
-  /// The callback is the only code touching the filesystem/clock during
-  /// the overlap region.
-  using WriteFn = std::function<util::Seconds(
-      std::span<StagedSnapshot* const>, util::Seconds start)>;
+  /// Performs one staged write: called on the writer thread with the next
+  /// snapshot in submission order and its virtual start time (the later of
+  /// the previous write's end and the snapshot's ready time); returns the
+  /// virtual completion time of the write. The callback is the only code
+  /// touching the filesystem/clock during the overlap region.
+  using WriteFn =
+      std::function<util::Seconds(StagedSnapshot&, util::Seconds start)>;
 
-  AsyncStager(const StagingConfig& config, WriteFn write_fn);
+  /// A ring of `buffers` (>= 1) staging slots. More buffers absorb longer
+  /// write bursts before backpressure stalls the producer; 2 already
+  /// overlaps steady-state write k with solve k+1.
+  AsyncStager(std::size_t buffers, WriteFn write_fn);
   ~AsyncStager();
 
   AsyncStager(const AsyncStager&) = delete;
@@ -138,12 +124,8 @@ class AsyncStager {
   void rethrow_if_failed_locked();
 
   WriteFn write_fn_;
-  std::size_t queue_depth_;
   std::vector<StagedSnapshot> slots_;
   std::vector<util::Seconds> freed_at_;
-  /// Writer-thread scratch for the claimed window (reused; steady-state
-  /// staging stays allocation-free).
-  std::vector<StagedSnapshot*> claim_;
 
   std::mutex mutex_;
   std::condition_variable producer_cv_;

@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <ostream>
-#include <span>
 #include <utility>
 
 #include "src/machine/activity.hpp"
@@ -134,20 +133,16 @@ ServeReport run_serve_session(const ServeConfig& config,
   machine::LoadTimeline writer_loads;
   trace::Timeline writer_phases;
   sched::AsyncStager stager(
-      sched::StagingConfig{config.delivery_buffers, 1},
-      [&](std::span<sched::StagedSnapshot* const> batch, util::Seconds start) {
-        util::Seconds t = start;
-        for (sched::StagedSnapshot* snap : batch) {
-          const util::Seconds transfer{
-              static_cast<double>(snap->payload.size()) /
-              (config.delivery_mb_per_s * 1e6)};
-          t = bed.run_io_at(
-              std::max(t, snap->ready), stage::kDeliver,
-              config.delivery_cores, config.delivery_utilization,
-              [&] { bed.clock().advance(transfer); }, &writer_loads,
-              &writer_phases);
-        }
-        return t;
+      config.delivery_buffers,
+      [&](sched::StagedSnapshot& snap, util::Seconds start) {
+        const util::Seconds transfer{
+            static_cast<double>(snap.payload.size()) /
+            (config.delivery_mb_per_s * 1e6)};
+        return bed.run_io_at(
+            start, stage::kDeliver, config.delivery_cores,
+            config.delivery_utilization,
+            [&] { bed.clock().advance(transfer); }, &writer_loads,
+            &writer_phases);
       });
 
   const double bytes_per_second = config.delivery_mb_per_s * 1e6;

@@ -475,17 +475,6 @@ TEST(Adaptor, PeriodicTriggerMatchesPipelineSchedule) {
   EXPECT_EQ(adaptor.steps_rendered(), 4);
 }
 
-TEST(Adaptor, ThresholdTriggerGatesOnFeaturePresence) {
-  ThresholdTrigger trigger(50.0, 0.25);
-  util::Field2D cold(8, 8, 0.0);
-  EXPECT_FALSE(trigger.fires(0, cold));
-  util::Field2D hot(8, 8, 0.0);
-  for (std::size_t i = 0; i < 20; ++i) {
-    hot.values()[i] = 90.0;  // 20/64 > 25%
-  }
-  EXPECT_TRUE(trigger.fires(1, hot));
-}
-
 TEST(Adaptor, ChangeTriggerSkipsQuiescence) {
   ChangeTrigger trigger(1.0);
   util::Field2D f(8, 8, 0.0);

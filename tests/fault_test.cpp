@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "src/io/dataset.hpp"
@@ -235,10 +234,11 @@ TEST(FaultyDisk, FailWritesSurfacesOnTheWritePath) {
 }
 
 TEST(FaultyDisk, AsyncStagerRethrowsMidDrainDeviceError) {
-  // The stager's writer submits windows to an async queue over degraded
-  // media. The error fires on the third snapshot — mid-drain, after two
-  // batches already landed — and must surface as DeviceError from the
-  // stager API, not hang the ring or report success.
+  // The stager's writer submits each snapshot to an async queue over
+  // degraded media, through a 4-slot ring. The error fires on the third
+  // snapshot — mid-drain, after two writes already landed — and must
+  // surface as DeviceError from the stager API, not hang the ring or report
+  // success.
   HddModel inner{HddParams{}};
   FaultConfig config;
   config.fail_writes = true;
@@ -248,18 +248,13 @@ TEST(FaultyDisk, AsyncStagerRethrowsMidDrainDeviceError) {
   AsyncBlockDevice queue(disk);
 
   sched::AsyncStager stager(
-      sched::StagingConfig{4, 2},
-      [&](std::span<sched::StagedSnapshot* const> batch, Seconds start) {
-        Seconds t = start;
-        for (sched::StagedSnapshot* snap : batch) {
-          queue.submit(
-              IoRequest{IoKind::kWrite,
-                        static_cast<std::uint64_t>(snap->step) * mib,
-                        static_cast<std::uint32_t>(snap->payload.size())},
-              std::max(t, snap->ready));
-          t = queue.drain_checked();
-        }
-        return t;
+      4, [&](sched::StagedSnapshot& snap, Seconds start) {
+        queue.submit(
+            IoRequest{IoKind::kWrite,
+                      static_cast<std::uint64_t>(snap.step) * mib,
+                      static_cast<std::uint32_t>(snap.payload.size())},
+            start);
+        return queue.drain_checked();
       });
 
   EXPECT_THROW(

@@ -16,6 +16,7 @@
 #include "src/util/rng.hpp"
 #include "src/vis/filters.hpp"
 #include "src/vis/volume.hpp"
+#include "tests/heat_balance.hpp"
 
 namespace greenvis {
 namespace {
@@ -126,7 +127,7 @@ INSTANTIATE_TEST_SUITE_P(Modes, EigenmodeSweep,
                                            ModePair{2, 2}, ModePair{3, 1},
                                            ModePair{4, 4}, ModePair{5, 2}));
 
-// ---------- heat: conservation across grid sizes and timesteps ----------
+// ---------- heat: Dirichlet balance across grid sizes and timesteps ----------
 
 struct ConservationCase {
   std::size_t n;
@@ -136,25 +137,25 @@ struct ConservationCase {
 class ConservationSweep
     : public ::testing::TestWithParam<ConservationCase> {};
 
-TEST_P(ConservationSweep, InsulatedHeatConserved) {
+TEST_P(ConservationSweep, DirichletHeatBalanced) {
   const auto [n, dt] = GetParam();
   heat::HeatProblem problem;
   problem.nx = n;
   problem.ny = n;
   problem.dt = dt;
-  problem.boundary = heat::BoundaryKind::kInsulated;
   problem.executed_sweeps = 150;
   heat::HeatSolver solver(problem, nullptr);
   util::Xoshiro256 rng{n * 7 + 1};
-  for (double& v : solver.temperature().values()) {
-    v = rng.uniform(0.0, 10.0);
+  for (std::size_t j = 1; j + 1 < n; ++j) {
+    for (std::size_t i = 1; i + 1 < n; ++i) {
+      solver.temperature().at(i, j) = rng.uniform(0.0, 10.0);
+    }
   }
-  const double before = solver.total_heat();
   for (int s = 0; s < 5; ++s) {
-    solver.step();
+    SCOPED_TRACE(::testing::Message() << "n=" << n << " dt=" << dt
+                                      << " step " << s);
+    heat::expect_balanced(heat::step_heat_balance(solver));
   }
-  EXPECT_NEAR(solver.total_heat(), before, std::abs(before) * 1e-8)
-      << "n=" << n << " dt=" << dt;
 }
 
 INSTANTIATE_TEST_SUITE_P(Grids, ConservationSweep,

@@ -4,10 +4,8 @@
 // drain contract.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <span>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -23,23 +21,16 @@ namespace {
 using util::Seconds;
 
 /// Writer that charges `cost` virtual seconds per write and logs
-/// (step, virtual start) pairs plus the claimed window sizes. The log is
-/// written on the writer thread and only read after drain(), which joins it.
+/// (step, virtual start) pairs. The log is written on the writer thread and
+/// only read after drain(), which joins it.
 struct RecordingWriter {
   double cost{1.0};
   std::vector<std::pair<int, double>> log;
-  std::vector<std::size_t> batch_sizes;
 
   AsyncStager::WriteFn fn() {
-    return [this](std::span<StagedSnapshot* const> batch, Seconds start) {
-      batch_sizes.push_back(batch.size());
-      Seconds t = start;
-      for (StagedSnapshot* snap : batch) {
-        t = std::max(t, snap->ready);
-        log.emplace_back(snap->step, t.value());
-        t = t + Seconds{cost};
-      }
-      return t;
+    return [this](StagedSnapshot& snap, Seconds start) {
+      log.emplace_back(snap.step, start.value());
+      return start + Seconds{cost};
     };
   }
 };
@@ -55,7 +46,7 @@ void stage_one(AsyncStager& stager, int step, std::size_t bytes,
 TEST(AsyncStager, WritesInSubmissionOrderBackToBack) {
   RecordingWriter writer;
   writer.cost = 1.0;
-  AsyncStager stager(StagingConfig{2}, writer.fn());
+  AsyncStager stager(2, writer.fn());
   for (int step = 0; step < 5; ++step) {
     stage_one(stager, step, 16, Seconds{0.0});
   }
@@ -77,7 +68,7 @@ TEST(AsyncStager, WritesInSubmissionOrderBackToBack) {
 TEST(AsyncStager, WriteNeverStartsBeforeItsSnapshotIsReady) {
   RecordingWriter writer;
   writer.cost = 0.5;
-  AsyncStager stager(StagingConfig{3}, writer.fn());
+  AsyncStager stager(3, writer.fn());
   for (int step = 0; step < 4; ++step) {
     stage_one(stager, step, 8, Seconds{2.0 * step});
   }
@@ -94,15 +85,12 @@ TEST(AsyncStager, WriteNeverStartsBeforeItsSnapshotIsReady) {
 
 TEST(AsyncStager, BackpressureBlocksUntilTheWriterFreesASlot) {
   std::atomic<bool> release{false};
-  AsyncStager stager(StagingConfig{1},
-                     [&](std::span<StagedSnapshot* const>,
-                         Seconds start) -> Seconds {
-                       while (!release.load()) {
-                         std::this_thread::sleep_for(
-                             std::chrono::milliseconds(1));
-                       }
-                       return start + Seconds{2.0};
-                     });
+  AsyncStager stager(1, [&](StagedSnapshot&, Seconds start) -> Seconds {
+    while (!release.load()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return start + Seconds{2.0};
+  });
   stage_one(stager, 0, 16, Seconds{0.5});
   // The ring is full and the writer is gated: the next acquire must block,
   // report the stall, and come back with the virtual end of write 0.
@@ -126,7 +114,7 @@ TEST(AsyncStager, BackpressureBlocksUntilTheWriterFreesASlot) {
 TEST(AsyncStager, SlotsAreReusedAcrossRingLaps) {
   RecordingWriter writer;
   writer.cost = 0.1;
-  AsyncStager stager(StagingConfig{2}, writer.fn());
+  AsyncStager stager(2, writer.fn());
   AsyncStager::Slot first = stager.acquire();
   StagedSnapshot* slot0 = first.snapshot;
   first.snapshot->step = 0;
@@ -146,10 +134,9 @@ TEST(AsyncStager, SlotsAreReusedAcrossRingLaps) {
 }
 
 TEST(AsyncStager, WriterExceptionReachesTheProducer) {
-  AsyncStager stager(StagingConfig{2},
-                     [](std::span<StagedSnapshot* const>, Seconds) -> Seconds {
-                       throw std::runtime_error("disk on fire");
-                     });
+  AsyncStager stager(2, [](StagedSnapshot&, Seconds) -> Seconds {
+    throw std::runtime_error("disk on fire");
+  });
   stage_one(stager, 0, 16, Seconds{0.0});
   // The failure surfaces at the latest on drain (earlier acquires/submits
   // may also observe it; they rethrow the same exception).
@@ -167,81 +154,19 @@ TEST(AsyncStager, WriterExceptionReachesTheProducer) {
 TEST(AsyncStager, DrainWithoutStagingReturnsZero) {
   RecordingWriter writer;
   writer.cost = 1.0;
-  AsyncStager stager(StagingConfig{2}, writer.fn());
+  AsyncStager stager(2, writer.fn());
   const Seconds end = stager.drain();
   EXPECT_DOUBLE_EQ(end.value(), 0.0);
   EXPECT_EQ(stager.stats().staged, 0u);
   EXPECT_TRUE(writer.log.empty());
 }
 
-TEST(AsyncStager, QueueDepthDoesNotMoveVirtualTimes) {
-  // Same workload, writer windows of 1 vs 3: starts derive purely from
-  // modeled durations (chained t, per-snapshot ready), so how many slots
-  // the writer claims per wake is invisible in virtual time.
-  auto run = [](std::size_t queue_depth) {
-    RecordingWriter writer;
-    writer.cost = 0.75;
-    AsyncStager stager(StagingConfig{3, queue_depth}, writer.fn());
-    for (int step = 0; step < 6; ++step) {
-      stage_one(stager, step, 8, Seconds{0.5 * step});
-    }
-    const Seconds end = stager.drain();
-    EXPECT_DOUBLE_EQ(end.value(), stager.stats().last_write_end.value());
-    return writer.log;
-  };
-  EXPECT_EQ(run(1), run(3));
-}
-
-TEST(AsyncStager, WriterClaimsWindowsUpToQueueDepth) {
-  // Gate the first write until everything is submitted: afterwards at
-  // least three snapshots are pending, so some window must fill to the
-  // configured depth of 2 — and none may exceed it.
-  std::atomic<bool> release{false};
-  RecordingWriter writer;
-  writer.cost = 1.0;
-  auto inner = writer.fn();
-  AsyncStager stager(
-      StagingConfig{5, 2},
-      [&](std::span<StagedSnapshot* const> batch, Seconds start) {
-        while (!release.load()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        return inner(batch, start);
-      });
-  for (int step = 0; step < 5; ++step) {
-    stage_one(stager, step, 8, Seconds{0.0});
-  }
-  release.store(true);
-  const Seconds end = stager.drain();
-  EXPECT_DOUBLE_EQ(end.value(), 5.0);
-  ASSERT_FALSE(writer.batch_sizes.empty());
-  std::size_t total = 0;
-  for (std::size_t size : writer.batch_sizes) {
-    EXPECT_LE(size, 2u);
-    total += size;
-  }
-  EXPECT_EQ(total, 5u);
-  EXPECT_EQ(*std::max_element(writer.batch_sizes.begin(),
-                              writer.batch_sizes.end()),
-            2u);
-}
-
 TEST(AsyncStager, ContractViolationsThrow) {
-  EXPECT_THROW(
-      AsyncStager(StagingConfig{0},
-                  [](std::span<StagedSnapshot* const>, Seconds s) {
-                    return s;
-                  }),
-      util::ContractViolation);
-  EXPECT_THROW(
-      AsyncStager(StagingConfig{2, 0},
-                  [](std::span<StagedSnapshot* const>, Seconds s) {
-                    return s;
-                  }),
-      util::ContractViolation);
+  EXPECT_THROW(AsyncStager(0, [](StagedSnapshot&, Seconds s) { return s; }),
+               util::ContractViolation);
   RecordingWriter writer;
   writer.cost = 1.0;
-  AsyncStager stager(StagingConfig{2}, writer.fn());
+  AsyncStager stager(2, writer.fn());
   AsyncStager::Slot slot = stager.acquire();
   (void)slot;
   // Acquiring a second slot before submitting the first is a producer bug.

@@ -1,7 +1,11 @@
-# Golden and determinism checks for the greenvis CLI, registered as ctest
-# entries under the `golden` label (tools/CMakeLists.txt).
+# Golden and determinism checks for the greenvis CLI and the figure benches,
+# registered as ctest entries under the `golden` and `figures` labels
+# (tools/CMakeLists.txt).
 #
 #   cmake -DCLI=<greenvis> -DCHECK=<energy|serve|campaign|simd> \
+#         -DSOURCE_DIR=<repo root> -DWORK_DIR=<scratch dir> \
+#         -P tools/golden_check.cmake
+#   cmake -DBENCH=<bench binary> -DCHECK=figure \
 #         -DSOURCE_DIR=<repo root> -DWORK_DIR=<scratch dir> \
 #         -P tools/golden_check.cmake
 #
@@ -20,9 +24,17 @@
 #   simd     `greenvis compare --case 1/2/3` prints byte-identical reports
 #            under GREENVIS_SIMD=scalar and GREENVIS_SIMD=auto: the vector
 #            kernels are a pure performance substitution, end to end.
+#   figure   the bench, run in the empty WORK_DIR, exits 0 and prints
+#            exactly tools/golden/figures/<bench name>.txt on stdout (its
+#            stderr progress lines are not compared).
 cmake_minimum_required(VERSION 3.20)
 
-foreach(var CLI CHECK SOURCE_DIR WORK_DIR)
+if(CHECK STREQUAL "figure")
+  set(required BENCH CHECK SOURCE_DIR WORK_DIR)
+else()
+  set(required CLI CHECK SOURCE_DIR WORK_DIR)
+endif()
+foreach(var ${required})
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "golden_check: -D${var}=... is required")
   endif()
@@ -88,6 +100,15 @@ elseif(CHECK STREQUAL "simd")
     same("${WORK_DIR}/compare_case${case_no}_scalar.txt"
          "${WORK_DIR}/compare_case${case_no}_auto.txt")
   endforeach()
+elseif(CHECK STREQUAL "figure")
+  get_filename_component(bench "${BENCH}" NAME)
+  execute_process(COMMAND "${BENCH}" WORKING_DIRECTORY "${WORK_DIR}"
+                  OUTPUT_FILE "${WORK_DIR}/stdout.txt" ERROR_QUIET
+                  RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "${bench}: exit ${rc}")
+  endif()
+  same("${WORK_DIR}/stdout.txt" "${golden}/figures/${bench}.txt")
 else()
   message(FATAL_ERROR "golden_check: unknown CHECK '${CHECK}'")
 endif()

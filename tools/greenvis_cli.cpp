@@ -17,6 +17,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/advisor.hpp"
@@ -38,6 +39,7 @@
 #include "src/serve/viewer.hpp"
 #include "src/storage/async_device.hpp"
 #include "src/util/args.hpp"
+#include "src/util/error.hpp"
 #include "src/util/table.hpp"
 
 namespace {
@@ -50,6 +52,28 @@ using Args = util::ArgParser;
 void accept_only(const Args& args, std::vector<std::string> flags) {
   flags.insert(flags.end(), {"trace-out", "metrics-out"});
   args.allow_only(flags);
+}
+
+/// Integer option `--key`, `fallback` when absent. A value that is not an
+/// integer, is below `min` or does not fit in T throws instead of reaching
+/// a cast.
+template <typename T>
+T int_option(const Args& args, const std::string& key, T fallback,
+             long long min) {
+  long long v = min;
+  bool ok = true;
+  try {
+    v = args.get(key, static_cast<long long>(fallback));
+  } catch (const util::ContractViolation&) {
+    ok = false;
+  }
+  if (!ok || v < min || !std::in_range<T>(v)) {
+    throw util::ContractViolation("option --" + key +
+                                  " expects an integer >= " +
+                                  std::to_string(min) + ", got '" +
+                                  args.get(key, std::string{}) + "'");
+  }
+  return static_cast<T>(v);
 }
 
 /// What the run flags of `compare`, `profile` and `serve` configure.
@@ -65,7 +89,7 @@ struct RunFlags {
 /// device.
 std::optional<RunFlags> read_run_flags(const Args& args, bool snapshot_flags) {
   RunFlags run;
-  run.workload = core::case_study(static_cast<int>(args.get("case", 1.0)));
+  run.workload = core::case_study(int_option(args, "case", 1, 1));
   run.testbed.package_cap = util::Watts{args.get("cap", 0.0)};
   const std::string device = args.get("device", "hdd");
   if (const auto kind = core::parse_storage_device(device)) {
@@ -77,8 +101,8 @@ std::optional<RunFlags> read_run_flags(const Args& args, bool snapshot_flags) {
   }
   if (snapshot_flags) {
     run.testbed.io_frequency_ghz = args.get("io-ghz", 0.0);
-    run.options.stage_buffers = static_cast<std::size_t>(args.get(
-        "stage-buffers", static_cast<double>(run.options.stage_buffers)));
+    run.options.stage_buffers =
+        int_option(args, "stage-buffers", run.options.stage_buffers, 1);
     run.workload.snapshot_codec.kind =
         codec::parse_kind(args.get("codec", "raw"));
     run.workload.snapshot_codec.tolerance =
@@ -89,16 +113,15 @@ std::optional<RunFlags> read_run_flags(const Args& args, bool snapshot_flags) {
 
 int cmd_compare(const Args& args) {
   accept_only(args, {"case", "cap", "device", "io-ghz", "codec", "tolerance",
-                     "stage-buffers", "stage-queue-depth", "pipeline",
-                     "io-queue-depth", "io-sched"});
+                     "stage-buffers", "pipeline", "io-queue-depth",
+                     "io-sched"});
   auto run = read_run_flags(args, true);
   if (!run) {
     return 2;
   }
   core::TestbedConfig& config = run->testbed;
-  config.fs.io_queue.queue_depth = static_cast<std::size_t>(
-      args.get("io-queue-depth",
-               static_cast<double>(config.fs.io_queue.queue_depth)));
+  config.fs.io_queue.queue_depth =
+      int_option(args, "io-queue-depth", config.fs.io_queue.queue_depth, 0);
   const std::string io_sched = args.get("io-sched", "device");
   if (const auto sched = storage::parse_io_scheduler(io_sched)) {
     config.fs.io_queue.scheduler = *sched;
@@ -114,10 +137,7 @@ int cmd_compare(const Args& args) {
     return 2;
   }
   const bool async_post = pipeline == "async";
-  core::PipelineOptions& options = run->options;
-  options.stage_queue_depth = static_cast<std::size_t>(
-      args.get("stage-queue-depth",
-               static_cast<double>(options.stage_queue_depth)));
+  const core::PipelineOptions& options = run->options;
   const core::Experiment experiment(config);
   const core::CaseStudyConfig& workload = run->workload;
   std::cerr << "running " << workload.name << " (codec="
@@ -195,9 +215,9 @@ int cmd_fio(const Args& args) {
   fio::FioRunnerConfig config;
   config.device = dev->second;
   fio::FioJob job = fio::table3_job(it->second);
-  const double mib = args.get("size", 0.0);
-  if (mib > 0.0) {
-    job.total_size = util::mebibytes(static_cast<std::uint64_t>(mib));
+  const auto mib = int_option<std::uint64_t>(args, "size", 0, 0);
+  if (mib > 0) {
+    job.total_size = util::mebibytes(mib);
   }
   std::cerr << "running " << job.name << " (" << job.total_size.megabytes()
             << " MiB) on " << device << "...\n";
@@ -217,10 +237,9 @@ int cmd_fio(const Args& args) {
 int cmd_advise(const Args& args) {
   accept_only(args, {"accesses", "kib", "random", "reads", "no-exploration"});
   analysis::AccessPattern pattern;
-  pattern.accesses =
-      static_cast<std::uint64_t>(args.get("accesses", double{1 << 18}));
-  pattern.bytes_per_access = util::kibibytes(
-      static_cast<std::uint64_t>(args.get("kib", 16.0)));
+  pattern.accesses = int_option<std::uint64_t>(args, "accesses", 1 << 18, 0);
+  pattern.bytes_per_access =
+      util::kibibytes(int_option<std::uint64_t>(args, "kib", 16, 0));
   pattern.random_fraction = args.get("random", 1.0);
   pattern.read_fraction = args.get("reads", 0.9);
   pattern.exploratory_analysis_required =
@@ -296,10 +315,10 @@ int cmd_replay(const Args& args) {
 int cmd_cluster(const Args& args) {
   accept_only(args, {"nodes", "staging", "targets"});
   net::ClusterSpec cluster;
-  cluster.compute_nodes = static_cast<std::size_t>(args.get("nodes", 32.0));
-  cluster.staging_nodes = static_cast<std::size_t>(args.get("staging", 2.0));
+  cluster.compute_nodes = int_option<std::size_t>(args, "nodes", 32, 1);
+  cluster.staging_nodes = int_option<std::size_t>(args, "staging", 2, 1);
   cluster.pfs.storage_targets =
-      static_cast<std::size_t>(args.get("targets", 4.0));
+      int_option<std::size_t>(args, "targets", 4, 1);
   const net::MultiNodeStudy study(cluster, core::case_study(1));
   const auto post = study.post_processing();
   const auto insitu = study.in_situ();
@@ -436,9 +455,9 @@ int cmd_campaign(const Args& args) {
   }
 
   campaign::CampaignOptions options;
-  options.threads = static_cast<std::size_t>(args.get("threads", 0.0));
-  options.shards = static_cast<std::size_t>(args.get("shards", 0.0));
-  options.job_limit = static_cast<std::size_t>(args.get("limit", 0.0));
+  options.threads = int_option<std::size_t>(args, "threads", 0, 0);
+  options.shards = int_option<std::size_t>(args, "shards", 0, 0);
+  options.job_limit = int_option<std::size_t>(args, "limit", 0, 0);
 
   std::cerr << "campaign: " << configs.size() << " config(s)...\n";
   const campaign::CampaignEngine engine(
@@ -565,7 +584,7 @@ int cmd_profile(const Args& args) {
             << util::cell_percent(1.0 - rep.static_share())
             << " dynamic (conservation error " << rep.conservation_error
             << ").\n";
-  const auto top_n = static_cast<std::size_t>(args.get("top", 5.0));
+  const auto top_n = int_option<std::size_t>(args, "top", 5, 0);
   const auto ranked = analysis::top_consumers(rep, top_n);
   std::cout << "Top consumers:";
   for (const auto& c : ranked) {
@@ -592,10 +611,10 @@ int cmd_profile(const Args& args) {
 int cmd_serve(const Args& args) {
   accept_only(args, {"case", "cap", "device", "viewers", "views", "no-cache",
                      "cache-capacity", "link-mbps", "out"});
-  const int viewers = static_cast<int>(args.get("viewers", 16.0));
-  const int views = static_cast<int>(args.get("views", 4.0));
-  if (viewers < 1 || views < 1 || views > viewers) {
-    std::cerr << "expected 1 <= --views <= --viewers\n";
+  const int viewers = int_option(args, "viewers", 16, 1);
+  const int views = int_option(args, "views", 4, 1);
+  if (views > viewers) {
+    std::cerr << "expected --views <= --viewers\n";
     return 2;
   }
   const auto run = read_run_flags(args, false);
@@ -607,8 +626,8 @@ int cmd_serve(const Args& args) {
   config.base = run->workload;
   config.viewers = serve::default_fleet(viewers, views);
   config.cache_enabled = !args.has("no-cache");
-  config.cache_capacity = static_cast<std::size_t>(args.get(
-      "cache-capacity", static_cast<double>(config.cache_capacity)));
+  config.cache_capacity =
+      int_option(args, "cache-capacity", config.cache_capacity, 0);
   config.delivery_mb_per_s = args.get("link-mbps", config.delivery_mb_per_s);
   // A deterministic mid-run steer so the default profile exercises the
   // command queue: viewer 0 re-zooms and re-colors halfway through.
@@ -732,7 +751,7 @@ commands:
   compare [--case 1|2|3] [--cap WATTS] [--io-ghz F]   run both pipelines
           [--codec raw|delta|rle] [--tolerance T]
           [--pipeline sync|async] [--stage-buffers N]  (async = overlapped
-          [--stage-queue-depth N]                      snapshot staging)
+                                                       snapshot staging)
           [--device hdd|ssd|nvram|nvme|raid0]
           [--io-queue-depth N]
           [--io-sched device|noop|elevator|deadline]
