@@ -1,10 +1,44 @@
 // Ablation A5: in-situ data sampling (Woodring et al. [21], cited in the
 // paper's related work) — energy vs reconstruction quality for the
 // post-processing pipeline writing 1/k^2 of the data.
+#include <algorithm>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench/common.hpp"
-#include "src/analysis/pareto.hpp"
+
+namespace {
+
+// A sampling stride scored on two axes, lower being better on both.
+struct Candidate {
+  std::string label;
+  double energy{0.0};
+  double error{0.0};
+};
+
+// The candidates no other one dominates (no worse on both axes and strictly
+// better on one), sorted by energy.
+std::vector<Candidate> pareto_front(const std::vector<Candidate>& points) {
+  std::vector<Candidate> front;
+  for (const Candidate& c : points) {
+    const bool dominated = std::any_of(
+        points.begin(), points.end(), [&](const Candidate& o) {
+          return o.energy <= c.energy && o.error <= c.error &&
+                 (o.energy < c.energy || o.error < c.error);
+        });
+    if (!dominated) {
+      front.push_back(c);
+    }
+  }
+  std::sort(front.begin(), front.end(),
+            [](const Candidate& a, const Candidate& b) {
+              return a.energy < b.energy;
+            });
+  return front;
+}
+
+}  // namespace
 
 int main() {
   using namespace greenvis;
@@ -18,7 +52,7 @@ int main() {
 
   util::TextTable t({"Stride", "Bytes written (MB)", "Time (s)",
                      "Energy (kJ)", "Mean RMS error", "Savings vs stride 1"});
-  std::vector<analysis::ParetoPoint> points;
+  std::vector<Candidate> points;
   double full_energy = 0.0;
   for (std::size_t stride : {1, 2, 4, 8}) {
     std::cerr << "[bench] stride " << stride << "...\n";
@@ -37,13 +71,13 @@ int main() {
                util::cell(energy / 1000.0),
                util::cell(out.mean_rms_error, 3),
                util::cell_percent(1.0 - energy / full_energy)});
-    points.push_back(analysis::ParetoPoint{
+    points.push_back(Candidate{
         "stride " + std::to_string(stride), energy, out.mean_rms_error});
   }
   std::cout << t.render();
 
   std::cout << "\nPareto-optimal configurations (energy vs error): ";
-  for (const auto& p : analysis::pareto_front(points)) {
+  for (const auto& p : pareto_front(points)) {
     std::cout << p.label << "  ";
   }
   std::cout << '\n';

@@ -52,9 +52,6 @@ struct PipelineSwitchWhatIf {
   [[nodiscard]] util::Joules energy_savings() const {
     return post_energy - insitu_energy;
   }
-  [[nodiscard]] util::Seconds time_savings() const {
-    return post_time - insitu_time;
-  }
   /// Post-processing energy per in-situ joule (Fig. 9's ratio view).
   [[nodiscard]] double energy_ratio() const {
     return insitu_energy.value() > 0.0 ? post_energy / insitu_energy : 0.0;

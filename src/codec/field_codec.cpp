@@ -844,7 +844,7 @@ void FieldCodec::decode_into(std::span<const std::uint8_t> blob,
     const std::size_t nx = get_u64(blob.data());
     const std::size_t ny = get_u64(blob.data() + 8);
     if (out.nx() == nx && out.ny() == ny) {
-      GREENVIS_REQUIRE(blob.size() == 16 + nx * ny * sizeof(double));
+      GREENVIS_REQUIRE(blob.size() == util::raw_field_bytes(16, {nx, ny}));
       std::memcpy(out.values().data(), blob.data() + 16,
                   nx * ny * sizeof(double));
     } else {
@@ -870,7 +870,8 @@ void FieldCodec::decode_into(std::span<const std::uint8_t> blob,
     const std::size_t ny = get_u64(blob.data() + 8);
     const std::size_t nz = get_u64(blob.data() + 16);
     if (out.nx() == nx && out.ny() == ny && out.nz() == nz) {
-      GREENVIS_REQUIRE(blob.size() == 24 + nx * ny * nz * sizeof(double));
+      GREENVIS_REQUIRE(blob.size() ==
+                       util::raw_field_bytes(24, {nx, ny, nz}));
       std::memcpy(out.values().data(), blob.data() + 24,
                   nx * ny * nz * sizeof(double));
     } else {

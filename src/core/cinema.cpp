@@ -60,16 +60,4 @@ void CinemaWriter::finalize() {
   });
 }
 
-CinemaReader::CinemaReader(Testbed& bed, const CinemaConfig& config)
-    : bed_(&bed), config_(config), reader_(bed.fs(), config.dataset) {}
-
-vis::Image CinemaReader::image(int step, std::size_t view) {
-  std::vector<std::uint8_t> payload;
-  bed_->run_io(stage::kRead, 3.0, 0.5, [&] {
-    payload =
-        reader_.read_step(cinema_key(step, view, config_.views.size()));
-  });
-  return vis::Image::deserialize(payload);
-}
-
 }  // namespace greenvis::core

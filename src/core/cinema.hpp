@@ -7,7 +7,8 @@
 // pre-chosen views in situ and store the images — orders of magnitude
 // smaller than raw 3-D fields — so an analyst can still browse camera
 // angles after the run. The writer stores one image per (step, view) with a
-// catalog for discovery; the reader restores any of them bit-exactly.
+// catalog for discovery; io::TimestepReader reads any of them back, byte for
+// byte, under its cinema_key.
 #pragma once
 
 #include <vector>
@@ -54,20 +55,6 @@ class CinemaWriter {
   io::TimestepWriter writer_;
   std::size_t images_{0};
   util::Bytes bytes_{0};
-};
-
-class CinemaReader {
- public:
-  CinemaReader(Testbed& bed, const CinemaConfig& config);
-
-  /// Load one pre-rendered image (post-hoc browsing). `view` indexes the
-  /// config's view list.
-  [[nodiscard]] vis::Image image(int step, std::size_t view);
-
- private:
-  Testbed* bed_;
-  CinemaConfig config_;
-  io::TimestepReader reader_;
 };
 
 /// The dataset key under which (step, view) is stored.

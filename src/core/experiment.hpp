@@ -60,8 +60,6 @@ class Experiment {
   [[nodiscard]] StageRun run_read_stage(const CaseStudyConfig& config,
                                         int steps) const;
 
-  [[nodiscard]] const TestbedConfig& base_config() const { return base_; }
-
  private:
   TestbedConfig base_;
 };

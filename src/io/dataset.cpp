@@ -70,7 +70,6 @@ void TimestepWriter::write_step(int step,
   }
   fs.close(fd);
   ++steps_written_;
-  payload_bytes_ += util::Bytes{payload.size()};
   if (catalog_ == nullptr) {
     catalog_ = std::make_shared<DatasetCatalog>();
   }

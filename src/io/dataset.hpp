@@ -58,9 +58,6 @@ class TimestepWriter {
   void write_step(int step, std::span<const std::uint8_t> payload);
 
   [[nodiscard]] std::uint64_t steps_written() const { return steps_written_; }
-  [[nodiscard]] util::Bytes payload_bytes_written() const {
-    return payload_bytes_;
-  }
 
   /// The in-memory manifest of everything written so far; persist it with
   /// DatasetCatalog::save (see io/catalog.hpp) so post-hoc tools can
@@ -71,7 +68,6 @@ class TimestepWriter {
   Filesystem* fs_;
   DatasetConfig config_;
   std::uint64_t steps_written_{0};
-  util::Bytes payload_bytes_{0};
   std::shared_ptr<class DatasetCatalog> catalog_;
 };
 

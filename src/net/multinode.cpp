@@ -5,7 +5,6 @@
 
 #include "src/heat/solver.hpp"
 #include "src/util/error.hpp"
-#include "src/vis/compositing.hpp"
 #include "src/vis/pipeline.hpp"
 
 namespace greenvis::net {

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <memory>
 
 #include "src/obs/registry.hpp"
-#include "src/storage/hdd.hpp"
 
 namespace greenvis::net {
 
@@ -51,40 +49,6 @@ Seconds PfsModel::collective_io_time(std::size_t clients,
   // parallel, so the network contribution is one client's transfer.
   const Seconds wire = message_time(spec_.network, bytes_per_client);
   return std::max(disk_time + ops_time, wire) + spec_.network.latency;
-}
-
-std::vector<storage::CompletionRecord> PfsModel::replay_collective(
-    std::size_t clients, double bytes_per_client, storage::IoKind kind) const {
-  GREENVIS_REQUIRE(clients >= 1);
-  GREENVIS_REQUIRE(bytes_per_client >= 0.0);
-  // IoRequest lengths are 32-bit; checkpoints are not, so each client's
-  // per-target share goes out in bounded chunks.
-  constexpr std::uint64_t kChunk = std::uint64_t{256} << 20;  // 256 MiB
-  const std::uint64_t per_target = static_cast<std::uint64_t>(
-      bytes_per_client / static_cast<double>(spec_.storage_targets));
-  std::vector<storage::CompletionRecord> records;
-  for (std::size_t t = 0; t < spec_.storage_targets; ++t) {
-    storage::HddParams params;
-    params.spec = spec_.target_disk;
-    storage::HddModel disk(params);
-    storage::AsyncBlockDevice queue(disk);
-    // Client streams interleave chunk-by-chunk on the target, which is the
-    // access pattern the analytic interference penalty stands in for.
-    for (std::uint64_t chunk = 0; chunk * kChunk < per_target; ++chunk) {
-      const std::uint64_t len =
-          std::min(kChunk, per_target - chunk * kChunk);
-      for (std::size_t c = 0; c < clients; ++c) {
-        const std::uint64_t base = static_cast<std::uint64_t>(c) * per_target;
-        queue.submit(
-            storage::IoRequest{kind, base + chunk * kChunk,
-                               static_cast<std::uint32_t>(len)},
-            Seconds{0.0});
-      }
-    }
-    (void)queue.drain();
-    queue.poll(records);
-  }
-  return records;
 }
 
 double PfsModel::target_busy_fraction(std::size_t clients) const {

@@ -10,11 +10,9 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 #include "src/machine/spec.hpp"
 #include "src/net/network.hpp"
-#include "src/storage/async_device.hpp"
 #include "src/util/units.hpp"
 
 namespace greenvis::net {
@@ -49,17 +47,6 @@ class PfsModel {
 
   /// Disk busy fraction across the targets during such a collective op.
   [[nodiscard]] double target_busy_fraction(std::size_t clients) const;
-
-  /// Instrumented replay of one collective op: each target becomes an
-  /// HDD-backed storage::AsyncBlockDevice and every client's striped share
-  /// is submitted as chunked IoRequests (client streams interleaved per
-  /// target — the seek pattern behind the interference penalty). Returns
-  /// all targets' completion records, target-major. The analytic
-  /// collective_io_time above remains the model of record; this path
-  /// exposes per-request queue/service timestamps for tracing and tests.
-  [[nodiscard]] std::vector<storage::CompletionRecord> replay_collective(
-      std::size_t clients, double bytes_per_client,
-      storage::IoKind kind = storage::IoKind::kWrite) const;
 
   [[nodiscard]] const PfsSpec& spec() const { return spec_; }
 

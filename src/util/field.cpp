@@ -56,7 +56,7 @@ Field2D Field2D::deserialize(std::span<const std::uint8_t> raw) {
   };
   const auto nx = static_cast<std::size_t>(get_u64(0));
   const auto ny = static_cast<std::size_t>(get_u64(8));
-  GREENVIS_REQUIRE(raw.size() == 16 + nx * ny * sizeof(double));
+  GREENVIS_REQUIRE(raw.size() == raw_field_bytes(16, {nx, ny}));
   Field2D f(nx, ny);
   std::memcpy(f.data_.data(), raw.data() + 16, nx * ny * sizeof(double));
   return f;

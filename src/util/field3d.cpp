@@ -60,7 +60,7 @@ Field3D Field3D::deserialize(std::span<const std::uint8_t> raw) {
   const auto nx = static_cast<std::size_t>(get_u64(0));
   const auto ny = static_cast<std::size_t>(get_u64(8));
   const auto nz = static_cast<std::size_t>(get_u64(16));
-  GREENVIS_REQUIRE(raw.size() == 24 + nx * ny * nz * sizeof(double));
+  GREENVIS_REQUIRE(raw.size() == raw_field_bytes(24, {nx, ny, nz}));
   Field3D f(nx, ny, nz);
   std::memcpy(f.data_.data(), raw.data() + 24,
               nx * ny * nz * sizeof(double));

@@ -18,8 +18,12 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <initializer_list>
+#include <limits>
 #include <new>
 #include <utility>
+
+#include "src/util/error.hpp"
 
 namespace greenvis::util {
 
@@ -111,5 +115,23 @@ class FieldStorage {
   std::size_t size_{0};
   std::size_t capacity_{0};
 };
+
+/// Size of a raw serialized field: `header` bytes plus one double per cell
+/// of the `dims` product. Throws ContractViolation when the product or the
+/// byte count overflows, so a corrupt header can never wrap to a size that
+/// passes a decoder's length check.
+[[nodiscard]] inline std::size_t raw_field_bytes(
+    std::size_t header, std::initializer_list<std::size_t> dims) {
+  constexpr std::size_t kMax = std::numeric_limits<std::size_t>::max();
+  std::size_t cells = 1;
+  for (const std::size_t d : dims) {
+    GREENVIS_REQUIRE_MSG(d == 0 || cells <= kMax / d,
+                         "field: dimension product overflows");
+    cells *= d;
+  }
+  GREENVIS_REQUIRE_MSG(cells <= (kMax - header) / sizeof(double),
+                       "field: byte count overflows");
+  return header + cells * sizeof(double);
+}
 
 }  // namespace greenvis::util

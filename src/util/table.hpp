@@ -25,8 +25,6 @@ class TextTable {
   /// of a metrics table).
   void set_align(std::size_t column, Align align);
 
-  [[nodiscard]] std::size_t row_count() const { return rows_.size(); }
-
   /// Render with a header underline and two-space column gutters.
   [[nodiscard]] std::string render() const;
 

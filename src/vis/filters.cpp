@@ -38,26 +38,6 @@ util::Field2D resample(const util::Field2D& field, std::size_t nx,
   return out;
 }
 
-util::Field2D threshold_mask(const util::Field2D& field, double value) {
-  util::Field2D out(field.nx(), field.ny());
-  for (std::size_t j = 0; j < field.ny(); ++j) {
-    for (std::size_t i = 0; i < field.nx(); ++i) {
-      out.at(i, j) = field.at(i, j) >= value ? 1.0 : 0.0;
-    }
-  }
-  return out;
-}
-
-double fraction_above(const util::Field2D& field, double value) {
-  std::size_t n = 0;
-  for (double v : field.values()) {
-    if (v >= value) {
-      ++n;
-    }
-  }
-  return static_cast<double>(n) / static_cast<double>(field.size());
-}
-
 void crop_into(const util::Field2D& field, std::size_t i0, std::size_t j0,
                std::size_t nx, std::size_t ny, util::Field2D& out) {
   GREENVIS_REQUIRE(nx >= 1 && ny >= 1);
@@ -69,15 +49,6 @@ void crop_into(const util::Field2D& field, std::size_t i0, std::size_t j0,
   for (std::size_t j = 0; j < ny; ++j) {
     std::copy_n(src + j * field.nx(), nx, &out.at(0, j));
   }
-}
-
-util::Field2D slice_row(const util::Field2D& field, std::size_t j) {
-  GREENVIS_REQUIRE(j < field.ny());
-  util::Field2D out(field.nx(), 1);
-  for (std::size_t i = 0; i < field.nx(); ++i) {
-    out.at(i, 0) = field.at(i, j);
-  }
-  return out;
 }
 
 double rms_difference(const util::Field2D& a, const util::Field2D& b) {

@@ -1,9 +1,9 @@
 // Data filters: sampling/decimation and selection.
 //
-// The paper's related-work section points to data sampling [21] and data
-// triage [23] as techniques that shrink in-situ output further. These
-// filters implement the core operations so the examples and ablations can
-// explore that corner of the design space.
+// The paper's related-work section points to data sampling [21] as a
+// technique that shrinks in-situ output further. These filters decimate,
+// reconstruct and crop fields so the serving layer and the sampling
+// ablation can explore that corner of the design space.
 #pragma once
 
 #include <cstddef>
@@ -21,18 +21,6 @@ namespace greenvis::vis {
 /// sampled data).
 [[nodiscard]] util::Field2D resample(const util::Field2D& field,
                                      std::size_t nx, std::size_t ny);
-
-/// Binary mask (1.0 / 0.0) of cells at or above a threshold.
-[[nodiscard]] util::Field2D threshold_mask(const util::Field2D& field,
-                                           double value);
-
-/// Fraction of cells at or above a threshold — a cheap in-situ "triage"
-/// statistic deciding whether a step is worth keeping.
-[[nodiscard]] double fraction_above(const util::Field2D& field, double value);
-
-/// Extract row `j` as a 1-D profile (nx-by-1 field).
-[[nodiscard]] util::Field2D slice_row(const util::Field2D& field,
-                                      std::size_t j);
 
 /// Copy the sub-rectangle [i0, i0+nx) x [j0, j0+ny) into `out` — the
 /// serving layer's region-of-interest selection (a steerable pan/zoom on

@@ -49,25 +49,6 @@ std::vector<std::uint8_t> Image::serialize() const {
   return out;
 }
 
-Image Image::deserialize(std::span<const std::uint8_t> raw) {
-  GREENVIS_REQUIRE(raw.size() >= 16);
-  auto get_u64 = [&](std::size_t pos) {
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<std::uint64_t>(raw[pos + static_cast<std::size_t>(i)])
-           << (8 * i);
-    }
-    return v;
-  };
-  const auto w = static_cast<std::size_t>(get_u64(0));
-  const auto h = static_cast<std::size_t>(get_u64(8));
-  GREENVIS_REQUIRE(w > 0 && h > 0);
-  GREENVIS_REQUIRE(raw.size() == 16 + w * h * sizeof(Rgb));
-  Image img(w, h);
-  std::memcpy(img.pixels_.data(), raw.data() + 16, w * h * sizeof(Rgb));
-  return img;
-}
-
 void Image::save_ppm(const std::string& path) const {
   std::ofstream f(path, std::ios::binary);
   GREENVIS_REQUIRE_MSG(f.good(), "cannot open " + path);

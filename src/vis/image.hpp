@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <ostream>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -50,8 +49,6 @@ class Image {
   /// Compact binary form (16-byte dims header + RGB bytes) for storing
   /// images as dataset payloads (Cinema image databases).
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
-  [[nodiscard]] static Image deserialize(
-      std::span<const std::uint8_t> raw);
 
   friend bool operator==(const Image& a, const Image& b) {
     return a.width_ == b.width_ && a.height_ == b.height_ &&

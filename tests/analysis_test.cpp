@@ -2,15 +2,9 @@
 
 #include "src/analysis/advisor.hpp"
 #include "src/analysis/metrics.hpp"
-#include "src/analysis/pareto.hpp"
-#include "src/analysis/power_fit.hpp"
 #include "src/analysis/report.hpp"
 #include "src/analysis/whatif.hpp"
 #include "src/fio/runner.hpp"
-#include "src/power/profiler.hpp"
-#include "src/storage/hdd.hpp"
-#include "src/util/linalg.hpp"
-#include "src/util/rng.hpp"
 
 namespace greenvis::analysis {
 namespace {
@@ -162,44 +156,6 @@ TEST(Advisor, EstimatesCoverAllStrategies) {
   }
 }
 
-// ---------- pareto / energy-delay ----------
-
-TEST(Pareto, EnergyDelayProducts) {
-  const auto m = fake_metrics("x", 100.0, 120.0);  // 12 kJ, 100 s
-  EXPECT_NEAR(energy_delay_product(m), 12000.0 * 100.0, 1e-6);
-  EXPECT_NEAR(energy_delay_squared_product(m), 12000.0 * 100.0 * 100.0,
-              1e-3);
-}
-
-TEST(Pareto, DominanceDefinition) {
-  const ParetoPoint a{"a", 1.0, 1.0};
-  const ParetoPoint b{"b", 2.0, 2.0};
-  const ParetoPoint c{"c", 1.0, 2.0};
-  const ParetoPoint d{"d", 1.0, 1.0};
-  EXPECT_TRUE(dominates(a, b));
-  EXPECT_TRUE(dominates(a, c));
-  EXPECT_FALSE(dominates(b, a));
-  EXPECT_FALSE(dominates(a, d));  // equal points do not dominate
-}
-
-TEST(Pareto, FrontFiltersDominatedPoints) {
-  std::vector<ParetoPoint> points{
-      {"cheap-bad", 1.0, 10.0}, {"mid", 5.0, 5.0},     {"pricey-good", 10.0, 1.0},
-      {"dominated", 6.0, 6.0},  {"awful", 12.0, 12.0},
-  };
-  const auto front = pareto_front(points);
-  ASSERT_EQ(front.size(), 3u);
-  EXPECT_EQ(front[0].label, "cheap-bad");
-  EXPECT_EQ(front[1].label, "mid");
-  EXPECT_EQ(front[2].label, "pricey-good");
-}
-
-TEST(Pareto, SinglePointIsItsOwnFront) {
-  const auto front = pareto_front({{"only", 3.0, 4.0}});
-  ASSERT_EQ(front.size(), 1u);
-  EXPECT_EQ(front[0].label, "only");
-}
-
 // ---------- report ----------
 
 TEST(Report, ContainsAllSectionsAndNumbers) {
@@ -233,134 +189,6 @@ TEST(Report, RecommendationDependsOnSavings) {
 
 TEST(Report, RejectsEmptyStudy) {
   EXPECT_THROW((void)render_report({}), util::ContractViolation);
-}
-
-// ---------- linear algebra ----------
-
-TEST(Linalg, SolvesKnownSystem) {
-  util::Matrix a(2, 2);
-  a.at(0, 0) = 2.0;
-  a.at(0, 1) = 1.0;
-  a.at(1, 0) = 1.0;
-  a.at(1, 1) = 3.0;
-  const auto x = util::solve_linear_system(a, {5.0, 10.0});
-  EXPECT_NEAR(x[0], 1.0, 1e-12);
-  EXPECT_NEAR(x[1], 3.0, 1e-12);
-}
-
-TEST(Linalg, RejectsSingularSystem) {
-  util::Matrix a(2, 2);
-  a.at(0, 0) = 1.0;
-  a.at(0, 1) = 2.0;
-  a.at(1, 0) = 2.0;
-  a.at(1, 1) = 4.0;
-  EXPECT_THROW((void)util::solve_linear_system(a, {1.0, 2.0}),
-               util::ContractViolation);
-}
-
-TEST(Linalg, LeastSquaresRecoversLinearModel) {
-  // y = 3 + 2 a - b, with exactly determined data.
-  std::vector<std::vector<double>> x;
-  std::vector<double> y;
-  for (double a = 0.0; a < 4.0; a += 1.0) {
-    for (double b = 0.0; b < 3.0; b += 1.0) {
-      x.push_back({1.0, a, b});
-      y.push_back(3.0 + 2.0 * a - b);
-    }
-  }
-  const auto beta = util::least_squares(x, y);
-  EXPECT_NEAR(beta[0], 3.0, 1e-6);
-  EXPECT_NEAR(beta[1], 2.0, 1e-6);
-  EXPECT_NEAR(beta[2], -1.0, 1e-6);
-}
-
-// ---------- disk power fitting ----------
-
-/// Synthesize a run with varied disk activity, profile it, and fit.
-struct FitFixture {
-  FitFixture() : hdd(storage::HddParams{}) {
-    using storage::IoKind;
-    using storage::IoRequest;
-    util::Seconds t{0.0};
-    util::Xoshiro256 rng{17};
-    // Mix of sequential streams, random probes, and cached-write flushes so
-    // every phase shows up in training.
-    for (int burst = 0; burst < 30; ++burst) {
-      const bool reading = burst % 2 == 0;
-      std::uint64_t offset = rng.uniform_index(400) * (1ULL << 30);
-      for (int k = 0; k < 40; ++k) {
-        const IoRequest req{reading ? IoKind::kRead : IoKind::kWrite, offset,
-                            1u << 20};
-        t = hdd.service(req, t);
-        offset += 1u << 20;
-      }
-      t = hdd.flush(t);
-      t += util::Seconds{rng.uniform(0.5, 2.0)};  // idle gap
-    }
-    end = t;
-  }
-  storage::HddModel hdd;
-  util::Seconds end{0.0};
-};
-
-TEST(DiskPowerFit, RecoversCalibrationConstants) {
-  FitFixture f;
-  const power::PowerModel model(power::PowerCalibration{},
-                                power::hdd_power_params());
-  power::ProfilerConfig quiet;
-  quiet.disk_noise_sigma = 0.05;
-  power::PowerProfiler profiler(model, quiet);
-  const machine::LoadTimeline no_cpu;
-  const auto trace = profiler.profile(no_cpu, &f.hdd, f.end);
-
-  const DiskPowerFit fit = fit_disk_power(f.hdd.activity(), trace);
-  EXPECT_LT(fit.rms_residual_watts, 0.5);
-  const auto truth = power::hdd_power_params();
-  EXPECT_NEAR(fit.params.idle.value(), truth.idle.value(), 0.5);
-  EXPECT_NEAR(fit.params.read_transfer.value(), truth.read_transfer.value(),
-              1.5);
-  EXPECT_NEAR(fit.params.write_transfer.value(),
-              truth.write_transfer.value(), 1.5);
-}
-
-TEST(DiskPowerFit, PredictsHeldOutWindows) {
-  FitFixture f;
-  const power::PowerModel model(power::PowerCalibration{},
-                                power::hdd_power_params());
-  power::ProfilerConfig quiet;
-  quiet.disk_noise_sigma = 0.05;
-  power::PowerProfiler profiler(model, quiet);
-  const machine::LoadTimeline no_cpu;
-  const auto trace = profiler.profile(no_cpu, &f.hdd, f.end);
-  const DiskPowerFit fit = fit_disk_power(f.hdd.activity(), trace);
-
-  // Predict each window with the fitted model and compare against truth.
-  double worst = 0.0;
-  for (const auto& s : trace.samples()) {
-    const auto duty = f.hdd.activity().duty_in(s.time - trace.period(),
-                                               s.time);
-    const util::Watts pred =
-        predict_disk_power(fit.params, duty, trace.period());
-    worst = std::max(worst, std::abs((pred - s.disk_model).value()));
-  }
-  EXPECT_LT(worst, 2.5);
-}
-
-TEST(DiskPowerFit, FitFeedsTheAdvisor) {
-  // End-to-end future-work loop: observe a run, fit the model, hand the
-  // fitted constants to the advisor.
-  FitFixture f;
-  const power::PowerModel model(power::PowerCalibration{},
-                                power::hdd_power_params());
-  power::PowerProfiler profiler(model, power::ProfilerConfig{});
-  const machine::LoadTimeline no_cpu;
-  const auto trace = profiler.profile(no_cpu, &f.hdd, f.end);
-  const DiskPowerFit fit = fit_disk_power(f.hdd.activity(), trace);
-
-  const Advisor fitted(machine::sandy_bridge_testbed(), fit.params,
-                       util::Watts{103.0});
-  const Recommendation rec = fitted.recommend(random_heavy());
-  EXPECT_EQ(rec.chosen.strategy, Strategy::kDataReorganization);
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include "src/util/field3d.hpp"
 #include "src/util/thread_pool.hpp"
 #include "src/vis/pipeline.hpp"
+#include "tests/wrapped_blobs.hpp"
 
 // ---------- global allocation counter (for the zero-alloc test) ----------
 
@@ -702,6 +703,14 @@ TEST(Robustness, TruncatedLegacyBlobThrows) {
   FieldCodec codec;
   Field2D out;
   EXPECT_THROW(codec.decode_into(not_magic, out), ContractViolation);
+  // Headers whose byte count wraps to the header size: they must not
+  // decode into a field that claims 2^62 columns but holds no cells.
+  Field2D out2(4, 4);
+  EXPECT_THROW(codec.decode_into(util::wrapped_field2d_blob(), out2),
+               ContractViolation);
+  Field3D out3(2, 2, 2);
+  EXPECT_THROW(codec.decode_into(util::wrapped_field3d_blob(), out3),
+               ContractViolation);
 }
 
 }  // namespace

@@ -557,9 +557,10 @@ TEST(Cinema, ImagesRoundTripBitExactThroughStorage) {
   // What the browser loads post-hoc is exactly what was rendered in situ.
   vis::VolumeConfig direct = config.volume;
   direct.camera = config.views[2];
-  const vis::Image expected = vis::render_volume(field, direct, &pool);
-  CinemaReader reader(bed, config);
-  EXPECT_EQ(reader.image(1, 2).digest(), expected.digest());
+  const auto expected = vis::render_volume(field, direct, &pool).serialize();
+  io::TimestepReader reader(bed.fs(), config.dataset);
+  EXPECT_EQ(reader.read_step(cinema_key(1, 2, config.views.size())),
+            expected);
 }
 
 TEST(Cinema, DifferentViewsDifferentImages) {
@@ -572,8 +573,10 @@ TEST(Cinema, DifferentViewsDifferentImages) {
   field.at(2, 8, 8) = 100.0;
   field.at(3, 8, 8) = 100.0;
   writer.write_step(0, field);
-  CinemaReader reader(bed, config);
-  EXPECT_NE(reader.image(0, 0).digest(), reader.image(0, 1).digest());
+  io::TimestepReader reader(bed.fs(), config.dataset);
+  const std::size_t views = config.views.size();
+  EXPECT_NE(reader.read_step(cinema_key(0, 0, views)),
+            reader.read_step(cinema_key(0, 1, views)));
 }
 
 TEST(Cinema, CatalogEnablesDiscovery) {

@@ -6,7 +6,6 @@
 #include "src/net/network.hpp"
 #include "src/net/pfs.hpp"
 #include "src/util/error.hpp"
-#include "src/vis/compositing.hpp"
 
 namespace greenvis::net {
 namespace {
@@ -32,38 +31,6 @@ TEST(Network, GatherBoundByReceiverPort) {
   const double four = gather_time(net, 1e6, 4).value();
   EXPECT_NEAR(four - net.latency.value(),
               4.0 * (one - net.latency.value()), 1e-9);
-}
-
-// ---------- compositing ----------
-
-TEST(Compositing, AssembleTilesMosaic) {
-  std::vector<vis::Image> tiles;
-  for (int k = 0; k < 4; ++k) {
-    tiles.emplace_back(2, 2,
-                       vis::Rgb{static_cast<std::uint8_t>(50 * k), 0, 0});
-  }
-  const vis::Image mosaic = vis::assemble_tiles(tiles, 2, 2);
-  EXPECT_EQ(mosaic.width(), 4u);
-  EXPECT_EQ(mosaic.height(), 4u);
-  EXPECT_EQ(mosaic.at(0, 0).r, 0);
-  EXPECT_EQ(mosaic.at(3, 0).r, 50);
-  EXPECT_EQ(mosaic.at(0, 3).r, 100);
-  EXPECT_EQ(mosaic.at(3, 3).r, 150);
-}
-
-TEST(Compositing, AssembleRejectsMismatchedTiles) {
-  std::vector<vis::Image> tiles{vis::Image(2, 2), vis::Image(3, 2)};
-  EXPECT_THROW((void)vis::assemble_tiles(tiles, 2, 1),
-               util::ContractViolation);
-}
-
-TEST(Compositing, BinarySwapByteFormula) {
-  // Each node sends (1 - 1/N) of the image across all rounds.
-  EXPECT_NEAR(vis::binary_swap_bytes_per_node(1024.0, 4), 768.0, 1e-9);
-  EXPECT_NEAR(vis::binary_swap_bytes_per_node(1024.0, 16), 960.0, 1e-9);
-  EXPECT_EQ(vis::binary_swap_rounds(16), 4u);
-  EXPECT_THROW((void)vis::binary_swap_rounds(12), util::ContractViolation);
-  EXPECT_NEAR(vis::gather_bytes(1024.0, 4), 768.0, 1e-9);
 }
 
 // ---------- parallel filesystem ----------
@@ -106,27 +73,6 @@ TEST(Pfs, BusyFractionCapped) {
   const PfsModel pfs(spec);
   EXPECT_NEAR(pfs.target_busy_fraction(2), 0.5, 1e-12);
   EXPECT_NEAR(pfs.target_busy_fraction(100), 1.0, 1e-12);
-}
-
-TEST(Pfs, ReplayCollectiveConservesBytesAcrossTargets) {
-  PfsSpec spec;
-  spec.storage_targets = 4;
-  const PfsModel pfs(spec);
-  const std::size_t clients = 8;
-  const double per_client = 64.0 * 1024 * 1024;
-  const auto records =
-      pfs.replay_collective(clients, per_client, storage::IoKind::kWrite);
-  ASSERT_FALSE(records.empty());
-  double bytes = 0.0;
-  for (const auto& r : records) {
-    EXPECT_TRUE(r.ok);
-    EXPECT_EQ(r.kind, storage::IoKind::kWrite);
-    EXPECT_LE(r.submit.value(), r.start.value());
-    EXPECT_LE(r.start.value(), r.complete.value());
-    bytes += static_cast<double>(r.length);
-  }
-  // Every client's striped share landed on some target, byte for byte.
-  EXPECT_DOUBLE_EQ(bytes, per_client * static_cast<double>(clients));
 }
 
 // ---------- multi-node study ----------

@@ -14,6 +14,7 @@
 #include "src/util/table.hpp"
 #include "src/util/thread_pool.hpp"
 #include "src/util/units.hpp"
+#include "tests/wrapped_blobs.hpp"
 
 namespace greenvis::util {
 namespace {
@@ -525,6 +526,9 @@ TEST(Field, DeserializeRejectsCorruptSize) {
   auto raw = f.serialize();
   raw.pop_back();
   EXPECT_THROW(Field2D::deserialize(raw), ContractViolation);
+  // 16 + 2^62 * 4 * 8 wraps to 16: the header alone must not pass.
+  EXPECT_THROW(Field2D::deserialize(wrapped_field2d_blob()),
+               ContractViolation);
 }
 
 }  // namespace

@@ -385,21 +385,6 @@ TEST(Filters, SamplingErrorGrowsWithStride) {
   EXPECT_LT(rms_difference(f, r2), rms_difference(f, r8));
 }
 
-TEST(Filters, ThresholdAndFraction) {
-  const util::Field2D f = ramp_field(10);
-  const util::Field2D mask = threshold_mask(f, 5.0);
-  EXPECT_DOUBLE_EQ(mask.at(4, 0), 0.0);
-  EXPECT_DOUBLE_EQ(mask.at(5, 0), 1.0);
-  EXPECT_NEAR(fraction_above(f, 5.0), 0.5, 1e-12);
-}
-
-TEST(Filters, SliceRowExtractsProfile) {
-  const util::Field2D f = ramp_field(6);
-  const util::Field2D row = slice_row(f, 3);
-  EXPECT_EQ(row.ny(), 1u);
-  EXPECT_DOUBLE_EQ(row.at(4, 0), 4.0);
-}
-
 // ---------- annotation ----------
 
 TEST(Annotate, TextMarksPixelsWithinBounds) {

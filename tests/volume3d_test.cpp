@@ -8,6 +8,7 @@
 #include "src/util/thread_pool.hpp"
 #include "src/vis/volume.hpp"
 #include "tests/heat_balance.hpp"
+#include "tests/wrapped_blobs.hpp"
 
 namespace greenvis {
 namespace {
@@ -30,6 +31,10 @@ TEST(Field3D, RejectsCorruptBlob) {
   raw.pop_back();
   EXPECT_THROW((void)util::Field3D::deserialize(raw),
                util::ContractViolation);
+  // 24 + 2^61 * 4 * 2 * 8 wraps to 24: the header alone must not pass.
+  EXPECT_THROW(
+      (void)util::Field3D::deserialize(util::wrapped_field3d_blob()),
+      util::ContractViolation);
 }
 
 // ---------- 3-D solver ----------
