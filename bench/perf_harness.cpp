@@ -134,10 +134,9 @@ struct CodecBench {
 /// across the workers (bit-identical output, same container bytes).
 CodecBench codec_throughput(int reps, util::ThreadPool* pool) {
   const util::Field2D f = smooth_field(512);
-  util::ScratchArena arena;
   codec::CodecConfig cfg;
   cfg.kind = codec::Kind::kDelta;
-  codec::FieldCodec enc(cfg, &arena);
+  codec::FieldCodec enc(cfg);
   enc.set_pool(pool);
   std::vector<std::uint8_t> blob;
 
@@ -147,7 +146,6 @@ CodecBench codec_throughput(int reps, util::ThreadPool* pool) {
 
   auto t0 = Clock::now();
   for (int k = 0; k < iters; ++k) {
-    arena.reset();
     enc.encode(f, blob);
   }
   CodecBench out;
@@ -157,7 +155,6 @@ CodecBench codec_throughput(int reps, util::ThreadPool* pool) {
   util::Field2D back;
   t0 = Clock::now();
   for (int k = 0; k < iters; ++k) {
-    arena.reset();
     enc.decode_into(blob, back);
   }
   out.decode_mbps = raw_mb / seconds_since(t0);
@@ -170,16 +167,14 @@ CodecBench codec_throughput(int reps, util::ThreadPool* pool) {
 double case_study_ratio(int n) {
   const core::CaseStudyConfig config = core::case_study(n);
   heat::HeatSolver solver(config.problem, nullptr);
-  util::ScratchArena arena;
   codec::CodecConfig cfg;
   cfg.kind = codec::Kind::kDelta;
-  codec::FieldCodec enc(cfg, &arena);
+  codec::FieldCodec enc(cfg);
   std::vector<std::uint8_t> blob;
   std::uint64_t raw = 0, encoded = 0;
   for (int step = 0; step < config.iterations; ++step) {
     (void)solver.step();
     if (config.is_io_step(step)) {
-      arena.reset();
       enc.encode(solver.temperature(), blob);
       raw += enc.last_stats().raw_bytes;
       encoded += enc.last_stats().encoded_bytes;

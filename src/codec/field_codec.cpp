@@ -205,6 +205,23 @@ std::size_t rle_bytes(const double* v, std::size_t count) {
   return runs * 12;
 }
 
+/// Cells in the largest chunk of an nx x ny (x nz) field: boundary chunks
+/// are clipped, so scratch follows the field, not the header's edge alone.
+std::size_t max_chunk_cells(std::size_t e, std::size_t nx, std::size_t ny,
+                            std::size_t nz, std::uint8_t rank) {
+  return std::min(e, nx) * std::min(e, ny) * (rank == 3 ? std::min(e, nz) : 1);
+}
+
+/// The first `count` elements of `buf`, which grows as needed and never
+/// shrinks, so a steady workload stops allocating after its first call.
+template <typename T>
+std::span<T> scratch(std::vector<T>& buf, std::size_t count) {
+  if (buf.size() < count) {
+    buf.resize(count);
+  }
+  return {buf.data(), count};
+}
+
 }  // namespace
 
 Kind parse_kind(const std::string& name) {
@@ -235,8 +252,7 @@ const char* kind_name(Kind kind) {
   return "?";
 }
 
-FieldCodec::FieldCodec(const CodecConfig& config, util::ScratchArena* arena)
-    : config_(config), arena_(arena) {
+FieldCodec::FieldCodec(const CodecConfig& config) : config_(config) {
   GREENVIS_REQUIRE(config_.chunk_edge >= 1 && config_.chunk_edge <= 1024);
   if (config_.kind == Kind::kDelta) {
     GREENVIS_REQUIRE_MSG(config_.tolerance > 0.0 &&
@@ -248,26 +264,6 @@ FieldCodec::FieldCodec(const CodecConfig& config, util::ScratchArena* arena)
                              std::isfinite(config_.tolerance),
                          "lorenzo codec needs a finite tolerance >= 0");
   }
-}
-
-std::span<double> FieldCodec::chunk_scratch(std::size_t count) {
-  if (arena_ != nullptr) {
-    return arena_->alloc<double>(count);
-  }
-  if (chunk_buf_.size() < count) {
-    chunk_buf_.resize(count);
-  }
-  return {chunk_buf_.data(), count};
-}
-
-std::span<std::uint64_t> FieldCodec::word_scratch(std::size_t count) {
-  if (arena_ != nullptr) {
-    return arena_->alloc<std::uint64_t>(count);
-  }
-  if (word_buf_.size() < count) {
-    word_buf_.resize(count);
-  }
-  return {word_buf_.data(), count};
 }
 
 FieldCodec::ChunkResult FieldCodec::encode_chunk(
@@ -390,26 +386,15 @@ void FieldCodec::encode_values(std::span<const double> values, std::size_t nx,
     return;
   }
 
-  const std::size_t max_cells = rank == 2 ? e * e : e * e * e;
-  const std::span<double> staging = chunk_scratch(max_cells);
+  const std::size_t max_cells = max_chunk_cells(e, nx, ny, nz, rank);
+  const std::span<double> staging = scratch(chunk_buf_, max_cells);
   std::span<std::int64_t> q{};
   std::span<std::uint64_t> zz{};
   std::span<std::uint64_t> words{};
   if (config_.kind == Kind::kDelta) {
-    if (arena_ != nullptr) {
-      q = arena_->alloc<std::int64_t>(max_cells);
-      zz = arena_->alloc<std::uint64_t>(max_cells);
-    } else {
-      if (q_buf_.size() < max_cells) {
-        q_buf_.resize(max_cells);
-      }
-      if (zz_buf_.size() < max_cells) {
-        zz_buf_.resize(max_cells);
-      }
-      q = {q_buf_.data(), max_cells};
-      zz = {zz_buf_.data(), max_cells};
-    }
-    words = word_scratch(max_cells);  // bits <= 63 < 64: never more words
+    q = scratch(q_buf_, max_cells);
+    zz = scratch(zz_buf_, max_cells);
+    words = scratch(word_buf_, max_cells);  // bits <= 63 < 64: never more
   }
 
   write_container_header(out, config_.kind, config_.tolerance, e, nx, ny, nz,
@@ -478,40 +463,17 @@ void FieldCodec::encode_values_parallel(std::span<const double> values,
   }
   chunk_results_.assign(chunk_descs_.size(), ChunkResult{});
 
-  // Scratch pools carved per chunk via cell_offset. Allocation happens here,
-  // on the calling thread (ScratchArena is single-threaded); workers only
-  // index into their disjoint slices.
+  // Scratch pools carved per chunk via cell_offset, grown here on the
+  // calling thread; workers only index into their disjoint slices.
   const bool delta = config_.kind == Kind::kDelta;
-  std::span<double> stage{};
+  const std::span<double> stage = scratch(pstage_buf_, total_cells);
   std::span<std::int64_t> q{};
   std::span<std::uint64_t> zz{};
   std::span<std::uint64_t> words{};
-  if (arena_ != nullptr) {
-    stage = arena_->alloc<double>(total_cells);
-    if (delta) {
-      q = arena_->alloc<std::int64_t>(total_cells);
-      zz = arena_->alloc<std::uint64_t>(total_cells);
-      words = arena_->alloc<std::uint64_t>(total_cells);
-    }
-  } else {
-    if (pstage_buf_.size() < total_cells) {
-      pstage_buf_.resize(total_cells);
-    }
-    stage = {pstage_buf_.data(), total_cells};
-    if (delta) {
-      if (pq_buf_.size() < total_cells) {
-        pq_buf_.resize(total_cells);
-      }
-      if (pzz_buf_.size() < total_cells) {
-        pzz_buf_.resize(total_cells);
-      }
-      if (pword_buf_.size() < total_cells) {
-        pword_buf_.resize(total_cells);
-      }
-      q = {pq_buf_.data(), total_cells};
-      zz = {pzz_buf_.data(), total_cells};
-      words = {pword_buf_.data(), total_cells};
-    }
+  if (delta) {
+    q = scratch(pq_buf_, total_cells);
+    zz = scratch(pzz_buf_, total_cells);
+    words = scratch(pword_buf_, total_cells);
   }
 
   write_container_header(out, config_.kind, config_.tolerance, e, nx, ny, nz,
@@ -579,7 +541,7 @@ void FieldCodec::encode_lorenzo(const util::Field2D& field,
   // Lossless predicts from the values (the decoder rebuilds them exactly);
   // bounded predicts from the reconstruction so the error never compounds.
   const double* v = field.values().data();
-  double* recon = lossless ? nullptr : chunk_scratch(field.size()).data();
+  double* recon = lossless ? nullptr : scratch(chunk_buf_, field.size()).data();
   const double* basis = lossless ? v : recon;
   const double step = config_.tolerance;
   for (std::size_t j = 0; j < ny; ++j) {
@@ -734,20 +696,13 @@ void FieldCodec::decode_chunks(std::span<const std::uint8_t> blob,
   r.pos = kContainerHeader;
   const std::size_t e = info.chunk_edge;
   const std::size_t nx = info.nx, ny = info.ny, nz = info.nz;
-  const std::size_t max_cells = info.rank == 2 ? e * e : e * e * e;
-  const std::span<double> staging = chunk_scratch(max_cells);
+  const std::size_t max_cells = max_chunk_cells(e, nx, ny, nz, info.rank);
+  const std::span<double> staging = scratch(chunk_buf_, max_cells);
   // Delta chunks unpack into an int64 scratch first (vectorizable bit
   // extraction), then a scalar prefix sum rebuilds the quanta.
   std::span<std::int64_t> deltas{};
   if (info.tolerance > 0.0) {  // delta chunks can only appear with it
-    if (arena_ != nullptr) {
-      deltas = arena_->alloc<std::int64_t>(max_cells);
-    } else {
-      if (q_buf_.size() < max_cells) {
-        q_buf_.resize(max_cells);
-      }
-      deltas = {q_buf_.data(), max_cells};
-    }
+    deltas = scratch(q_buf_, max_cells);
   }
   const util::simd::KernelTable& kern = util::simd::kernels();
 

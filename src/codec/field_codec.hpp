@@ -34,7 +34,6 @@
 #include <string>
 #include <vector>
 
-#include "src/util/arena.hpp"
 #include "src/util/field.hpp"
 #include "src/util/field3d.hpp"
 
@@ -92,25 +91,20 @@ struct EncodeStats {
   }
 };
 
-/// Encoder/decoder instance. Holds reusable staging buffers (and optionally
-/// bumps an external ScratchArena), so steady-state encode/decode performs
-/// zero heap allocations. One instance per pipeline; calls on one instance
-/// must not race. encode() itself may fan per-chunk work out across an
-/// attached ThreadPool (set_pool) when the field is large enough — chunks
-/// are gathered and laid out in a deterministic order, so the encoded bytes
-/// are identical to the serial path for any pool size.
+/// Encoder/decoder instance. Holds reusable staging buffers, so
+/// steady-state encode/decode performs zero heap allocations. One instance
+/// per pipeline; calls on one instance must not race. encode() itself may
+/// fan per-chunk work out across an attached ThreadPool (set_pool) when the
+/// field is large enough — chunks are gathered and laid out in a
+/// deterministic order, so the encoded bytes are identical to the serial
+/// path for any pool size.
 class FieldCodec {
  public:
-  explicit FieldCodec(const CodecConfig& config = {},
-                      util::ScratchArena* arena = nullptr);
+  explicit FieldCodec(const CodecConfig& config = {});
 
   /// Attach a pool for per-chunk parallel encode (nullptr = serial). Small
   /// fields stay on the serial path (worth_parallel gate).
   void set_pool(util::ThreadPool* pool) { pool_ = pool; }
-
-  /// Rebind the scratch arena (e.g. to the staging slot an async pipeline
-  /// is encoding into). Pass nullptr to fall back to retained members.
-  void set_arena(util::ScratchArena* arena) { arena_ = arena; }
 
   /// True when this codec changes bytes (kind != kRaw) and hence when the
   /// pipeline should charge modeled encode/decode compute.
@@ -195,14 +189,12 @@ class FieldCodec {
   void decode_chunks(std::span<const std::uint8_t> blob,
                      const ContainerInfo& info, double* dst);
 
-  /// Chunk-sized scratch: either arena-backed per call or retained members.
-  [[nodiscard]] std::span<double> chunk_scratch(std::size_t count);
-  [[nodiscard]] std::span<std::uint64_t> word_scratch(std::size_t count);
-
   CodecConfig config_;
-  util::ScratchArena* arena_;
   util::ThreadPool* pool_{nullptr};
-  std::vector<double> chunk_buf_;  // used when arena_ == nullptr
+  // Serial-path scratch (chunk_buf_ also holds the bounded Lorenzo
+  // reconstruction). Each buffer grows to its largest request and is then
+  // reused, never shrunk.
+  std::vector<double> chunk_buf_;
   std::vector<std::uint64_t> word_buf_;
   std::vector<std::uint64_t> zz_buf_;
   std::vector<std::int64_t> q_buf_;
@@ -210,7 +202,7 @@ class FieldCodec {
   // zero-alloc like the serial path).
   std::vector<ChunkDesc> chunk_descs_;
   std::vector<ChunkResult> chunk_results_;
-  std::vector<double> pstage_buf_;  // when arena_ == nullptr
+  std::vector<double> pstage_buf_;
   std::vector<std::int64_t> pq_buf_;
   std::vector<std::uint64_t> pzz_buf_;
   std::vector<std::uint64_t> pword_buf_;

@@ -113,15 +113,13 @@ class SnapshotCoder {
   /// Modeled compute per encode and per decode; nullptr when free.
   [[nodiscard]] const machine::ActivityRecord* cost() const { return cost_; }
 
-  /// Encode `field` into `payload`. The field codec scratches in `arena`
-  /// (reset first), so its steady state performs zero heap allocations.
-  void encode(const util::Field2D& field, util::ScratchArena& arena,
-              std::vector<std::uint8_t>& payload, PipelineOutput& out) {
+  /// Encode `field` into `payload`. The field codec reuses its own
+  /// scratch, so its steady state performs zero heap allocations.
+  void encode(const util::Field2D& field, std::vector<std::uint8_t>& payload,
+              PipelineOutput& out) {
     // Lossy transforms keep the exact field so the reconstruction can be
     // scored on read (an analysis convenience — the testbed app would not
     // retain it).
-    arena.reset();
-    codec_->set_arena(&arena);
     if (sampling_ != nullptr) {
       codec_->encode(vis::downsample(field, sampling_->stride), payload);
       truths_.push_back(field);
@@ -140,10 +138,8 @@ class SnapshotCoder {
   /// over the steps read so far); the result stays valid until the next
   /// decode.
   const util::Field2D& decode(const std::vector<std::uint8_t>& payload,
-                              util::ScratchArena& arena, PipelineOutput& out) {
+                              PipelineOutput& out) {
     out.snapshot_bytes_read += util::Bytes{payload.size()};
-    arena.reset();
-    codec_->set_arena(&arena);
     codec_->decode_into(payload, field_);
     if (sampling_ != nullptr) {
       if (sampling_->stride != 1) {
@@ -195,7 +191,6 @@ PipelineOutput run_pipeline(Testbed& bed, PipelineKind kind,
   io::TimestepWriter writer(bed.fs(), config.dataset);
   const bool staged = kind == PipelineKind::kPostProcessingAsync;
   SnapshotCoder coder(kind, config, transform, staged ? &pool : nullptr);
-  util::ScratchArena arena;  // sync encodes and every decode scratch here
   std::vector<std::uint8_t> payload;
 
   // The staged data path overlaps simulate and write: the producer (this
@@ -256,11 +251,11 @@ PipelineOutput run_pipeline(Testbed& bed, PipelineKind kind,
           stalls.add(1);
         }
       }
-      // Each slot owns the payload and the arena its encode scratches in.
+      // Each slot owns the payload its encode fills.
       sched::StagedSnapshot& snap = *slot.snapshot;
       {
         obs::ScopedSpan span("sched.encode", obs::kCatStage);
-        coder.encode(solver.temperature(), snap.arena, snap.payload, out);
+        coder.encode(solver.temperature(), snap.payload, out);
       }
       if (const machine::ActivityRecord* work = coder.cost()) {
         simulation_compute(*work);
@@ -269,7 +264,7 @@ PipelineOutput run_pipeline(Testbed& bed, PipelineKind kind,
       snap.raw_bytes = solver.temperature().serialized_bytes();
       stager->submit(cpu);
     } else {
-      coder.encode(solver.temperature(), arena, payload, out);
+      coder.encode(solver.temperature(), payload, out);
       if (const machine::ActivityRecord* work = coder.cost()) {
         simulation_compute(*work);
       }
@@ -311,7 +306,7 @@ PipelineOutput run_pipeline(Testbed& bed, PipelineKind kind,
     bed.run_io(stage::kRead, config.io_stage_cores,
                config.io_stage_utilization,
                [&] { payload = reader.read_step(step); });
-    const util::Field2D& field = coder.decode(payload, arena, out);
+    const util::Field2D& field = coder.decode(payload, out);
     if (const machine::ActivityRecord* work = coder.cost()) {
       bed.run_compute(*work, stage::kRead);
     }

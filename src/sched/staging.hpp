@@ -40,15 +40,13 @@
 #include <thread>
 #include <vector>
 
-#include "src/util/arena.hpp"
 #include "src/util/units.hpp"
 
 namespace greenvis::sched {
 
 /// One staging slot: the encoded payload plus the bookkeeping the writer
-/// needs. The payload vector and the arena (scratch for the encode that
-/// fills the slot) are slot-owned and reused across ring laps, so the
-/// steady-state staging path performs zero heap allocations.
+/// needs. The payload vector is slot-owned and reused across ring laps, so
+/// the steady-state staging path performs zero heap allocations.
 struct StagedSnapshot {
   int step{-1};
   std::vector<std::uint8_t> payload;
@@ -59,8 +57,6 @@ struct StagedSnapshot {
   /// Producer-track virtual time the encode finished; the write may not
   /// start before the data exists.
   util::Seconds ready{0.0};
-  /// Encode scratch for this slot (reset by the producer per use).
-  util::ScratchArena arena;
 };
 
 struct StagingStats {

@@ -36,9 +36,9 @@ machine::ActivityRecord encode_activity(const ViewParams& params) {
   return a;
 }
 
-/// A unique view's host-side state: its renderer (whose internal arena is
-/// the per-view scratch), its cropped region of interest and a frame
-/// buffer, both reused across steps.
+/// A unique view's host-side state: its renderer (which keeps the per-view
+/// contour scratch), its cropped region of interest and a frame buffer,
+/// both reused across steps.
 struct ViewPipe {
   std::unique_ptr<vis::VisPipeline> pipe;
   util::Field2D roi;
@@ -311,7 +311,6 @@ ServeReport run_serve_session(const ServeConfig& config,
         }
       }
       sched::StagedSnapshot& snap = *slot.snapshot;
-      snap.arena.reset();
       {
         obs::ScopedSpan span("serve.encode", obs::kCatServe);
         snap.payload = image.serialize();

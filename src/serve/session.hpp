@@ -14,7 +14,7 @@
 //     only host wall-clock and the hit/miss counters differ.
 //   * Batched multi-view rendering: the step's missing views are rendered as
 //     one work-stealing ThreadPool batch (util::run_sharded), each view into
-//     its own reused image buffer with arena-backed scratch.
+//     its own reused image buffer with reused contour scratch.
 //   * Steering: commands apply deterministically between timesteps, in list
 //     order, at the start of their frame step — virtual-time order, never
 //     host arrival order.

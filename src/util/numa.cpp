@@ -1,7 +1,6 @@
 #include "src/util/numa.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -91,17 +90,6 @@ Topology probe() {
 const Topology& topology() {
   static const Topology topo = probe();
   return topo;
-}
-
-bool pinning_enabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("GREENVIS_NUMA");
-    if (env != nullptr && *env != '\0') {
-      return std::string(env) != "0";
-    }
-    return topology().node_count() > 1;
-  }();
-  return enabled;
 }
 
 bool pin_to_node(std::size_t node) {

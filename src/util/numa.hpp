@@ -5,11 +5,8 @@
 // (ThreadPool does this using `topology()`), and fields route their initial
 // fill through `first_touch_fill` so each worker faults in the pages of the
 // range it will later sweep — the same parallel_for partitioning the solvers
-// use. On single-node hosts all of this degrades to a plain fill.
-//
-// Environment: GREENVIS_NUMA=0 disables pinning entirely; GREENVIS_NUMA=1
-// forces pinning even on single-node hosts (test hook). Default: pin only
-// when more than one node is present.
+// use. On single-node hosts the pool pins nothing and all of this degrades
+// to a plain fill.
 #pragma once
 
 #include <cstddef>
@@ -31,9 +28,6 @@ struct Topology {
 };
 
 [[nodiscard]] const Topology& topology();
-
-/// Whether worker pinning is wanted on this host (see GREENVIS_NUMA above).
-[[nodiscard]] bool pinning_enabled();
 
 /// Pin the calling thread to every CPU of `node` (modulo node count).
 /// Returns true when the affinity call succeeded; failure is benign — the

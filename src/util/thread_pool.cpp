@@ -21,7 +21,6 @@ ThreadPool::ThreadPool(std::size_t threads) {
   worker_idle_ns_ = &registry.counter("pool.worker_idle_ns");
   dispatch_us_ =
       &registry.histogram("pool.dispatch_us", obs::duration_us_bounds());
-  numa_pinning_ = threads > 1 && numa::pinning_enabled();
   workers_.reserve(threads - 1);
   for (std::size_t i = 0; i + 1 < threads; ++i) {
     workers_.emplace_back([this, i] { worker_loop(i); });
@@ -76,10 +75,10 @@ void ThreadPool::drain(Dispatch& d) {
 
 void ThreadPool::worker_loop(std::size_t index) {
   obs::Tracer::global().set_thread_name("pool-worker");
-  if (numa_pinning_) {
+  if (const std::size_t nodes = numa::topology().node_count(); nodes > 1) {
     // Round-robin workers over nodes; first-touch fills then place each
     // range's pages on the node whose worker sweeps it. Failure is benign.
-    (void)numa::pin_to_node(index % numa::topology().node_count());
+    (void)numa::pin_to_node(index % nodes);
   }
   std::uint64_t seen = 0;
   std::unique_lock lock(mutex_);

@@ -73,10 +73,6 @@ class ThreadPool {
                     const std::function<void(std::size_t, std::size_t)>& body,
                     std::size_t grain = 1);
 
-  /// True when workers are pinned round-robin across NUMA nodes (multi-node
-  /// host, or forced via GREENVIS_NUMA=1).
-  [[nodiscard]] bool numa_pinning() const { return numa_pinning_; }
-
   /// Parallel fold over [begin, end). `body(lo, hi, acc)` folds a subrange
   /// into `acc` (seeded with `init`) and returns it; `combine(a, b)` merges
   /// two partials. Partials are combined in ascending chunk order with a
@@ -140,7 +136,6 @@ class ThreadPool {
   static void drain(Dispatch& d);
 
   std::vector<std::thread> workers_;
-  bool numa_pinning_{false};
 
   // Observability handles (resolved once; hot paths gate on obs::enabled()).
   obs::Counter* dispatches_{nullptr};

@@ -15,15 +15,22 @@ double crossing(double a, double b, double value) {
   return (value - a) / d;
 }
 
-/// Scan cell rows [j_begin, j_end) and append their segments to `segments`
-/// in row-major order. `Sink` is any push_back-able container (std::vector
-/// or an arena-backed ArenaVec).
-template <typename Sink>
-void scan_rows(const util::Field2D& field, double value, std::size_t j_begin,
-               std::size_t j_end, Sink& segments) {
-  const std::size_t nx = field.nx();
+}  // namespace
 
-  for (std::size_t j = j_begin; j < j_end; ++j) {
+std::vector<Segment> marching_squares(const util::Field2D& field,
+                                      double value) {
+  std::vector<Segment> segments;
+  marching_squares_into(field, value, segments);
+  return segments;
+}
+
+void marching_squares_into(const util::Field2D& field, double value,
+                           std::vector<Segment>& segments) {
+  segments.clear();
+  const std::size_t nx = field.nx();
+  const std::size_t ny = field.ny();
+
+  for (std::size_t j = 0; j + 1 < ny; ++j) {
     for (std::size_t i = 0; i + 1 < nx; ++i) {
       const double v00 = field.at(i, j);          // bottom-left
       const double v10 = field.at(i + 1, j);      // bottom-right
@@ -86,37 +93,6 @@ void scan_rows(const util::Field2D& field, double value, std::size_t j_begin,
       }
     }
   }
-}
-
-}  // namespace
-
-std::vector<Segment> marching_squares(const util::Field2D& field, double value,
-                                      util::ThreadPool* pool) {
-  const std::size_t ny = field.ny();
-  const std::size_t cell_rows = ny > 0 ? ny - 1 : 0;
-  if (pool == nullptr || pool->size() <= 1 || cell_rows < 2) {
-    std::vector<Segment> segments;
-    scan_rows(field, value, 0, cell_rows, segments);
-    return segments;
-  }
-  // Row-band partials concatenated in band order reproduce the serial
-  // row-major segment order exactly, independent of the pool size.
-  return pool->parallel_reduce(
-      std::size_t{0}, cell_rows, std::vector<Segment>{},
-      [&](std::size_t lo, std::size_t hi, std::vector<Segment> acc) {
-        scan_rows(field, value, lo, hi, acc);
-        return acc;
-      },
-      [](std::vector<Segment> a, std::vector<Segment> b) {
-        a.insert(a.end(), b.begin(), b.end());
-        return a;
-      });
-}
-
-void marching_squares_into(const util::Field2D& field, double value,
-                           util::ArenaVec<Segment>& segments) {
-  const std::size_t ny = field.ny();
-  scan_rows(field, value, 0, ny > 0 ? ny - 1 : 0, segments);
 }
 
 std::vector<double> iso_levels(const util::Field2D& field, std::size_t count) {

@@ -4,9 +4,7 @@
 #include <span>
 #include <vector>
 
-#include "src/util/arena.hpp"
 #include "src/util/field.hpp"
-#include "src/util/thread_pool.hpp"
 
 namespace greenvis::vis {
 
@@ -16,18 +14,15 @@ struct Segment {
 };
 
 /// Extract the iso-line `value` from `field`. Each grid cell contributes 0,
-/// 1, or 2 segments; saddle cells are disambiguated with the cell-center
-/// average (the standard marching-squares rule). Row-parallel over `pool`
-/// when provided; the segment order (row-major cell scan) and every
-/// coordinate are identical to the serial scan for any pool size.
-[[nodiscard]] std::vector<Segment> marching_squares(
-    const util::Field2D& field, double value,
-    util::ThreadPool* pool = nullptr);
+/// 1, or 2 segments in row-major cell order; saddle cells are disambiguated
+/// with the cell-center average (the standard marching-squares rule).
+[[nodiscard]] std::vector<Segment> marching_squares(const util::Field2D& field,
+                                                    double value);
 
-/// Allocation-free variant for the per-timestep hot loop: appends the same
-/// segments in the same order into an arena-backed vector (serial scan).
+/// Hot-loop variant: clears `segments` and refills it with the same
+/// segments in the same order, reusing its capacity.
 void marching_squares_into(const util::Field2D& field, double value,
-                           util::ArenaVec<Segment>& segments);
+                           std::vector<Segment>& segments);
 
 /// Evenly spaced iso values across [min, max] (excluding the extremes).
 [[nodiscard]] std::vector<double> iso_levels(const util::Field2D& field,

@@ -38,7 +38,6 @@ void VisPipeline::render_into(const util::Field2D& field, Image& image) const {
   static obs::Histogram& render_us = obs::Registry::global().histogram(
       "vis.render_us", obs::duration_us_bounds());
   obs::ScopedSpan span("vis.render", obs::kCatVis, &render_us);
-  arena_.reset();
   double lo = config_.range_lo;
   double hi = config_.range_hi;
   if (lo >= hi) {
@@ -52,15 +51,10 @@ void VisPipeline::render_into(const util::Field2D& field, Image& image) const {
   }
   {
     obs::ScopedSpan contour_span("vis.contour", obs::kCatVis);
-    const std::span<double> levels =
-        arena_.alloc<double>(config_.contour_levels);
-    iso_levels_into(field, levels);
-    for (double level : levels) {
-      // Serial arena-backed extraction: same segments in the same order as
-      // the pooled variant (asserted in tests), no per-frame heap churn.
-      util::ArenaVec<Segment> segments(arena_, 256);
-      marching_squares_into(field, level, segments);
-      draw_segments(image, segments.span(), field.nx(), field.ny(),
+    iso_levels_into(field, levels_);
+    for (double level : levels_) {
+      marching_squares_into(field, level, segments_);
+      draw_segments(image, segments_, field.nx(), field.ny(),
                     config_.contour_color);
     }
   }

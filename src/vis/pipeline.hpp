@@ -7,7 +7,6 @@
 #pragma once
 
 #include "src/machine/activity.hpp"
-#include "src/util/arena.hpp"
 #include "src/util/field.hpp"
 #include "src/util/thread_pool.hpp"
 #include "src/vis/contour.hpp"
@@ -56,14 +55,15 @@ class VisPipeline {
       : config_(config),
         pool_(pool),
         cmap_(make_palette(config.palette)),
+        levels_(config.contour_levels),
         column_taps_(config.width) {}
 
   /// Render one frame: pseudocolor + contour overlay.
   [[nodiscard]] Image render(const util::Field2D& field) const;
 
   /// Hot-loop variant: renders into `image`, reusing its pixel storage and
-  /// taking all contour temporaries from the internal scratch arena — zero
-  /// heap allocations at steady state (identical pixels to render()).
+  /// the pipeline's contour buffers — zero heap allocations at steady state
+  /// (identical pixels to render()).
   void render_into(const util::Field2D& field, Image& image) const;
 
   /// Machine-visible work of one render.
@@ -75,9 +75,10 @@ class VisPipeline {
   VisConfig config_;
   util::ThreadPool* pool_;
   ColorMap cmap_;  // built once; per-frame construction would allocate
-  /// Per-frame temporaries (iso levels, contour segments); reset at the
-  /// start of every render. Mutable: scratch reuse is not observable state.
-  mutable util::ScratchArena arena_;
+  /// Per-frame temporaries, rewritten every frame and reused across frames.
+  /// Mutable: scratch reuse is not observable state.
+  mutable std::vector<double> levels_;
+  mutable std::vector<Segment> segments_;
   /// The raster's column table, rewritten every frame; sized once here so
   /// frames never allocate it.
   mutable std::vector<ColumnTap> column_taps_;

@@ -1,8 +1,9 @@
 // Field-codec subsystem tests: container round-trips and error bounds,
 // bit-exact non-finite passthrough, raw-kind byte identity with the legacy
-// serialization, corrupt/truncated-input rejection, ScratchArena semantics,
-// the zero-allocation steady-state guarantee of the timestep hot loop, and
-// the post-processing pipeline's byte accounting under an active codec.
+// serialization, corrupt/truncated-input rejection, scratch sized by the
+// field rather than the header, the zero-allocation steady-state guarantee
+// of the timestep hot loop, and the post-processing pipeline's byte
+// accounting under an active codec.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,7 +27,6 @@
 #include "src/serve/viewer.hpp"
 #include "src/storage/hdd.hpp"
 #include "src/trace/clock.hpp"
-#include "src/util/arena.hpp"
 #include "src/util/error.hpp"
 #include "src/util/field.hpp"
 #include "src/util/field3d.hpp"
@@ -38,11 +38,21 @@
 
 namespace {
 std::atomic<std::uint64_t> g_allocations{0};
+// Largest single request since the last reset (for the scratch-size test).
+std::atomic<std::size_t> g_largest_request{0};
+
+void count_request(std::size_t n) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  std::size_t seen = g_largest_request.load(std::memory_order_relaxed);
+  while (n > seen && !g_largest_request.compare_exchange_weak(
+                         seen, n, std::memory_order_relaxed)) {
+  }
+}
 }  // namespace
 
 namespace {
 void* counted_alloc(std::size_t n) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_request(n);
   if (void* p = std::malloc(n == 0 ? 1 : n)) {
     return p;
   }
@@ -53,7 +63,7 @@ void* counted_alloc(std::size_t n) {
 void* operator new(std::size_t n) { return counted_alloc(n); }
 void* operator new[](std::size_t n) { return counted_alloc(n); }
 void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_request(n);
   return std::malloc(n == 0 ? 1 : n);
 }
 void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
@@ -71,7 +81,7 @@ void operator delete[](void* p, const std::nothrow_t&) noexcept {
 }
 // Over-aligned allocations too: Field2D storage is 64-byte aligned.
 void* operator new(std::size_t n, std::align_val_t al) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  count_request(n);
   const auto align = static_cast<std::size_t>(al);
   if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align)) {
     return p;
@@ -495,7 +505,9 @@ TEST(ParallelEncode, BitIdenticalToSerialAcrossKindsAndPools) {
   }
 }
 
-TEST(ParallelEncode, ArenaBackedParallelEncodeMatchesSerial) {
+TEST(ParallelEncode, RepeatedPooledEncodesMatchSerial) {
+  // The pooled path reuses its scratch across calls; stale contents from
+  // one encode must never leak into the next.
   const Field2D f = smooth_field2d(512);
   CodecConfig cfg;
   cfg.kind = Kind::kDelta;
@@ -503,12 +515,10 @@ TEST(ParallelEncode, ArenaBackedParallelEncodeMatchesSerial) {
   FieldCodec serial(cfg);
   const auto want = serial.encode(f);
   util::ThreadPool pool(3);
-  util::ScratchArena arena;
-  FieldCodec pooled(cfg, &arena);
+  FieldCodec pooled(cfg);
   pooled.set_pool(&pool);
   std::vector<std::uint8_t> got;
   for (int rep = 0; rep < 3; ++rep) {
-    arena.reset();
     pooled.encode(f, got);
     EXPECT_EQ(got, want);
   }
@@ -713,85 +723,65 @@ TEST(Robustness, TruncatedLegacyBlobThrows) {
                ContractViolation);
 }
 
+// --- scratch follows the field, not the header's chunk edge ---
+
+constexpr std::size_t kMiB = std::size_t{1} << 20;
+
+/// A 64-byte 3-D container whose header claims the largest legal chunk
+/// edge (1024) for a 1 x 1 x 1 field, holding one raw chunk of `value`.
+/// Sizing scratch by the edge alone would ask for 1024^3 doubles (8 GiB).
+std::vector<std::uint8_t> edge_1024_blob(double tolerance, double value) {
+  std::vector<std::uint8_t> b = util::dims_only_blob({0x314345444F435647ULL});
+  b.insert(b.end(), {1, 3, 0, 0});     // version 1, rank 3, kind raw
+  b.insert(b.end(), {0, 4, 0, 0});     // chunk edge 1024
+  const std::vector<std::uint8_t> tail = util::dims_only_blob(
+      {1, 1, 1, std::bit_cast<std::uint64_t>(tolerance),
+       std::uint64_t{8} << 32,  // chunk header: raw, 8-byte payload
+       std::bit_cast<std::uint64_t>(value)});
+  b.insert(b.end(), tail.begin(), tail.end());
+  return b;
+}
+
+TEST(ScratchSize, DecodeIgnoresAHugeClaimedChunkEdge) {
+  for (const double tolerance : {0.0, 1e-3}) {
+    const std::vector<std::uint8_t> blob = edge_1024_blob(tolerance, 2.5);
+    ASSERT_EQ(blob.size(), 64u);
+    g_largest_request.store(0);
+    const Field3D f = FieldCodec::decode3d(blob);
+    EXPECT_LT(g_largest_request.load(), kMiB) << "tolerance " << tolerance;
+    ASSERT_EQ(f.size(), 1u);
+    EXPECT_EQ(f.at(0, 0, 0), 2.5);
+  }
+}
+
+TEST(ScratchSize, EncodeOfASmallFieldIgnoresAHugeChunkEdge) {
+  Field3D f(2, 2, 2);
+  f.at(1, 1, 1) = 4.0;
+  for (const Kind kind : {Kind::kRle, Kind::kDelta}) {
+    FieldCodec codec(CodecConfig{kind, 1e-3, 1024});
+    g_largest_request.store(0);
+    const std::vector<std::uint8_t> blob = codec.encode(f);
+    EXPECT_LT(g_largest_request.load(), kMiB) << kind_name(kind);
+    const Field3D back = FieldCodec::decode3d(blob);
+    EXPECT_LE(max_abs_diff(back.values(), f.values()), 1e-3)
+        << kind_name(kind);
+  }
+}
+
 }  // namespace
 }  // namespace greenvis::codec
 
-// ---------------------------- ScratchArena ----------------------------
+// ------------------------- hot-loop allocations -------------------------
 
 namespace greenvis::util {
 namespace {
 
-TEST(ScratchArena, AllocationsAreAlignedAndTracked) {
-  ScratchArena arena;
-  const std::span<double> d = arena.alloc<double>(3);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d.data()) % alignof(double), 0u);
-  const std::span<std::uint8_t> b = arena.alloc<std::uint8_t>(1);
-  const std::span<std::uint64_t> w = arena.alloc<std::uint64_t>(2);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(w.data()) % alignof(std::uint64_t),
-            0u);
-  (void)b;
-  EXPECT_GE(arena.bytes_used(), 3 * sizeof(double) + 1 + 2 * sizeof(double));
-  EXPECT_GE(arena.capacity(), arena.bytes_used());
-}
-
-TEST(ScratchArena, ResetRewindsAndReusesTheSameSlab) {
-  ScratchArena arena(1024);
-  double* first = arena.alloc<double>(64).data();
-  arena.reset();
-  EXPECT_EQ(arena.bytes_used(), 0u);
-  double* second = arena.alloc<double>(64).data();
-  EXPECT_EQ(first, second);  // same memory, no new slab
-  EXPECT_EQ(arena.slab_count(), 1u);
-}
-
-TEST(ScratchArena, OverflowCoalescesToOneSlabOnReset) {
-  ScratchArena arena(256);  // force several slab spills
-  for (int i = 0; i < 32; ++i) {
-    (void)arena.alloc<double>(128);
-  }
-  EXPECT_GT(arena.slab_count(), 1u);
-  const std::size_t high = arena.high_water();
-  EXPECT_GE(high, 32u * 128 * sizeof(double));
-  arena.reset();
-  EXPECT_EQ(arena.slab_count(), 1u);
-  EXPECT_GE(arena.capacity(), high);
-  // The coalesced slab absorbs the whole cycle without further growth.
-  for (int i = 0; i < 32; ++i) {
-    (void)arena.alloc<double>(128);
-  }
-  EXPECT_EQ(arena.slab_count(), 1u);
-}
-
-TEST(ScratchArena, HighWaterTracksLargestCycle) {
-  ScratchArena arena;
-  (void)arena.alloc<std::uint8_t>(100);
-  arena.reset();
-  (void)arena.alloc<std::uint8_t>(5000);
-  arena.reset();
-  (void)arena.alloc<std::uint8_t>(10);
-  EXPECT_GE(arena.high_water(), 5000u);
-}
-
-TEST(ArenaVec, GrowthPreservesContents) {
-  ScratchArena arena;
-  ArenaVec<int> v(arena, 4);
-  for (int i = 0; i < 1000; ++i) {
-    v.push_back(i);
-  }
-  ASSERT_EQ(v.size(), 1000u);
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_EQ(v[static_cast<std::size_t>(i)], i);
-  }
-  EXPECT_EQ(v.span().size(), 1000u);
-  EXPECT_EQ(v.span()[999], 999);
-}
-
-// The tentpole's steady-state guarantee: one timestep of the hot loop —
-// solver step, codec encode + decode through the arena (delta chunks and a
-// bounded lorenzo stream), render into a
-// reused frame, plus a steered serve view (region-of-interest crop and a
-// non-square resize) — performs zero heap allocations after warm-up.
-TEST(ScratchArena, TimestepHotLoopIsAllocationFreeAtSteadyState) {
+// The steady-state guarantee: one timestep of the hot loop — solver step,
+// codec encode + decode (delta chunks and a bounded lorenzo stream), render
+// into a reused frame, plus a steered serve view (region-of-interest crop
+// and a non-square resize), each on buffers its owner keeps — performs zero
+// heap allocations after warm-up.
+TEST(HotLoop, TimestepIsAllocationFreeAtSteadyState) {
   heat::HeatProblem problem;
   problem.nx = 64;
   problem.ny = 64;
@@ -817,22 +807,19 @@ TEST(ScratchArena, TimestepHotLoopIsAllocationFreeAtSteadyState) {
   Field2D roi;
   vis::Image view_frame;
 
-  ScratchArena arena;
   codec::CodecConfig codec_config;
   codec_config.kind = codec::Kind::kDelta;
   codec_config.tolerance = 1e-3;
-  codec::FieldCodec codec(codec_config, &arena);
+  codec::FieldCodec codec(codec_config);
   std::vector<std::uint8_t> payload;
   payload.reserve(solver.temperature().serialized_bytes());
   Field2D decoded(problem.nx, problem.ny);
   codec::FieldCodec lorenzo(
-      codec::CodecConfig{codec::Kind::kLorenzo, codec_config.tolerance},
-      &arena);
+      codec::CodecConfig{codec::Kind::kLorenzo, codec_config.tolerance});
   std::vector<std::uint8_t> lorenzo_payload;
   Field2D lorenzo_decoded(problem.nx, problem.ny);
 
   auto timestep = [&] {
-    arena.reset();
     (void)solver.step();
     codec.encode(solver.temperature(), payload);
     codec.decode_into(payload, decoded);
@@ -843,7 +830,7 @@ TEST(ScratchArena, TimestepHotLoopIsAllocationFreeAtSteadyState) {
   };
 
   for (int i = 0; i < 3; ++i) {
-    timestep();  // warm-up: arena high-water, image/payload capacity,
+    timestep();  // warm-up: scratch, image and payload capacity,
                  // registry statics
   }
   const std::uint64_t before = g_allocations.load(std::memory_order_relaxed);

@@ -121,7 +121,7 @@ TEST(AsyncStager, SlotsAreReusedAcrossRingLaps) {
   first.snapshot->payload.assign(4, 0);
   stager.submit(Seconds{0.0});
   stage_one(stager, 1, 4, Seconds{0.0});
-  // Third acquire laps the ring: same slot object (payload and arena are
+  // Third acquire laps the ring: same slot object (its payload is
   // slot-owned and reused), freed by a completed write.
   AsyncStager::Slot third = stager.acquire();
   EXPECT_EQ(third.snapshot, slot0);

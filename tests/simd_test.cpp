@@ -1,25 +1,21 @@
 // Unit tests for the runtime-dispatched SIMD kernel layer (src/util/simd),
-// the NUMA helpers, first-touch field construction, and the huge-page
-// arena slabs. Bit-exactness across ISA paths is additionally enforced by
-// the simd.scalar_vs_vector oracle and the simd.* generative properties;
-// here we pin the dispatch machinery itself plus targeted edge cases the
-// random sweeps are unlikely to hit (int32-boundary quanta, NaN defects,
-// 64-bit-straddling bit widths).
+// the NUMA helpers and first-touch field construction. Bit-exactness across
+// ISA paths is additionally enforced by the simd.scalar_vs_vector oracle and
+// the simd.* generative properties; here we pin the dispatch machinery
+// itself plus targeted edge cases the random sweeps are unlikely to hit
+// (int32-boundary quanta, NaN defects, 64-bit-straddling bit widths).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/codec/field_codec.hpp"
 #include "src/heat/solver.hpp"
-#include "src/util/arena.hpp"
 #include "src/util/error.hpp"
 #include "src/util/field.hpp"
 #include "src/util/field3d.hpp"
@@ -310,57 +306,6 @@ TEST(FieldStorage, CopyAndCompareSemantics) {
   // cache-line alignment for predictable vector loads.
   const auto addr = reinterpret_cast<std::uintptr_t>(c.values().data());
   EXPECT_EQ(addr % util::FieldStorage::kAlignment, 0u);
-}
-
-// ---- huge-page arena slabs ----
-
-TEST(Arena, SmallSlabsStayOnTheHeap) {
-  util::ScratchArena arena(8 * 1024);
-  EXPECT_EQ(arena.huge_bytes(), 0u);
-  auto s = arena.alloc<double>(512);
-  s[0] = 1.0;
-  s[511] = 2.0;
-  EXPECT_EQ(s[0] + s[511], 3.0);
-}
-
-TEST(Arena, LargeSlabsUseHugePagesWhenAvailable) {
-  const std::size_t big = 3u << 20;  // 3 MB: above the 2 MB threshold
-  util::ScratchArena arena(big);
-#if defined(__linux__)
-  // mmap'd + rounded to the 2 MB granule (4 MB), unless the env kill
-  // switch is set. madvise itself is best-effort either way.
-  const char* env = std::getenv("GREENVIS_HUGEPAGES");
-  if (env == nullptr || std::string(env) != "0") {
-    EXPECT_GE(arena.huge_bytes(), big);
-    EXPECT_EQ(arena.huge_bytes() % (2u << 20), 0u);
-  }
-#endif
-  // Whatever the backing, the memory must work end to end.
-  auto s = arena.alloc<double>(big / sizeof(double));
-  s[0] = 42.0;
-  s[big / sizeof(double) - 1] = -42.0;
-  EXPECT_EQ(s[0], 42.0);
-  arena.reset();
-  EXPECT_GE(arena.capacity(), big);
-}
-
-TEST(Arena, ResetCoalescingPreservesHugeBacking) {
-  util::ScratchArena arena;
-  (void)arena.alloc<std::uint8_t>(1 << 20);
-  (void)arena.alloc<std::uint8_t>(5 << 20);  // overflows into a second slab
-  EXPECT_GE(arena.slab_count(), 2u);
-  arena.reset();
-  EXPECT_EQ(arena.slab_count(), 1u);
-#if defined(__linux__)
-  const char* env = std::getenv("GREENVIS_HUGEPAGES");
-  if (env == nullptr || std::string(env) != "0") {
-    // The coalesced high-water slab is > 2 MB, so it lands on huge pages.
-    EXPECT_GT(arena.huge_bytes(), 0u);
-  }
-#endif
-  auto s = arena.alloc<std::uint64_t>(1000);
-  s[999] = 7;
-  EXPECT_EQ(s[999], 7u);
 }
 
 }  // namespace

@@ -336,20 +336,6 @@ TEST(Contour, SaddleProducesTwoSegments) {
   EXPECT_EQ(segments.size(), 2u);
 }
 
-TEST(Contour, ThreadedScanIdenticalToSerial) {
-  const util::Field2D f = radial_field(65);
-  util::ThreadPool pool(4);
-  const auto serial = marching_squares(f, 10.0);
-  const auto threaded = marching_squares(f, 10.0, &pool);
-  ASSERT_EQ(serial.size(), threaded.size());
-  for (std::size_t k = 0; k < serial.size(); ++k) {
-    EXPECT_EQ(serial[k].x0, threaded[k].x0);
-    EXPECT_EQ(serial[k].y0, threaded[k].y0);
-    EXPECT_EQ(serial[k].x1, threaded[k].x1);
-    EXPECT_EQ(serial[k].y1, threaded[k].y1);
-  }
-}
-
 TEST(Contour, IsoLevelsAreInterior) {
   const util::Field2D f = ramp_field(8);
   const auto levels = iso_levels(f, 3);

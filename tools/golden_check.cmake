@@ -5,7 +5,7 @@
 #   cmake -DCLI=<greenvis> -DCHECK=<energy|serve|campaign|simd> \
 #         -DSOURCE_DIR=<repo root> -DWORK_DIR=<scratch dir> \
 #         -P tools/golden_check.cmake
-#   cmake -DBENCH=<bench binary> -DCHECK=figure \
+#   cmake -DBENCH=<bench binary> -DCHECK=<figure|perf_smoke> \
 #         -DSOURCE_DIR=<repo root> -DWORK_DIR=<scratch dir> \
 #         -P tools/golden_check.cmake
 #
@@ -27,9 +27,11 @@
 #   figure   the bench, run in the empty WORK_DIR, exits 0 and prints
 #            exactly tools/golden/figures/<bench name>.txt on stdout (its
 #            stderr progress lines are not compared).
+#   perf_smoke  `bench_perf_harness --smoke` (no baseline, so no timing
+#            gate) exits 0 and prints all four of its metric rows.
 cmake_minimum_required(VERSION 3.20)
 
-if(CHECK STREQUAL "figure")
+if(CHECK MATCHES "^(figure|perf_smoke)$")
   set(required BENCH CHECK SOURCE_DIR WORK_DIR)
 else()
   set(required CLI CHECK SOURCE_DIR WORK_DIR)
@@ -109,6 +111,19 @@ elseif(CHECK STREQUAL "figure")
     message(FATAL_ERROR "${bench}: exit ${rc}")
   endif()
   same("${WORK_DIR}/stdout.txt" "${golden}/figures/${bench}.txt")
+elseif(CHECK STREQUAL "perf_smoke")
+  execute_process(COMMAND "${BENCH}" --smoke WORKING_DIRECTORY "${WORK_DIR}"
+                  OUTPUT_VARIABLE out ERROR_QUIET RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "bench_perf_harness --smoke: exit ${rc}")
+  endif()
+  foreach(row "heat2d_512 serial (MCUPS)" "codec encode (MB/s)"
+          "codec decode (MB/s)" "serve dedup 16v/4 views (x)")
+    string(FIND "${out}" "${row}" at)
+    if(at EQUAL -1)
+      message(FATAL_ERROR "bench_perf_harness --smoke: no row '${row}'")
+    endif()
+  endforeach()
 else()
   message(FATAL_ERROR "golden_check: unknown CHECK '${CHECK}'")
 endif()
