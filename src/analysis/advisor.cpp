@@ -42,6 +42,8 @@ Advisor::Advisor(const machine::NodeSpec& node,
 util::Seconds Advisor::predict_io_time(const AccessPattern& pattern) const {
   GREENVIS_REQUIRE(pattern.random_fraction >= 0.0 &&
                    pattern.random_fraction <= 1.0);
+  GREENVIS_REQUIRE(pattern.read_fraction >= 0.0 &&
+                   pattern.read_fraction <= 1.0);
   const auto& d = node_.disk;
   const double per_random =
       d.average_seek.value() + d.average_rotational_latency().value() +

@@ -21,9 +21,9 @@ namespace greenvis::analysis {
 struct AccessPattern {
   std::uint64_t accesses{0};
   util::Bytes bytes_per_access{0};
-  /// Fraction of accesses to non-contiguous locations.
+  /// Fraction of accesses to non-contiguous locations, in [0, 1].
   double random_fraction{0.0};
-  /// Reads as a fraction of all accesses.
+  /// Reads as a fraction of all accesses, in [0, 1].
   double read_fraction{0.5};
   /// Does the scientist need post-hoc exploratory analysis?
   bool exploratory_analysis_required{true};

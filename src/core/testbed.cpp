@@ -94,6 +94,14 @@ power::DiskPowerParams disk_power_params_for(StorageDeviceKind kind) {
 
 Testbed::Testbed(const TestbedConfig& config)
     : config_(config), cost_(config.node, config.cost) {
+  // A NaN cap would pass `cap <= 0` as "capped" and then fit no P-state,
+  // silently pinning every burst to the lowest clock.
+  GREENVIS_REQUIRE_MSG(std::isfinite(config.package_cap.value()) &&
+                           config.package_cap.value() >= 0.0,
+                       "package_cap must be a finite number of watts >= 0");
+  GREENVIS_REQUIRE_MSG(
+      std::isfinite(config.io_frequency_ghz) && config.io_frequency_ghz >= 0.0,
+      "io_frequency_ghz must be a finite number >= 0");
   device_ = make_device(config_);
   fs_ = std::make_unique<storage::Filesystem>(*device_, clock_, config_.fs);
 }

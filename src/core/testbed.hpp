@@ -54,16 +54,17 @@ struct TestbedConfig {
   /// DVFS state for I/O stages. The disk does not care about the CPU clock,
   /// so a runtime can park the cores in a low P-state while the pipeline is
   /// disk-bound — the selective frequency scaling Sec. V-C motivates.
-  /// 0 means "same as frequency_ghz".
+  /// Finite and >= 0; 0 means "same as frequency_ghz".
   double io_frequency_ghz{0.0};
   /// Storage device under the filesystem (HDD by default — Table I's
   /// drive; every seed figure is unchanged unless this is varied).
   StorageDeviceKind device{StorageDeviceKind::kHdd};
-  /// RAPL package power limit (both sockets together). When > 0, compute
-  /// stages are throttled to the fastest P-state whose package power fits
-  /// under the cap — the enforcement mechanism RAPL's power-limiting half
-  /// provides (Sec. II-C; the paper only uses the monitoring half). Peak
-  /// power is "an important metric for power-capped systems" (Sec. V-B).
+  /// RAPL package power limit (both sockets together), finite and >= 0;
+  /// 0 means uncapped. When > 0, compute stages are throttled to the
+  /// fastest P-state whose package power fits under the cap — the
+  /// enforcement mechanism RAPL's power-limiting half provides (Sec. II-C;
+  /// the paper only uses the monitoring half). Peak power is "an important
+  /// metric for power-capped systems" (Sec. V-B).
   util::Watts package_cap{0.0};
 
   [[nodiscard]] double effective_io_ghz() const {

@@ -9,6 +9,7 @@
 #include <cstring>
 #include <memory>
 #include <optional>
+#include <set>
 #include <span>
 #include <sstream>
 #include <string_view>
@@ -817,19 +818,24 @@ OracleResult simd_scalar_vs_vector() {
               "bit-identical to scalar for: " + checked);
 }
 
-// ---- serving: the frame cache is a host accelerator, not a model knob ----
+// ---- serving: a shared view is the view the viewer would get alone ----
 //
-// The modeled system always dedups shared views; the FrameCache flag only
-// decides whether the host re-rasters. So everything the model reports —
-// deliveries, virtual duration, joules, the per-viewer split — must be
-// bit-identical cache on vs off, while the host-side counters diverge in
-// exactly the predicted way (misses = unique views, hits = sharers).
+// Viewers whose view parameters agree share one raster per frame step. A
+// viewer must get the same frames from the fleet as from a session where
+// it is the only subscriber (same simulation, its own steer commands): the
+// solo run renders its view with nothing to share, so any parameter the
+// frame key ignores shows up as a different digest. The fleet must also
+// render each unique view once per step and no more.
 
-OracleResult serve_cached_vs_uncached() {
+OracleResult serve_shared_vs_solo() {
   serve::ServeConfig config;
   config.base = small_pipeline_config();
   config.base.iterations = 8;
   config.viewers = serve::default_fleet(6, 3);
+  // Viewer 3 shares group 0's view in every parameter but the palette, and
+  // viewer 5 joins late.
+  config.viewers[3].params.palette = vis::Palette::kGrayscale;
+  config.viewers[5].join_step = 3;
   serve::SteerCommand steer;
   steer.step = 4;
   steer.viewer = 1;
@@ -837,68 +843,52 @@ OracleResult serve_cached_vs_uncached() {
   steer.iso_levels = 9;
   config.commands.push_back(steer);
 
-  config.cache_enabled = true;
-  const serve::ServeReport on = serve::run_serve_session(config);
-  config.cache_enabled = false;
-  const serve::ServeReport off = serve::run_serve_session(config);
+  const serve::ServeReport fleet = serve::run_serve_session(config);
+  std::set<std::uint64_t> unique_keys;
+  for (const serve::Delivery& d : fleet.deliveries) {
+    unique_keys.insert(d.key);
+  }
+  if (fleet.host_renders != unique_keys.size()) {
+    return fail("fleet rendered " + std::to_string(fleet.host_renders) +
+                " frames for " + std::to_string(unique_keys.size()) +
+                " unique views");
+  }
+  if (fleet.host_renders >= fleet.frames_delivered) {
+    return fail("no viewer shared a render");
+  }
 
-  if (on.deliveries.size() != off.deliveries.size()) {
-    return fail("delivery counts differ between cache on and off");
-  }
-  for (std::size_t i = 0; i < on.deliveries.size(); ++i) {
-    const serve::Delivery& a = on.deliveries[i];
-    const serve::Delivery& b = off.deliveries[i];
-    if (a.step != b.step || a.viewer != b.viewer || a.key != b.key ||
-        a.digest != b.digest || a.bytes != b.bytes) {
-      return fail("delivery " + std::to_string(i) +
-                  " diverged between cache on and off");
+  for (const serve::ViewerSchedule& viewer : config.viewers) {
+    const serve::ServeReport alone =
+        serve::run_serve_session(serve::solo_config(config, viewer));
+    std::vector<serve::Delivery> shared;
+    for (const serve::Delivery& d : fleet.deliveries) {
+      if (d.viewer == viewer.viewer) {
+        shared.push_back(d);
+      }
     }
-  }
-  if (on.duration.value() != off.duration.value() ||
-      on.energy.value() != off.energy.value() ||
-      on.average_power.value() != off.average_power.value() ||
-      on.peak_power.value() != off.peak_power.value()) {
-    return fail("virtual duration or energy changed with the cache flag");
-  }
-  if (on.attribution.total().value() != off.attribution.total().value() ||
-      on.attribution.static_total().value() !=
-          off.attribution.static_total().value()) {
-    return fail("energy attribution changed with the cache flag");
-  }
-  if (on.viewers.size() != off.viewers.size()) {
-    return fail("per-viewer row counts differ");
-  }
-  for (std::size_t i = 0; i < on.viewers.size(); ++i) {
-    const serve::ViewerEnergy& a = on.viewers[i];
-    const serve::ViewerEnergy& b = off.viewers[i];
-    if (a.viewer != b.viewer || a.frames != b.frames || a.bytes != b.bytes ||
-        a.render_share_s != b.render_share_s || a.render_j != b.render_j ||
-        a.encode_j != b.encode_j || a.deliver_j != b.deliver_j) {
-      return fail("viewer " + std::to_string(a.viewer) +
-                  " energy split changed with the cache flag");
+    const std::string who = "viewer " + std::to_string(viewer.viewer);
+    if (alone.host_renders != alone.frames_delivered) {
+      return fail(who + " alone: one render per frame expected");
     }
-  }
-  if (on.unique_views_rendered != off.unique_views_rendered) {
-    return fail("modeled unique-view count changed with the cache flag");
-  }
-  // Host-side divergence, exactly as predicted.
-  if (on.cache.hits == 0 ||
-      on.cache.misses != on.unique_views_rendered ||
-      on.host_renders != on.cache.misses) {
-    return fail("cache-on counters inconsistent (hits " +
-                std::to_string(on.cache.hits) + ", misses " +
-                std::to_string(on.cache.misses) + ", host renders " +
-                std::to_string(on.host_renders) + ")");
-  }
-  if (off.cache.lookups() != 0 ||
-      off.host_renders != off.frames_delivered) {
-    return fail("cache-off path touched the cache or skipped a render");
+    if (shared.size() != alone.deliveries.size()) {
+      return fail(who + ": " + std::to_string(shared.size()) +
+                  " frames in the fleet, " +
+                  std::to_string(alone.deliveries.size()) + " alone");
+    }
+    for (std::size_t i = 0; i < shared.size(); ++i) {
+      const serve::Delivery& a = shared[i];
+      const serve::Delivery& b = alone.deliveries[i];
+      if (a.step != b.step || a.key != b.key || a.digest != b.digest ||
+          a.bytes != b.bytes) {
+        return fail(who + ": step " + std::to_string(a.step) +
+                    " frame differs between the fleet and a solo session");
+      }
+    }
   }
   std::ostringstream os;
-  os << on.deliveries.size() << " deliveries to " << on.viewers.size()
-     << " viewers: payload digests, virtual time, joules, and per-viewer "
-        "splits bit-identical cache on/off; host renders "
-     << on.host_renders << " vs " << off.host_renders;
+  os << fleet.frames_delivered << " deliveries to " << config.viewers.size()
+     << " viewers from " << fleet.host_renders
+     << " renders: every viewer's frames bit-identical to its solo session";
   return pass(os.str());
 }
 
@@ -917,7 +907,7 @@ void register_builtin_oracles() {
   registry.add("obs.profiler_on_off", profiler_on_vs_off);
   registry.add("codec.legacy_vs_chunked_decode", legacy_vs_chunked_decode);
   registry.add("simd.scalar_vs_vector", simd_scalar_vs_vector);
-  registry.add("serve.cached_vs_uncached", serve_cached_vs_uncached);
+  registry.add("serve.shared_vs_solo", serve_shared_vs_solo);
 }
 
 }  // namespace greenvis::qa

@@ -888,9 +888,9 @@ void register_storage_properties() {
 // view groups) under any steering schedule, the serving session must
 // terminate (no delivery-ring deadlock), deliver exactly one frame per
 // active viewer per frame step and none outside [join, leave), keep every
-// frame key's payload consistent, and produce bit-identical deliveries and
-// virtual time with the host frame cache on and off (a cache hit is never
-// stale: keys fold in the field digest).
+// frame key's payload consistent, render each unique view once per step,
+// and hand a drawn viewer the same frames it gets when it is the only
+// subscriber (a shared render is never another view's pixels).
 
 void register_serve_properties() {
   struct ServeCase {
@@ -898,7 +898,7 @@ void register_serve_properties() {
     std::vector<serve::ViewerSchedule> viewers;
     std::vector<serve::SteerCommand> commands;
     std::uint64_t buffers{2};
-    std::uint64_t capacity{16};
+    std::size_t solo{0};  // index of the viewer rerun alone
   };
   const Gen<ServeCase> gen = [](Choices& c) {
     ServeCase sc;
@@ -912,13 +912,16 @@ void register_serve_properties() {
       if (c.draw_bool()) {
         v.leave_step = v.join_step + static_cast<int>(c.draw_below(steps + 1));
       }
-      // Three view groups so some viewers share a raster and some don't;
-      // small frames keep the host cost of many cases down.
+      // Three view groups so some viewers share a raster and some don't,
+      // and two palettes that split a group only by color; small frames
+      // keep the host cost of many cases down.
       const std::uint64_t group = c.draw_below(3);
       v.params.width = 32;
       v.params.height = 32;
       v.params.iso_levels = 2 + group;
       v.params.roi_x0 = 0.1 * static_cast<double>(group);
+      v.params.palette =
+          c.draw_bool() ? vis::Palette::kHot : vis::Palette::kCoolWarm;
       sc.viewers.push_back(v);
     }
     const auto cmds = c.draw_below(4);
@@ -938,7 +941,7 @@ void register_serve_properties() {
       sc.commands.push_back(cmd);
     }
     sc.buffers = 1 + c.draw_below(4);
-    sc.capacity = c.draw_below(32);  // 0 = cache that never retains
+    sc.solo = c.draw_below(static_cast<std::uint64_t>(n));
     return sc;
   };
   add_property<ServeCase>(
@@ -949,12 +952,8 @@ void register_serve_properties() {
         config.viewers = sc.viewers;
         config.commands = sc.commands;
         config.delivery_buffers = sc.buffers;
-        config.cache_capacity = sc.capacity;
         config.host_threads = 2;
-        config.cache_enabled = true;
         const serve::ServeReport on = serve::run_serve_session(config);
-        config.cache_enabled = false;
-        const serve::ServeReport off = serve::run_serve_session(config);
 
         // Exactly-once: one delivery per (frame step, active viewer), none
         // outside the subscription window. Replays the schedule directly.
@@ -999,28 +998,37 @@ void register_serve_properties() {
                    " served two different payloads";
           }
         }
-        if (on.cache.insertions > on.cache.misses) {
-          return std::string("cache inserted more frames than it missed");
+        if (on.host_renders != seen.size()) {
+          return std::string("rendered ") + std::to_string(on.host_renders) +
+                 " frames for " + std::to_string(seen.size()) +
+                 " unique views";
         }
 
-        // Host cache flag invisible to the model: bit-identical deliveries,
-        // clock, and joules.
-        if (on.deliveries.size() != off.deliveries.size()) {
-          return std::string("delivery count changed with the cache flag");
-        }
-        for (std::size_t i = 0; i < on.deliveries.size(); ++i) {
-          const serve::Delivery& a = on.deliveries[i];
-          const serve::Delivery& b = off.deliveries[i];
-          if (a.step != b.step || a.viewer != b.viewer || a.key != b.key ||
-              a.digest != b.digest || a.bytes != b.bytes) {
-            return std::string("delivery ") + std::to_string(i) +
-                   " changed with the cache flag";
+        // Sharing is invisible to the viewer: alone, with its own steer
+        // commands, the drawn viewer gets the frames the fleet gave it.
+        const serve::ViewerSchedule& solo = sc.viewers[sc.solo];
+        const serve::ServeReport alone =
+            serve::run_serve_session(serve::solo_config(config, solo));
+        std::size_t next = 0;
+        for (const serve::Delivery& d : on.deliveries) {
+          if (d.viewer != solo.viewer) {
+            continue;
+          }
+          if (next >= alone.deliveries.size()) {
+            return std::string("viewer ") + std::to_string(solo.viewer) +
+                   " got fewer frames alone than in the fleet";
+          }
+          const serve::Delivery& a = alone.deliveries[next++];
+          if (a.step != d.step || a.key != d.key || a.digest != d.digest ||
+              a.bytes != d.bytes) {
+            return std::string("viewer ") + std::to_string(solo.viewer) +
+                   " step " + std::to_string(d.step) +
+                   " frame differs between the fleet and a solo session";
           }
         }
-        if (on.duration.value() != off.duration.value() ||
-            on.energy.value() != off.energy.value()) {
-          return std::string("virtual time or energy changed with the "
-                             "cache flag");
+        if (next != alone.deliveries.size()) {
+          return std::string("viewer ") + std::to_string(solo.viewer) +
+                 " got more frames alone than in the fleet";
         }
         return ok();
       },
@@ -1030,7 +1038,7 @@ void register_serve_properties() {
            << " period=" << sc.config.io_period
            << " viewers=" << sc.viewers.size()
            << " cmds=" << sc.commands.size() << " buffers=" << sc.buffers
-           << " cap=" << sc.capacity;
+           << " solo=" << sc.solo;
         return os.str();
       });
 }

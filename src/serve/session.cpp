@@ -5,7 +5,6 @@
 #include <map>
 #include <memory>
 #include <ostream>
-#include <utility>
 
 #include "src/machine/activity.hpp"
 
@@ -22,6 +21,10 @@
 namespace greenvis::serve {
 
 namespace {
+
+/// CPU footprint of the delivery path (NIC driver + protocol stack).
+constexpr double kDeliveryCores = 1.0;
+constexpr double kDeliveryUtilization = 0.35;
 
 /// Modeled cost of encoding one frame for the wire (pack + frame checksum:
 /// a handful of ops per pixel, one streaming read of the framebuffer and
@@ -43,8 +46,7 @@ struct ViewPipe {
   std::unique_ptr<vis::VisPipeline> pipe;
   util::Field2D roi;
   vis::Image frame;
-  // Digest of `frame`, computed once per render (or cache copy-out) and
-  // reused by every sharing viewer's delivery — hashing the same pixels
+  // Digest of `frame`, computed once per render and reused by every sharing viewer's delivery — hashing the same pixels
   // once per viewer would scale with the fleet, not with unique views.
   std::uint64_t frame_digest{0};
 };
@@ -54,7 +56,6 @@ struct Group {
   ViewParams params{};
   std::vector<int> viewers;  // ascending (built in id order)
   ViewPipe* pipe{nullptr};
-  bool needs_render{false};
 };
 
 }  // namespace
@@ -87,7 +88,6 @@ ServeReport run_serve_session(const ServeConfig& config,
   core::Testbed bed(bed_config);
   util::ThreadPool pool(config.host_threads);
   heat::HeatSolver solver(config.base.problem, &pool);
-  FrameCache cache(config.cache_capacity);
 
   // Per-viewer steerable state and report rows.
   std::map<int, ViewParams> params_of;
@@ -101,10 +101,7 @@ ServeReport run_serve_session(const ServeConfig& config,
   }
 
   // One renderer + frame buffer per unique view, created on demand and
-  // reused across steps (keyed by the canonical view text). With the cache
-  // off, every viewer additionally owns an independent renderer — the
-  // N-independent-renders baseline must not share rasters even host-side.
-  // Renderers are serial (null pool): they run inside run_sharded jobs, and
+  // reused across steps (keyed by the canonical view text). Renderers are serial (null pool): they run inside run_sharded jobs, and
   // pool bodies must not dispatch on the same pool — the parallelism here
   // is across views, not within one raster.
   std::map<std::string, ViewPipe> view_pipes;
@@ -116,15 +113,6 @@ ServeReport run_serve_session(const ServeConfig& config,
     }
     return vp;
   };
-  struct OffPipe {
-    std::string text;
-    std::unique_ptr<vis::VisPipeline> pipe;
-    util::Field2D roi;
-    vis::Image frame;
-    std::uint64_t frame_digest{0};
-  };
-  std::map<int, OffPipe> off_pipes;
-
   // Delivery ring: the writer thread owns the shared clock and models the
   // egress link (payload bytes over the configured link rate), chaining
   // transfers exactly like the async staging pipeline chains disk writes.
@@ -139,8 +127,7 @@ ServeReport run_serve_session(const ServeConfig& config,
             static_cast<double>(snap.payload.size()) /
             (config.delivery_mb_per_s * 1e6)};
         return bed.run_io_at(
-            start, stage::kDeliver, config.delivery_cores,
-            config.delivery_utilization,
+            start, stage::kDeliver, kDeliveryCores, kDeliveryUtilization,
             [&] { bed.clock().advance(transfer); }, &writer_loads,
             &writer_phases);
       });
@@ -148,8 +135,7 @@ ServeReport run_serve_session(const ServeConfig& config,
   const double bytes_per_second = config.delivery_mb_per_s * 1e6;
   util::Seconds cpu = bed.clock().now();
   std::size_t next_command = 0;
-  std::vector<std::pair<Group*, std::uint64_t>> order;  // key-sorted groups
-  std::vector<Group*> to_render;
+  std::vector<Group*> to_render;  // key-sorted groups
 
   for (int step = 0; step < config.base.iterations; ++step) {
     // Steering applies between timesteps: every command scheduled at or
@@ -195,79 +181,28 @@ ServeReport run_serve_session(const ServeConfig& config,
       continue;
     }
     ++report.frame_steps;
-    report.unique_views_rendered += groups.size();
 
-    // Host rendering. Cache on: one lookup per group (the lead viewer's
-    // request), misses rendered as one work-stealing batch, then inserted
-    // in key order; sharing viewers count as hits at fan-out. Cache off:
-    // every active viewer renders independently — no cache traffic at all.
-    order.clear();
+    // Host rendering: every unique view once, as one work-stealing batch.
     to_render.clear();
     for (auto& [key, group] : groups) {
-      order.emplace_back(&group, key);
+      to_render.push_back(&group);
     }
-    if (config.cache_enabled) {
-      for (auto& [group, key] : order) {
-        if (const vis::Image* hit = cache.find(key)) {
-          group->pipe->frame = *hit;  // copy out: eviction-safe
-          group->pipe->frame_digest = group->pipe->frame.digest();
-        } else {
-          group->needs_render = true;
-          to_render.push_back(group);
-        }
-      }
-      if (!to_render.empty()) {
-        util::ShardedOptions opts;
-        opts.span_name = "serve.render_batch";
-        util::run_sharded(
-            pool, to_render.size(),
-            [&](std::size_t i) {
-              Group& g = *to_render[i];
-              render_view(g.params, field, *g.pipe->pipe, g.pipe->roi,
-                          g.pipe->frame);
-              g.pipe->frame_digest = g.pipe->frame.digest();
-            },
-            opts);
-        report.host_renders += to_render.size();
-      }
-      for (auto& [group, key] : order) {
-        if (group->needs_render) {
-          cache.insert(key, group->pipe->frame);
-        }
-      }
-    } else {
-      std::vector<std::pair<OffPipe*, const ViewParams*>> jobs;
-      for (const auto& [group, key] : order) {
-        for (const int viewer : group->viewers) {
-          OffPipe& op = off_pipes[viewer];
-          const ViewParams& p = group->params;
-          const std::string text = canonical_view_text(p);
-          if (!op.pipe || op.text != text) {
-            op.text = text;
-            op.pipe = std::make_unique<vis::VisPipeline>(
-                vis_config_for(p, config.base.vis), nullptr);
-          }
-          jobs.emplace_back(&op, &p);
-        }
-      }
-      util::ShardedOptions opts;
-      opts.span_name = "serve.render_batch";
-      util::run_sharded(
-          pool, jobs.size(),
-          [&](std::size_t i) {
-            OffPipe& op = *jobs[i].first;
-            render_view(*jobs[i].second, field, *op.pipe, op.roi, op.frame);
-            op.frame_digest = op.frame.digest();
-          },
-          opts);
-      report.host_renders += jobs.size();
-    }
+    util::ShardedOptions opts;
+    opts.span_name = "serve.render_batch";
+    util::run_sharded(
+        pool, to_render.size(),
+        [&](std::size_t i) {
+          Group& g = *to_render[i];
+          render_view(g.params, field, *g.pipe->pipe, g.pipe->roi,
+                      g.pipe->frame);
+          g.pipe->frame_digest = g.pipe->frame.digest();
+        },
+        opts);
+    report.host_renders += to_render.size();
 
-    // Virtual render cost: ONE burst per unique view, in key order — the
-    // modeled system always dedups (the host cache flag is a host-side
-    // concern), so durations are bit-identical cache on/off. Each of the k
-    // sharing viewers is billed 1/k of the group's render time.
-    for (const auto& [group, key] : order) {
+    // Virtual render cost: ONE burst per unique view, in key order. Each of
+    // the k sharing viewers is billed 1/k of the group's render time.
+    for (const Group* group : to_render) {
       const util::Seconds end = bed.run_compute_at(
           cpu, group->pipe->pipe->render_activity(), core::stage::kVisualization);
       const double share = (end - cpu).value() /
@@ -276,7 +211,6 @@ ServeReport run_serve_session(const ServeConfig& config,
       for (const int viewer : group->viewers) {
         report.viewers[row_of[viewer]].render_share_s += share;
       }
-      group->needs_render = false;
     }
 
     // Fan-out: encode + submit one delivery per active viewer, id order.
@@ -287,22 +221,12 @@ ServeReport run_serve_session(const ServeConfig& config,
       const int viewer = sched.viewer;
       const ViewParams& p = params_of[viewer];
       const std::uint64_t key = frame_key(step, digest, p);
-      Group& group = groups.at(key);
-      // Non-lead sharers hit the cache the lead viewer's render populated.
-      if (config.cache_enabled && viewer != group.viewers.front()) {
-        (void)cache.find(key);
-      }
-      const vis::Image& image = config.cache_enabled
-                                    ? group.pipe->frame
-                                    : off_pipes.at(viewer).frame;
-      const std::uint64_t image_digest = config.cache_enabled
-                                             ? group.pipe->frame_digest
-                                             : off_pipes.at(viewer).frame_digest;
+      const ViewPipe& view = *groups.at(key).pipe;
 
       sched::AsyncStager::Slot slot = stager.acquire();
       if (slot.freed_at > cpu) {
-        bed.record_stall(stage::kDeliver, cpu, slot.freed_at,
-                         config.delivery_cores, config.delivery_utilization);
+        bed.record_stall(stage::kDeliver, cpu, slot.freed_at, kDeliveryCores,
+                         kDeliveryUtilization);
         cpu = slot.freed_at;
         if (obs::enabled()) {
           static obs::Counter& stalls =
@@ -313,7 +237,7 @@ ServeReport run_serve_session(const ServeConfig& config,
       sched::StagedSnapshot& snap = *slot.snapshot;
       {
         obs::ScopedSpan span("serve.encode", obs::kCatServe);
-        snap.payload = image.serialize();
+        snap.payload = view.frame.serialize();
       }
       snap.step = step;
       snap.tag = static_cast<std::uint64_t>(viewer);
@@ -332,7 +256,7 @@ ServeReport run_serve_session(const ServeConfig& config,
       report.deliveries.push_back(Delivery{.step = step,
                                            .viewer = viewer,
                                            .key = key,
-                                           .digest = image_digest,
+                                           .digest = view.frame_digest,
                                            .bytes = bytes});
       ++report.frames_delivered;
       stager.submit(cpu);
@@ -368,7 +292,8 @@ ServeReport run_serve_session(const ServeConfig& config,
         obs::rail_power_series(bed.loads(), bed.device().activity(),
                                bed.power_model(), report.duration));
   }
-  report.cache = cache.stats();
+  report.cache.misses = report.host_renders;
+  report.cache.hits = report.frames_delivered - report.host_renders;
 
   // Split the bill: render joules by shared-render seconds, encode joules
   // by encode seconds, delivery joules by bytes; everything else —
@@ -402,6 +327,19 @@ ServeReport run_serve_session(const ServeConfig& config,
   return report;
 }
 
+ServeConfig solo_config(const ServeConfig& config,
+                        const ViewerSchedule& viewer) {
+  ServeConfig solo = config;
+  solo.viewers.assign(1, viewer);
+  solo.commands.clear();
+  for (const SteerCommand& cmd : config.commands) {
+    if (cmd.viewer == viewer.viewer) {
+      solo.commands.push_back(cmd);
+    }
+  }
+  return solo;
+}
+
 ServeReport run_serve_with_baseline(const ServeConfig& config,
                                     const core::TestbedConfig& bed_config) {
   ServeReport full = run_serve_session(config, bed_config);
@@ -412,15 +350,8 @@ ServeReport run_serve_with_baseline(const ServeConfig& config,
   }
   // The marginal cost of a viewer: same simulation, same steering, but only
   // the first subscriber — (E_N - E_1) / (N - 1).
-  ServeConfig solo = config;
-  solo.viewers.assign(1, config.viewers.front());
-  solo.commands.clear();
-  for (const SteerCommand& cmd : config.commands) {
-    if (cmd.viewer == solo.viewers.front().viewer) {
-      solo.commands.push_back(cmd);
-    }
-  }
-  const ServeReport base = run_serve_session(solo, bed_config);
+  const ServeReport base = run_serve_session(
+      solo_config(config, config.viewers.front()), bed_config);
   full.single_viewer_j = base.energy.value();
   full.marginal_j_per_viewer =
       (full.energy.value() - base.energy.value()) / static_cast<double>(n - 1);
@@ -440,7 +371,10 @@ void write_serve_profile_json(std::ostream& os, const ServeConfig& config,
   os << "{\n  \"schema\": \"greenvis.serve_profile.v1\",\n  \"case\": ";
   obs::detail::write_json_string(os, config.base.name);
   os << ",\n  \"viewers\": " << config.viewers.size()
-     << ",\n  \"cache_enabled\": " << (config.cache_enabled ? "true" : "false")
+     // These keys stay for the v1 schema: "cache_enabled" is always true,
+     // the cache block's insertions equal its misses (the renders) and its
+     // evictions are 0, and "unique_views_rendered" equals "host_renders".
+     << ",\n  \"cache_enabled\": true"
      << ",\n  \"frame_steps\": " << report.frame_steps
      << ",\n  \"duration_s\": ";
   json_double(os, report.duration.value());
@@ -452,10 +386,10 @@ void write_serve_profile_json(std::ostream& os, const ServeConfig& config,
   json_double(os, report.peak_power.value());
   os << ",\n  \"cache\": {\"hits\": " << report.cache.hits
      << ", \"misses\": " << report.cache.misses
-     << ", \"insertions\": " << report.cache.insertions
-     << ", \"evictions\": " << report.cache.evictions << "}"
+     << ", \"insertions\": " << report.cache.misses
+     << ", \"evictions\": 0}"
      << ",\n  \"host_renders\": " << report.host_renders
-     << ",\n  \"unique_views_rendered\": " << report.unique_views_rendered
+     << ",\n  \"unique_views_rendered\": " << report.host_renders
      << ",\n  \"frames_delivered\": " << report.frames_delivered
      << ",\n  \"shared_j\": ";
   json_double(os, report.shared_j);

@@ -6,13 +6,10 @@
 //
 //   * Dedup: active viewers are grouped by canonical frame key (viewer.hpp),
 //     so k viewers sharing a view cost ONE raster plus k encode-only
-//     fan-outs. The grouping is architectural — the modeled system always
-//     dedups — while the host-side FrameCache flag only decides whether the
-//     host actually re-renders (the cache-off configuration is the
-//     "N independent renders" baseline the bench harness compares against).
-//     Images and virtual times are therefore bit-identical cache on/off;
-//     only host wall-clock and the hit/miss counters differ.
-//   * Batched multi-view rendering: the step's missing views are rendered as
+//     fan-outs, on the host and in the model alike. A viewer that shares
+//     its view gets the same pixels it would get alone (the
+//     serve.shared_vs_solo oracle runs each viewer solo to check).
+//   * Batched multi-view rendering: the step's unique views are rendered as
 //     one work-stealing ThreadPool batch (util::run_sharded), each view into
 //     its own reused image buffer with reused contour scratch.
 //   * Steering: commands apply deterministically between timesteps, in list
@@ -38,7 +35,6 @@
 #include "src/core/testbed.hpp"
 #include "src/core/workload.hpp"
 #include "src/obs/energy.hpp"
-#include "src/serve/frame_cache.hpp"
 #include "src/serve/viewer.hpp"
 #include "src/util/units.hpp"
 
@@ -57,17 +53,10 @@ struct ServeConfig {
   core::CaseStudyConfig base{core::case_study(1)};
   std::vector<ViewerSchedule> viewers;
   std::vector<SteerCommand> commands;
-  /// Host-side frame cache. Off = the host renders once per active viewer
-  /// (the independent-renders baseline); on = once per unique view.
-  bool cache_enabled{true};
-  std::size_t cache_capacity{512};
   /// Delivery ring slots (producer stalls when all are in flight).
   std::size_t delivery_buffers{4};
   /// Modeled egress link, megabytes per second.
   double delivery_mb_per_s{200.0};
-  /// CPU footprint of the delivery path (NIC driver + protocol stack).
-  double delivery_cores{1.0};
-  double delivery_utilization{0.35};
   std::size_t host_threads{0};
 };
 
@@ -110,13 +99,15 @@ struct ServeReport {
   std::vector<ViewerEnergy> viewers;
   /// Sorted by (step, viewer).
   std::vector<Delivery> deliveries;
-  FrameCacheStats cache;
-  /// Host rasters actually executed (cache on: misses; off: per viewer).
+  /// Rasters executed: one per unique view per frame step.
   std::uint64_t host_renders{0};
-  /// Sum over frame steps of that step's unique view count — the modeled
-  /// system's render count, independent of the host cache flag.
-  std::uint64_t unique_views_rendered{0};
   std::uint64_t frames_delivered{0};
+  /// Frame sharing under its historical cache names: `misses` counts the
+  /// renders and `hits` the deliveries that reused another viewer's render.
+  struct {
+    std::uint64_t hits{0};
+    std::uint64_t misses{0};
+  } cache;
   int frame_steps{0};
   /// Digest of the simulation's final field (viewer-independent science
   /// output — the campaign engine journals it like a pipeline run's).
@@ -134,6 +125,11 @@ struct ServeReport {
 [[nodiscard]] ServeReport run_serve_session(
     const ServeConfig& config, const core::TestbedConfig& bed_config = {});
 
+/// `config` with `viewer` as its only subscriber, keeping only that
+/// viewer's steer commands: the session the viewer would see alone.
+[[nodiscard]] ServeConfig solo_config(const ServeConfig& config,
+                                      const ViewerSchedule& viewer);
+
 /// run_serve_session plus a single-viewer baseline (the first schedule
 /// alone, same steering), filling single_viewer_j and
 /// marginal_j_per_viewer = (E_N - E_1) / (N - 1).
@@ -141,7 +137,7 @@ struct ServeReport {
     const ServeConfig& config, const core::TestbedConfig& bed_config = {});
 
 /// Deterministic JSON profile (schema greenvis.serve_profile.v1): totals,
-/// cache counters, per-viewer energy columns, marginal joules. Byte-
+/// sharing counters, per-viewer energy columns, marginal joules. Byte-
 /// identical across reruns of the same config.
 void write_serve_profile_json(std::ostream& os, const ServeConfig& config,
                               const ServeReport& report);

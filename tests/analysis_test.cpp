@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "src/analysis/advisor.hpp"
 #include "src/analysis/metrics.hpp"
 #include "src/analysis/report.hpp"
 #include "src/analysis/whatif.hpp"
 #include "src/fio/runner.hpp"
+#include "src/util/error.hpp"
 
 namespace greenvis::analysis {
 namespace {
@@ -154,6 +157,23 @@ TEST(Advisor, EstimatesCoverAllStrategies) {
   for (const auto& e : rec.all) {
     EXPECT_FALSE(std::string(strategy_name(e.strategy)).empty());
   }
+}
+
+TEST(Advisor, RejectsFractionsOutsideUnitInterval) {
+  const Advisor a = make_advisor();
+  for (const double bad : {-3.0, 1.5, std::nan("")}) {
+    AccessPattern reads = random_heavy();
+    reads.read_fraction = bad;
+    EXPECT_THROW((void)a.recommend(reads), util::ContractViolation) << bad;
+    AccessPattern random = random_heavy();
+    random.random_fraction = bad;
+    EXPECT_THROW((void)a.recommend(random), util::ContractViolation) << bad;
+  }
+  AccessPattern edges = random_heavy();
+  edges.read_fraction = 0.0;
+  EXPECT_NO_THROW((void)a.recommend(edges));
+  edges.read_fraction = 1.0;
+  EXPECT_NO_THROW((void)a.recommend(edges));
 }
 
 // ---------- report ----------

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <map>
 #include <memory>
 #include <span>
@@ -624,6 +625,17 @@ TEST(Testbed, PackageCapThrottlesAndCapsPower) {
   light.flops = 1e6;
   light.active_cores = 1;
   EXPECT_DOUBLE_EQ(capped.governed_frequency(light), 2.4);
+}
+
+TEST(Testbed, RejectsNonFiniteOrNegativeCapAndIoClock) {
+  for (const double bad : {std::nan(""), -5.0, HUGE_VAL}) {
+    TestbedConfig cap;
+    cap.package_cap = util::Watts{bad};
+    EXPECT_THROW(Testbed{cap}, util::ContractViolation) << bad;
+    TestbedConfig io;
+    io.io_frequency_ghz = bad;
+    EXPECT_THROW(Testbed{io}, util::ContractViolation) << bad;
+  }
 }
 
 TEST(Experiment, PackageCapLowersPeakRaisesTime) {

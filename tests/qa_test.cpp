@@ -352,9 +352,7 @@ TEST_F(Oracles, LegacyVsChunkedDecode) {
   expect_ok("codec.legacy_vs_chunked_decode");
 }
 TEST_F(Oracles, SimdScalarVsVector) { expect_ok("simd.scalar_vs_vector"); }
-TEST_F(Oracles, ServeCachedVsUncached) {
-  expect_ok("serve.cached_vs_uncached");
-}
+TEST_F(Oracles, ServeSharedVsSolo) { expect_ok("serve.shared_vs_solo"); }
 
 TEST_F(Oracles, UnknownNameThrows) {
   EXPECT_THROW((void)OracleRegistry::global().run("no.such.oracle"),

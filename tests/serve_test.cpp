@@ -1,6 +1,6 @@
-// Unit tests for the viewer-serving layer: frame keys, the content-
-// addressed cache, steering, fleets, and the session's determinism and
-// exactly-once delivery contracts.
+// Unit tests for the viewer-serving layer: frame keys, steering, fleets,
+// and the session's determinism, render-sharing and exactly-once delivery
+// contracts.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -10,11 +10,9 @@
 #include <vector>
 
 #include "src/core/workload.hpp"
-#include "src/serve/frame_cache.hpp"
 #include "src/serve/session.hpp"
 #include "src/serve/viewer.hpp"
 #include "src/util/field.hpp"
-#include "src/vis/image.hpp"
 
 namespace greenvis {
 namespace {
@@ -123,43 +121,6 @@ TEST(ApplySteer, ClampsEveryPayload) {
   EXPECT_EQ(serve::apply_steer(base, cmd).palette, vis::Palette::kGrayscale);
 }
 
-TEST(FrameCacheTest, FifoEvictionAndCounters) {
-  serve::FrameCache cache(2);
-  const vis::Image img(4, 4);
-  EXPECT_EQ(cache.find(1), nullptr);  // miss
-  cache.insert(1, img);
-  cache.insert(2, img);
-  EXPECT_NE(cache.find(1), nullptr);  // hit
-  cache.insert(3, img);               // evicts key 1 (oldest)
-  EXPECT_EQ(cache.find(1), nullptr);
-  EXPECT_NE(cache.find(2), nullptr);
-  EXPECT_NE(cache.find(3), nullptr);
-  EXPECT_EQ(cache.size(), 2u);
-  const serve::FrameCacheStats& s = cache.stats();
-  EXPECT_EQ(s.hits, 3u);
-  EXPECT_EQ(s.misses, 2u);
-  EXPECT_EQ(s.insertions, 3u);
-  EXPECT_EQ(s.evictions, 1u);
-  EXPECT_EQ(s.lookups(), 5u);
-}
-
-TEST(FrameCacheTest, ZeroCapacityAndDuplicateInsertsAreNoOps) {
-  const vis::Image img(4, 4);
-  serve::FrameCache none(0);
-  none.insert(7, img);
-  EXPECT_EQ(none.size(), 0u);
-  EXPECT_EQ(none.stats().insertions, 0u);
-
-  serve::FrameCache cache(4);
-  vis::Image other(4, 4);
-  other.at(0, 0) = vis::Rgb{255, 0, 0};
-  cache.insert(7, img);
-  cache.insert(7, other);  // first render wins
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().insertions, 1u);
-  EXPECT_EQ(*cache.find(7), img);
-}
-
 TEST(DefaultFleet, GroupsShareCanonicalViewsAndIdsAscend) {
   const std::vector<serve::ViewerSchedule> fleet = serve::default_fleet(8, 4);
   ASSERT_EQ(fleet.size(), 8u);
@@ -227,10 +188,10 @@ TEST(ServeSession, SharersReuseTheLeadRender) {
   const serve::ServeConfig config = small_serve_config(6, 2);
   const serve::ServeReport report = serve::run_serve_session(config);
   EXPECT_EQ(report.frame_steps, 3);
-  EXPECT_EQ(report.unique_views_rendered, 6u);  // 2 groups x 3 frame steps
-  EXPECT_EQ(report.host_renders, 6u);
+  EXPECT_EQ(report.host_renders, 6u);  // 2 groups x 3 frame steps
   EXPECT_EQ(report.frames_delivered, 18u);
   EXPECT_EQ(report.cache.hits, 12u);
+  EXPECT_EQ(report.cache.misses, 6u);
 
   std::map<std::uint64_t, std::uint64_t> payload;
   for (const serve::Delivery& d : report.deliveries) {
@@ -239,7 +200,20 @@ TEST(ServeSession, SharersReuseTheLeadRender) {
       EXPECT_EQ(it->second, d.digest) << "shared key served stale pixels";
     }
   }
-  EXPECT_EQ(payload.size(), report.unique_views_rendered);
+  EXPECT_EQ(payload.size(), report.host_renders);
+}
+
+TEST(ServeSession, SixteenViewersInFourViewsRenderFourPerStep) {
+  // The fleet the perf harness times: each frame step renders the 4
+  // unique views once and delivers 16 frames.
+  serve::ServeConfig config;
+  config.base = small_serve_base();
+  config.viewers = serve::default_fleet(16, 4);
+  const serve::ServeReport report = serve::run_serve_session(config);
+  const auto steps = static_cast<std::uint64_t>(report.frame_steps);
+  EXPECT_EQ(report.frame_steps, 3);
+  EXPECT_EQ(report.host_renders, 4 * steps);
+  EXPECT_EQ(report.frames_delivered, 16 * steps);
 }
 
 TEST(ServeSession, BaselineFillsMarginalJoules) {
@@ -268,7 +242,7 @@ TEST(ServeSession, SteeringSplitsAViewerOffItsGroup) {
   config.commands.clear();
   const serve::ServeReport plain = serve::run_serve_session(config);
   // Steps 2 and 4 gain one extra unique view (viewer 0 left group 0).
-  EXPECT_EQ(steered.unique_views_rendered, plain.unique_views_rendered + 2);
+  EXPECT_EQ(steered.host_renders, plain.host_renders + 2);
   EXPECT_EQ(steered.frames_delivered, plain.frames_delivered);
 }
 

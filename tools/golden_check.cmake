@@ -28,7 +28,8 @@
 #            exactly tools/golden/figures/<bench name>.txt on stdout (its
 #            stderr progress lines are not compared).
 #   perf_smoke  `bench_perf_harness --smoke` (no baseline, so no timing
-#            gate) exits 0 and prints all four of its metric rows.
+#            gate) exits 0 and prints all four of its metric rows; its one
+#            gate is serve's deterministic deliveries-per-render count.
 cmake_minimum_required(VERSION 3.20)
 
 if(CHECK MATCHES "^(figure|perf_smoke)$")

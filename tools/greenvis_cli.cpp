@@ -11,8 +11,10 @@
 //                        anything else → JSON)
 // Either flag switches the obs subsystem on for the whole process.
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <optional>
 #include <sstream>
@@ -54,26 +56,112 @@ void accept_only(const Args& args, std::vector<std::string> flags) {
   args.allow_only(flags);
 }
 
-/// Integer option `--key`, `fallback` when absent. A value that is not an
-/// integer, is below `min` or does not fit in T throws instead of reaching
-/// a cast.
+std::vector<std::string> split_csv(const std::string& text) {
+  std::vector<std::string> out;
+  std::size_t pos = 0;
+  while (pos <= text.size()) {
+    const std::size_t next = text.find(',', pos);
+    const std::string item = text.substr(
+        pos, next == std::string::npos ? std::string::npos : next - pos);
+    if (!item.empty()) {
+      out.push_back(item);
+    }
+    if (next == std::string::npos) {
+      break;
+    }
+    pos = next + 1;
+  }
+  return out;
+}
+
+/// `text` as a value of option `--key`: an integer at or above `min` that
+/// fits in T. A fraction, an exponent or trailing text throws instead of
+/// reaching a cast.
+template <typename T>
+T parse_int(const std::string& key, const std::string& text, long long min) {
+  long long v = min;
+  std::size_t used = 0;
+  bool ok = true;
+  try {
+    v = std::stoll(text, &used);
+  } catch (const std::exception&) {
+    ok = false;
+  }
+  if (!ok || used != text.size() || v < min || !std::in_range<T>(v)) {
+    throw util::ContractViolation("option --" + key +
+                                  " expects an integer >= " +
+                                  std::to_string(min) + ", got '" + text +
+                                  "'");
+  }
+  return static_cast<T>(v);
+}
+
+constexpr double kNoMax = std::numeric_limits<double>::infinity();
+
+/// `text` as a value of option `--key`: a finite number in [lo, hi], or in
+/// (lo, hi] when `open`. NaN, infinities and trailing text throw.
+double parse_number(const std::string& key, const std::string& text,
+                    double lo, double hi = kNoMax, bool open = false) {
+  double v = lo;
+  std::size_t used = 0;
+  bool ok = true;
+  try {
+    v = std::stod(text, &used);
+  } catch (const std::exception&) {
+    ok = false;
+  }
+  if (!ok || used != text.size() || !std::isfinite(v) || v > hi ||
+      (open ? v <= lo : v < lo)) {
+    std::ostringstream bound;
+    if (hi == kNoMax) {
+      bound << (open ? "> " : ">= ") << lo;
+    } else {
+      bound << (open ? "in (" : "in [") << lo << ", " << hi << "]";
+    }
+    throw util::ContractViolation("option --" + key + " expects a number " +
+                                  bound.str() + ", got '" + text + "'");
+  }
+  return v;
+}
+
+/// Integer option `--key`, `fallback` when absent (see parse_int).
 template <typename T>
 T int_option(const Args& args, const std::string& key, T fallback,
              long long min) {
-  long long v = min;
-  bool ok = true;
-  try {
-    v = args.get(key, static_cast<long long>(fallback));
-  } catch (const util::ContractViolation&) {
-    ok = false;
+  return args.has(key) ? parse_int<T>(key, args.get(key, std::string{}), min)
+                       : fallback;
+}
+
+/// Number option `--key`, `fallback` when absent (see parse_number).
+double number_option(const Args& args, const std::string& key,
+                     double fallback, double lo, double hi = kNoMax,
+                     bool open = false) {
+  return args.has(key) ? parse_number(key, args.get(key, std::string{}), lo,
+                                      hi, open)
+                       : fallback;
+}
+
+/// Comma-separated integer list `--key` (`fallback` text when absent),
+/// each element checked by parse_int.
+template <typename T>
+std::vector<T> int_list(const Args& args, const std::string& key,
+                        const std::string& fallback, long long min) {
+  std::vector<T> out;
+  for (const std::string& item : split_csv(args.get(key, fallback))) {
+    out.push_back(parse_int<T>(key, item, min));
   }
-  if (!ok || v < min || !std::in_range<T>(v)) {
-    throw util::ContractViolation("option --" + key +
-                                  " expects an integer >= " +
-                                  std::to_string(min) + ", got '" +
-                                  args.get(key, std::string{}) + "'");
+  return out;
+}
+
+/// Comma-separated number list `--key`, empty when absent, each element
+/// checked by parse_number.
+std::vector<double> number_list(const Args& args, const std::string& key,
+                                double lo, bool open = false) {
+  std::vector<double> out;
+  for (const std::string& item : split_csv(args.get(key, std::string{}))) {
+    out.push_back(parse_number(key, item, lo, kNoMax, open));
   }
-  return static_cast<T>(v);
+  return out;
 }
 
 /// What the run flags of `compare`, `profile` and `serve` configure.
@@ -90,7 +178,7 @@ struct RunFlags {
 std::optional<RunFlags> read_run_flags(const Args& args, bool snapshot_flags) {
   RunFlags run;
   run.workload = core::case_study(int_option(args, "case", 1, 1));
-  run.testbed.package_cap = util::Watts{args.get("cap", 0.0)};
+  run.testbed.package_cap = util::Watts{number_option(args, "cap", 0.0, 0.0)};
   const std::string device = args.get("device", "hdd");
   if (const auto kind = core::parse_storage_device(device)) {
     run.testbed.device = *kind;
@@ -100,13 +188,13 @@ std::optional<RunFlags> read_run_flags(const Args& args, bool snapshot_flags) {
     return std::nullopt;
   }
   if (snapshot_flags) {
-    run.testbed.io_frequency_ghz = args.get("io-ghz", 0.0);
+    run.testbed.io_frequency_ghz = number_option(args, "io-ghz", 0.0, 0.0);
     run.options.stage_buffers =
         int_option(args, "stage-buffers", run.options.stage_buffers, 1);
     run.workload.snapshot_codec.kind =
         codec::parse_kind(args.get("codec", "raw"));
-    run.workload.snapshot_codec.tolerance =
-        args.get("tolerance", run.workload.snapshot_codec.tolerance);
+    run.workload.snapshot_codec.tolerance = number_option(
+        args, "tolerance", run.workload.snapshot_codec.tolerance, 0.0);
   }
   return run;
 }
@@ -240,8 +328,8 @@ int cmd_advise(const Args& args) {
   pattern.accesses = int_option<std::uint64_t>(args, "accesses", 1 << 18, 0);
   pattern.bytes_per_access =
       util::kibibytes(int_option<std::uint64_t>(args, "kib", 16, 0));
-  pattern.random_fraction = args.get("random", 1.0);
-  pattern.read_fraction = args.get("reads", 0.9);
+  pattern.random_fraction = number_option(args, "random", 1.0, 0.0, 1.0);
+  pattern.read_fraction = number_option(args, "reads", 0.9, 0.0, 1.0);
   pattern.exploratory_analysis_required =
       !args.has("no-exploration");
 
@@ -341,24 +429,6 @@ int cmd_trace_template(const Args& args) {
   return 0;
 }
 
-std::vector<std::string> split_csv(const std::string& text) {
-  std::vector<std::string> out;
-  std::size_t pos = 0;
-  while (pos <= text.size()) {
-    const std::size_t next = text.find(',', pos);
-    const std::string item = text.substr(
-        pos, next == std::string::npos ? std::string::npos : next - pos);
-    if (!item.empty()) {
-      out.push_back(item);
-    }
-    if (next == std::string::npos) {
-      break;
-    }
-    pos = next + 1;
-  }
-  return out;
-}
-
 int cmd_campaign(const Args& args) {
   accept_only(args, {"pipelines", "grids", "periods", "iterations", "codecs",
                      "tolerances", "devices", "freqs", "io-freqs", "caps",
@@ -379,21 +449,13 @@ int cmd_campaign(const Args& args) {
       return 2;
     }
   }
-  for (const std::string& g : split_csv(args.get("grids", "128"))) {
-    spec.grids.push_back(static_cast<std::size_t>(std::stoul(g)));
-  }
-  for (const std::string& p : split_csv(args.get("periods", "1,2,8"))) {
-    spec.io_periods.push_back(std::stoi(p));
-  }
-  for (const std::string& i : split_csv(args.get("iterations", "50"))) {
-    spec.iterations.push_back(std::stoi(i));
-  }
+  spec.grids = int_list<std::size_t>(args, "grids", "128", 4);
+  spec.io_periods = int_list<int>(args, "periods", "1,2,8", 1);
+  spec.iterations = int_list<int>(args, "iterations", "50", 1);
   for (const std::string& c : split_csv(args.get("codecs", "raw"))) {
     spec.codecs.push_back(codec::parse_kind(c));
   }
-  for (const std::string& t : split_csv(args.get("tolerances", ""))) {
-    spec.tolerances.push_back(std::stod(t));
-  }
+  spec.tolerances = number_list(args, "tolerances", 0.0);
   for (const std::string& d : split_csv(args.get("devices", "hdd"))) {
     if (const auto kind = core::parse_storage_device(d)) {
       spec.devices.push_back(*kind);
@@ -403,15 +465,9 @@ int cmd_campaign(const Args& args) {
       return 2;
     }
   }
-  for (const std::string& f : split_csv(args.get("freqs", ""))) {
-    spec.frequencies.push_back(std::stod(f));
-  }
-  for (const std::string& f : split_csv(args.get("io-freqs", ""))) {
-    spec.io_frequencies.push_back(std::stod(f));
-  }
-  for (const std::string& c : split_csv(args.get("caps", ""))) {
-    spec.package_caps.push_back(std::stod(c));
-  }
+  spec.frequencies = number_list(args, "freqs", 0.0, true);
+  spec.io_frequencies = number_list(args, "io-freqs", 0.0);
+  spec.package_caps = number_list(args, "caps", 0.0);
   for (const std::string& s : split_csv(args.get("io-scheds", ""))) {
     if (const auto kind = storage::parse_io_scheduler(s)) {
       spec.io_scheds.push_back(*kind);
@@ -421,12 +477,8 @@ int cmd_campaign(const Args& args) {
       return 2;
     }
   }
-  for (const std::string& d : split_csv(args.get("io-queue-depths", ""))) {
-    spec.io_queue_depths.push_back(static_cast<std::size_t>(std::stoul(d)));
-  }
-  for (const std::string& v : split_csv(args.get("viewers", ""))) {
-    spec.viewer_counts.push_back(std::stoi(v));
-  }
+  spec.io_queue_depths = int_list<std::size_t>(args, "io-queue-depths", "", 0);
+  spec.viewer_counts = int_list<int>(args, "viewers", "", 0);
   const std::vector<campaign::CampaignConfig> configs = spec.expand();
 
   campaign::ResultCache cache;
@@ -609,8 +661,8 @@ int cmd_profile(const Args& args) {
 }
 
 int cmd_serve(const Args& args) {
-  accept_only(args, {"case", "cap", "device", "viewers", "views", "no-cache",
-                     "cache-capacity", "link-mbps", "out"});
+  accept_only(args,
+              {"case", "cap", "device", "viewers", "views", "link-mbps", "out"});
   const int viewers = int_option(args, "viewers", 16, 1);
   const int views = int_option(args, "views", 4, 1);
   if (views > viewers) {
@@ -625,10 +677,8 @@ int cmd_serve(const Args& args) {
   serve::ServeConfig config;
   config.base = run->workload;
   config.viewers = serve::default_fleet(viewers, views);
-  config.cache_enabled = !args.has("no-cache");
-  config.cache_capacity =
-      int_option(args, "cache-capacity", config.cache_capacity, 0);
-  config.delivery_mb_per_s = args.get("link-mbps", config.delivery_mb_per_s);
+  config.delivery_mb_per_s = number_option(
+      args, "link-mbps", config.delivery_mb_per_s, 0.0, kNoMax, true);
   // A deterministic mid-run steer so the default profile exercises the
   // command queue: viewer 0 re-zooms and re-colors halfway through.
   serve::SteerCommand steer;
@@ -645,8 +695,7 @@ int cmd_serve(const Args& args) {
   config.commands.push_back(steer);
 
   std::cerr << "serving " << config.base.name << " to " << viewers
-            << " viewers (" << views << " view groups, cache "
-            << (config.cache_enabled ? "on" : "off") << ")...\n";
+            << " viewers (" << views << " view groups)...\n";
   const serve::ServeReport report =
       serve::run_serve_with_baseline(config, run->testbed);
 
@@ -662,10 +711,8 @@ int cmd_serve(const Args& args) {
   std::cout << t.render();
   std::cout << "\n" << report.frames_delivered << " frames delivered over "
             << util::cell(report.duration.value()) << " s — "
-            << report.unique_views_rendered << " unique views, "
-            << report.host_renders << " host renders, cache "
-            << report.cache.hits << " hits / " << report.cache.misses
-            << " misses.\n";
+            << report.host_renders << " renders (one per unique view per step), "
+            << report.cache.hits << " deliveries shared a render.\n";
   std::cout << "Session " << util::cell(report.energy.value() / 1000.0)
             << " kJ: shared " << util::cell(report.shared_j / 1000.0)
             << " kJ, single-viewer baseline "
@@ -700,8 +747,8 @@ int cmd_verify(const Args& args) {
 
   qa::ConformanceOptions options;
   options.snapshot_codec.kind = codec::parse_kind(args.get("codec", "raw"));
-  options.snapshot_codec.tolerance =
-      args.get("tolerance", options.snapshot_codec.tolerance);
+  options.snapshot_codec.tolerance = number_option(
+      args, "tolerance", options.snapshot_codec.tolerance, 0.0);
   options.build_label = args.get("label", "default");
 
   std::cerr << "running differential oracles...\n";
@@ -777,14 +824,14 @@ commands:
       [--top N] [--out FILE]                          span-level joule
                                                       attribution table +
                                                       ENERGY_profile.json
-  serve [--case 1|2|3] [--viewers N] [--views G] [--no-cache]
-      [--cache-capacity N] [--link-mbps MB] [--cap W]
-      [--device hdd|ssd|nvram|nvme|raid0] [--out FILE]
-                                                      serve N viewer streams
-                                                      with a deduplicating
-                                                      frame cache; per-viewer
-                                                      joules + marginal cost
-                                                      in SERVE_profile.json
+  serve [--case 1|2|3] [--viewers N] [--views G] [--link-mbps MB]
+      [--cap W] [--device hdd|ssd|nvram|nvme|raid0] [--out FILE]
+                                                      serve N viewer streams,
+                                                      each unique view
+                                                      rendered once per step;
+                                                      per-viewer joules +
+                                                      marginal cost in
+                                                      SERVE_profile.json
   trace-template                                      starter replay trace
   verify [--out FILE] [--codec raw|delta|rle] [--tolerance T] [--label L]
          [--qa-repro=FILE]                            qa conformance suite
