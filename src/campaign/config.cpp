@@ -36,12 +36,10 @@ CampaignConfig canonicalize(const CampaignConfig& config) {
     c.kind = core::PipelineKind::kInSitu;
   }
   if (c.kind == core::PipelineKind::kInSitu) {
-    // In-situ never touches storage: the snapshot codec, the I/O-phase
-    // clock, and the block-layer queue cannot influence any result.
+    // In-situ never touches storage: neither the snapshot codec nor the
+    // I/O-phase clock can influence any result.
     c.codec_kind = codec::Kind::kRaw;
     c.io_frequency_ghz = 0.0;
-    c.io_sched = storage::IoSchedulerKind::kDevice;
-    c.io_queue_depth = 0;
   }
   if (c.codec_kind == codec::Kind::kRaw) {
     c.codec_tolerance = 0.0;  // identity codec: no quantization, no chunking
@@ -91,10 +89,6 @@ MaterializedConfig materialize(const CampaignConfig& config,
   m.testbed.io_frequency_ghz = c.io_frequency_ghz;
   m.testbed.device = c.device;
   m.testbed.package_cap = util::Watts{c.package_cap_w};
-  m.testbed.fs.io_queue.scheduler = c.io_sched;
-  if (c.io_queue_depth != 0) {
-    m.testbed.fs.io_queue.queue_depth = c.io_queue_depth;
-  }
   m.viewers = c.viewers;
   m.options.host_threads = host_threads;
   m.options.frame_digests = true;  // ConfigResult::image_digest reads them
@@ -133,15 +127,6 @@ std::vector<CampaignConfig> CampaignSpec::expand() const {
   const auto caps = package_caps.empty()
                         ? std::vector<double>{base.package_cap_w}
                         : package_caps;
-  const auto scheds =
-      io_scheds.empty()
-          ? std::vector<storage::IoSchedulerKind>{base.io_sched}
-          : io_scheds;
-  const auto depths = io_queue_depths.empty()
-                          ? std::vector<std::size_t>{base.io_queue_depth}
-                          : io_queue_depths;
-  const auto views =
-      viewer_counts.empty() ? std::vector<int>{base.viewers} : viewer_counts;
 
   std::vector<CampaignConfig> out;
   out.reserve(pipes.size() * iters.size() * periods.size() * gs.size() *
@@ -179,24 +164,16 @@ std::vector<CampaignConfig> CampaignSpec::expand() const {
       }
     }
   }
-  // The block-layer and serving axes multiply the base product in a
-  // post-pass (outermost: viewers, then queue depth, then scheduler), so
-  // sweeps that leave them empty produce the exact job list they always did.
-  if (!io_scheds.empty() || !io_queue_depths.empty() ||
-      !viewer_counts.empty()) {
+  // The serving axis multiplies the base product in a post-pass
+  // (outermost), so sweeps that leave it empty produce the exact job list
+  // they always did.
+  if (!viewer_counts.empty()) {
     std::vector<CampaignConfig> expanded;
-    expanded.reserve(out.size() * scheds.size() * depths.size() *
-                     views.size());
-    for (int viewer_count : views) {
-      for (std::size_t depth : depths) {
-        for (storage::IoSchedulerKind sched : scheds) {
-          for (CampaignConfig c : out) {
-            c.io_sched = sched;
-            c.io_queue_depth = depth;
-            c.viewers = viewer_count;
-            expanded.push_back(c);
-          }
-        }
+    expanded.reserve(out.size() * viewer_counts.size());
+    for (int viewer_count : viewer_counts) {
+      for (CampaignConfig c : out) {
+        c.viewers = viewer_count;
+        expanded.push_back(c);
       }
     }
     out = std::move(expanded);
@@ -217,12 +194,6 @@ std::string describe(const CampaignConfig& config) {
   }
   if (c.package_cap_w > 0.0) {
     os << " cap=" << c.package_cap_w;
-  }
-  if (c.io_sched != storage::IoSchedulerKind::kDevice) {
-    os << " iosched=" << storage::io_scheduler_name(c.io_sched);
-  }
-  if (c.io_queue_depth != 0) {
-    os << " ioqd=" << c.io_queue_depth;
   }
   if (c.viewers > 0) {
     os << " viewers=" << c.viewers;

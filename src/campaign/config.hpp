@@ -16,7 +16,6 @@
 #include "src/codec/field_codec.hpp"
 #include "src/core/batch_runner.hpp"
 #include "src/core/experiment.hpp"
-#include "src/storage/async_device.hpp"
 
 namespace greenvis::campaign {
 
@@ -44,12 +43,6 @@ struct CampaignConfig {
   double package_cap_w{0.0};
   /// Staging ring slots (async pipeline only).
   std::size_t stage_buffers{2};
-  /// Block-layer I/O scheduler; kDevice (the pass-through default)
-  /// reproduces the seed behavior and is canonicalized away wherever the
-  /// config never touches storage.
-  storage::IoSchedulerKind io_sched{storage::IoSchedulerKind::kDevice};
-  /// Block-layer submission queue depth; 0 = the device default.
-  std::size_t io_queue_depth{0};
   /// Viewer-serving axis: 0 = classic pipeline experiment; N > 0 runs a
   /// serve session with N subscribers in min(4, N) distinct view groups.
   int viewers{0};
@@ -95,8 +88,6 @@ struct CampaignSpec {
   std::vector<double> frequencies;
   std::vector<double> io_frequencies;
   std::vector<double> package_caps;
-  std::vector<storage::IoSchedulerKind> io_scheds;
-  std::vector<std::size_t> io_queue_depths;
   std::vector<int> viewer_counts;
 
   [[nodiscard]] std::vector<CampaignConfig> expand() const;

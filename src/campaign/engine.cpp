@@ -297,9 +297,9 @@ void write_campaign_json(std::ostream& os, const CampaignReport& report) {
     json_double(os, c.io_frequency_ghz);
     os << ", \"package_cap_w\": ";
     json_double(os, c.package_cap_w);
-    os << ", \"stage_buffers\": " << c.stage_buffers << ", \"io_sched\": \""
-       << storage::io_scheduler_name(c.io_sched)
-       << "\", \"io_queue_depth\": " << c.io_queue_depth
+    // io_sched/io_queue_depth: v1 constants; ROADMAP item 7 drops them.
+    os << ", \"stage_buffers\": " << c.stage_buffers
+       << ", \"io_sched\": \"device\", \"io_queue_depth\": 0"
        << ", \"viewers\": " << c.viewers << ",\n     \"duration_s\": ";
     json_double(os, r.duration_s);
     os << ", \"energy_j\": ";

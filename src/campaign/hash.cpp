@@ -46,13 +46,6 @@ std::string canonical_text(const CampaignConfig& config) {
   // Axes added after v1 append as conditional suffixes: a config at their
   // defaults hashes exactly as it did before the axis existed, so every
   // journaled key and cached result stays valid.
-  if (c.io_sched != storage::IoSchedulerKind::kDevice) {
-    text += "|iosched=";
-    text += storage::io_scheduler_name(c.io_sched);
-  }
-  if (c.io_queue_depth != 0) {
-    text += "|ioqd=" + std::to_string(c.io_queue_depth);
-  }
   if (c.viewers > 0) {
     text += "|viewers=" + std::to_string(c.viewers);
   }

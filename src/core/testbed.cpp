@@ -4,8 +4,6 @@
 
 #include "src/obs/tracer.hpp"
 #include "src/storage/hdd.hpp"
-#include "src/storage/nvme.hpp"
-#include "src/storage/raid.hpp"
 #include "src/storage/solid_state.hpp"
 #include "src/util/error.hpp"
 
@@ -19,10 +17,6 @@ const char* storage_device_name(StorageDeviceKind kind) {
       return "ssd";
     case StorageDeviceKind::kNvram:
       return "nvram";
-    case StorageDeviceKind::kNvme:
-      return "nvme";
-    case StorageDeviceKind::kRaid0:
-      return "raid0";
   }
   return "?";
 }
@@ -30,8 +24,7 @@ const char* storage_device_name(StorageDeviceKind kind) {
 std::optional<StorageDeviceKind> parse_storage_device(std::string_view name) {
   for (StorageDeviceKind kind :
        {StorageDeviceKind::kHdd, StorageDeviceKind::kSsd,
-        StorageDeviceKind::kNvram, StorageDeviceKind::kNvme,
-        StorageDeviceKind::kRaid0}) {
+        StorageDeviceKind::kNvram}) {
     if (name == storage_device_name(kind)) {
       return kind;
     }
@@ -50,19 +43,6 @@ std::unique_ptr<storage::BlockDevice> make_device(
     case StorageDeviceKind::kNvram:
       return std::make_unique<storage::SolidStateModel>(
           storage::nvram_params());
-    case StorageDeviceKind::kNvme:
-      return std::make_unique<storage::NvmeModel>(
-          storage::nvme_default_params());
-    case StorageDeviceKind::kRaid0: {
-      // Four striped copies of the testbed's spinning disk.
-      std::vector<std::unique_ptr<storage::BlockDevice>> children;
-      for (int i = 0; i < 4; ++i) {
-        storage::HddParams child;
-        child.spec = config.node.disk;
-        children.push_back(std::make_unique<storage::HddModel>(child));
-      }
-      return std::make_unique<storage::Raid0Model>(std::move(children));
-    }
     case StorageDeviceKind::kHdd:
       break;
   }
@@ -77,13 +57,6 @@ power::DiskPowerParams disk_power_params_for(StorageDeviceKind kind) {
       return power::ssd_power_params();
     case StorageDeviceKind::kNvram:
       return power::nvram_power_params();
-    case StorageDeviceKind::kNvme:
-      return power::nvme_power_params();
-    case StorageDeviceKind::kRaid0:
-      // Dedicated array rail: all four spindles idle plus the controller,
-      // with per-spindle actives (the volume's merged activity log already
-      // carries every child's busy time).
-      return power::raid0_power_params();
     case StorageDeviceKind::kHdd:
       break;
   }

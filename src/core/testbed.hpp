@@ -34,9 +34,8 @@ namespace greenvis::core {
 /// Which storage model backs the testbed's filesystem. The paper's node has
 /// the 7200 rpm HDD; the SSD/NVRAM substitutions are its future-work
 /// "flash-based devices" direction, and the campaign engine sweeps them as
-/// a first-class axis. NVMe (multi-queue flash) and RAID0 (four striped
-/// copies of the testbed HDD) ride the async block-device layer.
-enum class StorageDeviceKind { kHdd, kSsd, kNvram, kNvme, kRaid0 };
+/// a first-class axis.
+enum class StorageDeviceKind { kHdd, kSsd, kNvram };
 
 [[nodiscard]] const char* storage_device_name(StorageDeviceKind kind);
 /// Inverse of storage_device_name; nullopt for unknown names.

@@ -74,26 +74,6 @@ struct DiskPowerParams {
   return DiskPowerParams{Watts{0.6}, Watts{0.0}, Watts{0.0}, Watts{1.4},
                          Watts{2.2}, Watts{2.2}};
 }
-/// Datacenter NVMe: higher idle than SATA flash (controller + DRAM), more
-/// active draw at several-times-higher throughput.
-[[nodiscard]] inline DiskPowerParams nvme_power_params() {
-  return DiskPowerParams{Watts{2.0}, Watts{0.0}, Watts{0.0}, Watts{5.5},
-                         Watts{7.0}, Watts{7.0}};
-}
-/// RAID0 array of `spindles` copies of the testbed HDD. The idle floor is
-/// every platter spinning plus ~2 W of RAID controller; the per-phase
-/// actives stay per-spindle constants because the volume's merged activity
-/// log already carries each child's busy time separately, so duty-weighted
-/// energy scales with how many spindles a stripe actually touched.
-[[nodiscard]] inline DiskPowerParams raid0_power_params(int spindles = 4) {
-  const DiskPowerParams hdd = hdd_power_params();
-  return DiskPowerParams{hdd.idle * static_cast<double>(spindles) + Watts{2.0},
-                         hdd.seek,
-                         hdd.rotate_wait,
-                         hdd.read_transfer,
-                         hdd.write_transfer,
-                         hdd.flush};
-}
 
 struct RestOfSystemParams {
   /// Motherboard, fans, NIC, PSU conversion loss — constant.

@@ -71,15 +71,6 @@ namespace greenvis::qa {
   };
 }
 
-/// A stream of requests (shrinks by dropping requests, then simplifying
-/// survivors).
-[[nodiscard]] inline Gen<std::vector<storage::IoRequest>> io_request_stream(
-    std::size_t min_requests, std::size_t max_requests,
-    std::uint64_t max_offset, std::uint32_t max_length) {
-  return vector_of(io_request(max_offset, max_length), min_requests,
-                   max_requests);
-}
-
 /// A scaled-down case-study configuration: paper phase structure, small
 /// enough for differential pipeline runs inside a property sweep. Shrinks
 /// toward 1 iteration at period 1 with a tiny grid and frame.

@@ -31,8 +31,6 @@
 #include "src/storage/fault.hpp"
 #include "src/storage/filesystem.hpp"
 #include "src/storage/hdd.hpp"
-#include "src/storage/nvme.hpp"
-#include "src/storage/raid.hpp"
 #include "src/storage/solid_state.hpp"
 #include "src/trace/clock.hpp"
 #include "src/util/checksum.hpp"
@@ -389,7 +387,7 @@ OracleResult cache_on_vs_off() {
               "with the page cache on (buffered) and off (direct)");
 }
 
-// ---- storage: the async queue at depth 1 / noop IS the sync path ----
+// ---- storage: the request queue IS the chained sync path ----
 
 OracleResult storage_async_vs_sync() {
   // A device rig: the concrete device plus whatever it wraps.
@@ -412,15 +410,6 @@ OracleResult storage_async_vs_sync() {
     } else if (label == "nvram") {
       own(std::make_unique<storage::SolidStateModel>(
           storage::nvram_params()));
-    } else if (label == "raid0") {
-      std::vector<std::unique_ptr<storage::BlockDevice>> children;
-      for (int i = 0; i < 3; ++i) {
-        children.push_back(
-            std::make_unique<storage::HddModel>(storage::HddParams{}));
-      }
-      own(std::make_unique<storage::Raid0Model>(std::move(children)));
-    } else if (label == "nvme") {
-      own(std::make_unique<storage::NvmeModel>(storage::nvme_default_params()));
     } else {  // faulty: retry-prone HDD with an unreadable range
       auto* inner =
           own(std::make_unique<storage::HddModel>(storage::HddParams{}));
@@ -506,48 +495,50 @@ OracleResult storage_async_vs_sync() {
   const Stream stream = make_stream();
   for (const std::string_view label :
        {std::string_view{"hdd"}, std::string_view{"ssd"},
-        std::string_view{"nvram"}, std::string_view{"raid0"},
-        std::string_view{"faulty"}, std::string_view{"nvme"}}) {
+        std::string_view{"nvram"}, std::string_view{"faulty"}}) {
     // Legacy synchronous path: chained service_outcome calls, each starting
-    // at max(previous end, submit time).
-    Rig sync = make_rig(label);
-    std::vector<storage::IoOutcome> expected;
-    util::Seconds cursor{0.0};
-    for (std::size_t i = 0; i < stream.requests.size(); ++i) {
-      const util::Seconds start = std::max(cursor, stream.submits[i]);
-      expected.push_back(
-          sync.dev->service_outcome(stream.requests[i], start));
-      cursor = expected.back().end;
-    }
+    // at max(previous end, submit time), or at the previous end when every
+    // request is submitted at 0.
+    const auto chain = [&](const Rig& rig, bool honor_submits) {
+      std::vector<storage::IoOutcome> outcomes;
+      util::Seconds cursor{0.0};
+      for (std::size_t i = 0; i < stream.requests.size(); ++i) {
+        const util::Seconds start =
+            honor_submits ? std::max(cursor, stream.submits[i]) : cursor;
+        outcomes.push_back(rig.dev->service_outcome(stream.requests[i], start));
+        cursor = outcomes.back().end;
+      }
+      return outcomes;
+    };
     const std::string where{label};
 
-    // Async path: queue depth 1, noop scheduler, streaming submit/poll. A
-    // multi-channel device (nvme) overlaps the stream there, so it runs
-    // only the single-request leg below.
-    if (label != "nvme") {
-      Rig async = make_rig(label);
-      storage::AsyncBlockDevice queue(
-          *async.dev,
-          storage::AsyncDeviceConfig{1, storage::IoSchedulerKind::kNoop});
-      for (std::size_t i = 0; i < stream.requests.size(); ++i) {
-        queue.submit(stream.requests[i], stream.submits[i]);
+    // The whole stream as one batch submitted at 0: FIFO service, each
+    // request starting when the previous one ended, every failed request
+    // still serviced and recorded.
+    {
+      Rig sync = make_rig(label);
+      const std::vector<storage::IoOutcome> expected = chain(sync, false);
+      Rig batch = make_rig(label);
+      storage::AsyncBlockDevice queue(*batch.dev);
+      try {
+        (void)queue.run_batch(stream.requests, util::Seconds{0.0});
+      } catch (const storage::DeviceError&) {
       }
-      (void)queue.drain();
-      std::vector<storage::CompletionRecord> records;
-      queue.poll(records);
-      if (auto why = diverged(where + " (stream)", records, expected,
-                              *sync.dev, *async.dev)) {
+      if (auto why = diverged(where + " (whole batch)", queue.last_batch(),
+                              expected, *sync.dev, *batch.dev)) {
         return fail(*why);
       }
     }
 
-    // Single-request run_batch calls, chained the same way: each call frees
-    // every channel at its start, so the request starts exactly there on
-    // any device. A failed request's record comes from last_batch().
+    // Single-request run_batch calls at the stream's submit times: each
+    // request starts exactly at max(previous end, submit). A failed
+    // request's record comes from last_batch().
+    Rig sync = make_rig(label);
+    const std::vector<storage::IoOutcome> expected = chain(sync, true);
     Rig single = make_rig(label);
     storage::AsyncBlockDevice queue(*single.dev);
     std::vector<storage::CompletionRecord> records;
-    cursor = util::Seconds{0.0};
+    util::Seconds cursor{0.0};
     for (std::size_t i = 0; i < stream.requests.size(); ++i) {
       const util::Seconds start = std::max(cursor, stream.submits[i]);
       try {
@@ -569,12 +560,11 @@ OracleResult storage_async_vs_sync() {
       return fail(*why);
     }
   }
-  return pass("hdd/ssd/nvram/raid0/faulty: completion times, error states, "
+  return pass("hdd/ssd/nvram/faulty: completion times, error states, "
               "DeviceCounters, and DiskActivityLog segments bit-identical "
-              "between the async queue (depth 1, noop) and the legacy "
-              "synchronous path over a 48-request stream; the same for "
-              "chained single-request run_batch calls on those devices "
-              "and nvme");
+              "between the request queue and chained service_outcome calls "
+              "over a 48-request stream, run as one batch and as "
+              "single-request batches at their submit times");
 }
 
 // ---- observability: watching the run must not change the run ----

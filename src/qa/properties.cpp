@@ -26,7 +26,6 @@
 #include "src/replay/trace_format.hpp"
 #include "src/serve/session.hpp"
 #include "src/serve/viewer.hpp"
-#include "src/storage/async_device.hpp"
 #include "src/storage/hdd.hpp"
 #include "src/util/checksum.hpp"
 #include "src/util/rng.hpp"
@@ -774,114 +773,6 @@ void register_simd_properties() {
       });
 }
 
-// ---- storage: scheduler invariants for every queue depth ----
-//
-// Random aligned request streams through the async block layer under all
-// three explicit schedulers: every submission completes exactly once, bytes
-// are conserved, single-channel completion times never regress, and the
-// deadline scheduler never services a fresh request while an older expired
-// one is waiting (bounded starvation).
-
-void register_storage_properties() {
-  using SchedCase = std::pair<std::vector<storage::IoRequest>, std::uint64_t>;
-  add_property<SchedCase>(
-      "storage.scheduler_invariants",
-      pair_of(io_request_stream(1, 32, util::gibibytes(4).value(),
-                                512 * 1024),
-              uint_in(0, 6)),
-      [](const SchedCase& sc) {
-        const auto& [requests, depth] = sc;
-        for (const storage::IoSchedulerKind sched :
-             {storage::IoSchedulerKind::kNoop,
-              storage::IoSchedulerKind::kElevator,
-              storage::IoSchedulerKind::kDeadline}) {
-          storage::HddModel hdd{storage::HddParams{}};
-          storage::AsyncDeviceConfig config;
-          config.queue_depth = static_cast<std::size_t>(depth);
-          config.scheduler = sched;
-          storage::AsyncBlockDevice queue(hdd, config);
-          std::uint64_t want_read = 0;
-          std::uint64_t want_written = 0;
-          for (std::size_t i = 0; i < requests.size(); ++i) {
-            queue.submit(requests[i],
-                         util::Seconds{0.0005 * static_cast<double>(i)});
-            (requests[i].kind == storage::IoKind::kRead ? want_read
-                                                        : want_written) +=
-                requests[i].length;
-          }
-          (void)queue.drain();
-          std::vector<storage::CompletionRecord> records;
-          queue.poll(records);
-
-          const std::string where =
-              std::string(storage::io_scheduler_name(sched)) +
-              " qd=" + std::to_string(depth);
-          if (records.size() != requests.size()) {
-            return where + ": " + std::to_string(records.size()) +
-                   " completions for " + std::to_string(requests.size()) +
-                   " submissions";
-          }
-          std::vector<bool> seen(requests.size() + 1, false);
-          std::uint64_t got_read = 0;
-          std::uint64_t got_written = 0;
-          for (const storage::CompletionRecord& r : records) {
-            if (r.handle == 0 || r.handle > requests.size() ||
-                seen[static_cast<std::size_t>(r.handle)]) {
-              return where + ": handle " + std::to_string(r.handle) +
-                     " missing or completed twice";
-            }
-            seen[static_cast<std::size_t>(r.handle)] = true;
-            if (!r.ok) {
-              return where + ": unexpected error on a healthy device: " +
-                     r.error;
-            }
-            if (r.start < r.submit || r.complete < r.start) {
-              return where + ": timestamps regress on handle " +
-                     std::to_string(r.handle);
-            }
-            (r.kind == storage::IoKind::kRead ? got_read : got_written) +=
-                r.length;
-          }
-          if (got_read != want_read || got_written != want_written) {
-            return where + ": byte conservation failed";
-          }
-          // Single service channel: completions are appended in service
-          // order and each pick starts at the previous completion, so
-          // completion times must be nondecreasing.
-          for (std::size_t i = 1; i < records.size(); ++i) {
-            if (records[i].complete < records[i - 1].complete) {
-              return where + ": completion times regressed at record " +
-                     std::to_string(i);
-            }
-          }
-          if (sched == storage::IoSchedulerKind::kDeadline) {
-            // Bounded starvation: when record i started service (the pick
-            // happened at the previous record's completion), no *older*
-            // request whose deadline had already expired may still have
-            // been waiting. Serviced-later record j with an expired
-            // deadline at that pick must be younger than i.
-            const util::Seconds window = config.deadline_window;
-            for (std::size_t i = 1; i < records.size(); ++i) {
-              const util::Seconds pick = records[i - 1].complete;
-              for (std::size_t j = i + 1; j < records.size(); ++j) {
-                if (records[j].submit + window <= pick &&
-                    records[j].submit < records[i].submit) {
-                  return where + ": starved an expired request (handle " +
-                         std::to_string(records[j].handle) +
-                         ") past its deadline";
-                }
-              }
-            }
-          }
-        }
-        return ok();
-      },
-      [](const SchedCase& sc) {
-        return "requests=" + std::to_string(sc.first.size()) +
-               " qd=" + std::to_string(sc.second);
-      });
-}
-
 // ---- serving: join/leave/steer schedules, exactly-once, never stale ----
 //
 // For any viewer fleet (random join/leave windows, shared and distinct
@@ -1166,7 +1057,6 @@ void register_builtin_properties() {
   register_campaign_properties();
   register_energy_properties();
   register_simd_properties();
-  register_storage_properties();
   register_serve_properties();
   register_vis_properties();
 }

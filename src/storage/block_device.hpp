@@ -5,12 +5,9 @@
 // virtual time and reports how long each took, recording its mechanical
 // phases into a DiskActivityLog along the way.
 //
-// Hosts normally talk to a device through storage::AsyncBlockDevice
-// (async_device.hpp), which adds submission queues, pluggable I/O
-// schedulers, and per-request completion records on top of this serial
-// timing interface. The hooks below (service_outcome, head_hint,
-// reorders_batches, channels) are what the queue layer needs to reproduce
-// device-preferred behavior without reaching into concrete classes.
+// Hosts talk to a device through storage::AsyncBlockDevice
+// (async_device.hpp), which services request batches over service_outcome
+// and keeps a completion record per request.
 #pragma once
 
 #include <stdexcept>
@@ -65,20 +62,6 @@ class BlockDevice {
 
   /// Drain any volatile write cache (write barrier); returns completion time.
   virtual Seconds flush(Seconds start) = 0;
-
-  /// Current head/cursor position, used by position-aware I/O schedulers
-  /// (elevator, deadline) to seed their sweep. Non-mechanical devices
-  /// return 0.
-  [[nodiscard]] virtual std::uint64_t head_hint() const { return 0; }
-
-  /// True if the device itself reorders queued batches (NCQ-style); the
-  /// queue layer's kDevice scheduler resolves to an elevator sweep for such
-  /// devices and FIFO otherwise.
-  [[nodiscard]] virtual bool reorders_batches() const { return false; }
-
-  /// Independent service channels (NVMe submission queues, RAID spindles
-  /// exposed as one). 1 for strictly serial devices.
-  [[nodiscard]] virtual std::size_t channels() const { return 1; }
 
   [[nodiscard]] virtual Bytes capacity() const = 0;
   [[nodiscard]] virtual std::string_view name() const = 0;

@@ -58,15 +58,6 @@ class FaultyDisk final : public BlockDevice {
   IoOutcome service_outcome(const IoRequest& request, Seconds start) override;
   Seconds flush(Seconds start) override;
 
-  [[nodiscard]] std::uint64_t head_hint() const override {
-    return inner_->head_hint();
-  }
-  [[nodiscard]] bool reorders_batches() const override {
-    return inner_->reorders_batches();
-  }
-  [[nodiscard]] std::size_t channels() const override {
-    return inner_->channels();
-  }
   [[nodiscard]] Bytes capacity() const override { return inner_->capacity(); }
   [[nodiscard]] std::string_view name() const override { return name_; }
   [[nodiscard]] const DiskActivityLog& activity() const override {

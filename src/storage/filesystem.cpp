@@ -11,7 +11,7 @@ namespace greenvis::storage {
 Filesystem::Filesystem(BlockDevice& device, trace::VirtualClock& clock,
                        const FsParams& params)
     : device_(device), clock_(clock), params_(params),
-      queue_(device, params.io_queue), cache_(queue_, params.cache) {
+      queue_(device), cache_(queue_, params.cache) {
   GREENVIS_REQUIRE(params_.block_size.value() > 0);
   GREENVIS_REQUIRE(params_.block_size.value() ==
                    params_.cache.page_size.value());

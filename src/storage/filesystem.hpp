@@ -72,10 +72,6 @@ struct FsParams {
   /// Per-file cap on really-stored payload; larger files must be synthetic.
   util::Bytes max_real_content{util::mebibytes(256)};
   PageCacheParams cache{};
-  /// Submission-queue configuration for every request the filesystem (and
-  /// its page cache) issues: queue depth and I/O scheduler. Defaults keep
-  /// the legacy device-preferred behavior bit-for-bit.
-  AsyncDeviceConfig io_queue{};
 };
 
 struct FsCounters {

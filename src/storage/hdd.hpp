@@ -46,11 +46,6 @@ class HddModel final : public BlockDevice {
   Seconds service(const IoRequest& request, Seconds start) override;
   Seconds flush(Seconds start) override;
 
-  /// NCQ: AsyncBlockDevice's kDevice scheduler resolves to an elevator
-  /// sweep seeded from the head position.
-  [[nodiscard]] bool reorders_batches() const override { return true; }
-  [[nodiscard]] std::uint64_t head_hint() const override { return head_pos_; }
-
   [[nodiscard]] Bytes capacity() const override {
     return params_.spec.capacity;
   }

@@ -15,14 +15,8 @@ PageCache::PageCache(AsyncBlockDevice& queue, const PageCacheParams& params)
   GREENVIS_REQUIRE(params_.capacity.value() >= params_.page_size.value());
 }
 
-IoSchedulerKind PageCache::writeback_scheduler() const {
-  const IoSchedulerKind configured = queue_.config().scheduler;
-  return configured == IoSchedulerKind::kDevice ? IoSchedulerKind::kNoop
-                                                : configured;
-}
-
-// One submission window per call: coalesce contiguous dirty pages, cap each
-// request at kMaxRequestBytes, and hand the whole set to the queue.
+// One batch per call: coalesce contiguous dirty pages, cap each request at
+// kMaxRequestBytes, and hand the whole set to the queue in ascending order.
 Seconds PageCache::write_back_runs(const std::vector<std::uint64_t>& dirty,
                                    Seconds t) {
   const std::uint64_t page_bytes = params_.page_size.value();
@@ -41,7 +35,7 @@ Seconds PageCache::write_back_runs(const std::vector<std::uint64_t>& dirty,
                                  static_cast<std::uint32_t>(bytes)});
     i = j;
   }
-  return queue_.run_batch(requests, t, writeback_scheduler());
+  return queue_.run_batch(requests, t);
 }
 
 Seconds PageCache::touch(std::uint64_t page, bool dirty, Seconds now) {

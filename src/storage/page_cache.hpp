@@ -41,8 +41,8 @@ struct PageCacheCounters {
 
 class PageCache {
  public:
-  /// Issue through an existing submission queue (shared with the
-  /// filesystem, so writeback and demand reads honor one scheduler config).
+  /// Issue through an existing submission queue, shared with the
+  /// filesystem.
   PageCache(AsyncBlockDevice& queue, const PageCacheParams& params);
 
   /// Read device range [offset, offset+length); misses go to the device
@@ -103,9 +103,6 @@ class PageCache {
   Seconds evict_one(Seconds now);
   /// Write back the coalesced dirty runs in `dirty` (ascending pages).
   Seconds write_back_runs(const std::vector<std::uint64_t>& dirty, Seconds t);
-  /// Scheduler for writeback batches: legacy discipline is ascending page
-  /// order, so kDevice resolves to FIFO (the runs are already sorted).
-  [[nodiscard]] IoSchedulerKind writeback_scheduler() const;
 
   AsyncBlockDevice& queue_;
   PageCacheParams params_;

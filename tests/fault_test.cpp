@@ -234,7 +234,7 @@ TEST(FaultyDisk, FailWritesSurfacesOnTheWritePath) {
 }
 
 TEST(FaultyDisk, AsyncStagerRethrowsMidDrainDeviceError) {
-  // The stager's writer submits each snapshot to an async queue over
+  // The stager's writer hands each snapshot to the request queue over
   // degraded media, through a 4-slot ring. The error fires on the third
   // snapshot — mid-drain, after two writes already landed — and must
   // surface as DeviceError from the stager API, not hang the ring or report
@@ -249,12 +249,10 @@ TEST(FaultyDisk, AsyncStagerRethrowsMidDrainDeviceError) {
 
   sched::AsyncStager stager(
       4, [&](sched::StagedSnapshot& snap, Seconds start) {
-        queue.submit(
-            IoRequest{IoKind::kWrite,
-                      static_cast<std::uint64_t>(snap.step) * mib,
-                      static_cast<std::uint32_t>(snap.payload.size())},
-            start);
-        return queue.drain_checked();
+        const IoRequest write{IoKind::kWrite,
+                              static_cast<std::uint64_t>(snap.step) * mib,
+                              static_cast<std::uint32_t>(snap.payload.size())};
+        return queue.run_batch(std::span<const IoRequest>(&write, 1), start);
       });
 
   EXPECT_THROW(

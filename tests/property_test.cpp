@@ -9,7 +9,6 @@
 #include "src/net/multinode.hpp"
 #include "src/power/rapl.hpp"
 #include "src/qa/registry.hpp"
-#include "src/storage/async_device.hpp"
 #include "src/storage/filesystem.hpp"
 #include "src/storage/hdd.hpp"
 #include "src/trace/clock.hpp"
@@ -52,7 +51,6 @@ INSTANTIATE_TEST_SUITE_P(
                       "simd.stencil_rows_match_scalar",
                       "simd.codec_kernels_match_scalar",
                       "simd.trilinear_match_scalar",
-                      "storage.scheduler_invariants",
                       "serve.schedule_invariants",
                       "vis.raster_matches_reference"),
     [](const ::testing::TestParamInfo<const char*>& param_info) {
@@ -64,34 +62,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
-
-// ---------- HDD: elevator never loses to submission order ----------
-
-class HddElevatorSweep : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(HddElevatorSweep, BatchNeverSlowerThanSerial) {
-  const std::uint64_t seed = GetParam();
-  util::Xoshiro256 rng{seed};
-  std::vector<storage::IoRequest> requests;
-  for (int k = 0; k < 24; ++k) {
-    requests.push_back(storage::IoRequest{
-        storage::IoKind::kRead,
-        rng.uniform_index(450) * util::gibibytes(1).value(), 16384});
-  }
-  storage::HddModel batched{storage::HddParams{}};
-  storage::AsyncBlockDevice queue{batched};
-  const util::Seconds batch_end =
-      queue.run_batch(requests, util::Seconds{0.0});
-  storage::HddModel serial{storage::HddParams{}};
-  util::Seconds t{0.0};
-  for (const auto& r : requests) {
-    t = serial.service(r, t);
-  }
-  EXPECT_LE(batch_end.value(), t.value() * 1.02) << "seed=" << seed;
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, HddElevatorSweep,
-                         ::testing::Values(1u, 7u, 42u, 1234u, 99999u));
 
 // ---------- heat: eigenmode decay across the spectrum ----------
 

@@ -1,23 +1,13 @@
-// Async block-device layer tests: queue-depth-1 equivalence with the sync
-// path, window dispatch, scheduler behavior, NVMe multi-queue fairness,
-// RAID0 stripe mapping and 1-child transparency, fault records at depth,
-// and the obs occupancy instrumentation.
+// Request-queue tests: a batch is the chained sync path, and a fault inside
+// a batch lands on the record of the request that hit it.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "src/obs/obs.hpp"
-#include "src/obs/registry.hpp"
 #include "src/storage/async_device.hpp"
 #include "src/storage/fault.hpp"
 #include "src/storage/hdd.hpp"
-#include "src/storage/nvme.hpp"
-#include "src/storage/raid.hpp"
-#include "src/storage/solid_state.hpp"
-#include "src/util/error.hpp"
 #include "src/util/rng.hpp"
 
 namespace greenvis::storage {
@@ -39,93 +29,32 @@ std::vector<IoRequest> mixed_stream(std::uint64_t seed, int count) {
   return requests;
 }
 
-TEST(AsyncQueue, DepthOneNoopMatchesSyncChain) {
+TEST(AsyncQueue, BatchMatchesSyncChain) {
   const std::vector<IoRequest> stream = mixed_stream(0xBEEF, 24);
 
   HddModel sync_dev{HddParams{}};
   std::vector<Seconds> expected;
   Seconds cursor{0.0};
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    const Seconds submit{0.001 * static_cast<double>(i)};
-    cursor = sync_dev.service(stream[i], std::max(cursor, submit));
+  for (const IoRequest& r : stream) {
+    cursor = sync_dev.service(r, cursor);
     expected.push_back(cursor);
   }
 
   HddModel async_dev{HddParams{}};
-  AsyncBlockDevice queue(async_dev,
-                         AsyncDeviceConfig{1, IoSchedulerKind::kNoop});
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    queue.submit(stream[i], Seconds{0.001 * static_cast<double>(i)});
-  }
-  (void)queue.drain();
-  std::vector<CompletionRecord> records;
-  queue.poll(records);
+  AsyncBlockDevice queue(async_dev);
+  const Seconds end = queue.run_batch(stream, Seconds{0.0});
+  const std::vector<CompletionRecord>& records = queue.last_batch();
 
   ASSERT_EQ(records.size(), expected.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].offset, stream[i].offset) << i;  // FIFO
     EXPECT_EQ(records[i].complete.value(), expected[i].value()) << i;
-    EXPECT_EQ(records[i].handle, i + 1);
   }
+  EXPECT_EQ(end.value(), expected.back().value());
   EXPECT_EQ(sync_dev.counters().bytes_written.value(),
             async_dev.counters().bytes_written.value());
   EXPECT_EQ(sync_dev.activity().segments().size(),
             async_dev.activity().segments().size());
-}
-
-TEST(AsyncQueue, FullWindowDispatchesOnSubmit) {
-  SolidStateModel dev{sata_ssd_params()};
-  AsyncBlockDevice queue(dev, AsyncDeviceConfig{3, IoSchedulerKind::kNoop});
-  queue.submit(IoRequest{IoKind::kRead, 0, 4096}, Seconds{0.0});
-  queue.submit(IoRequest{IoKind::kRead, 4096, 4096}, Seconds{0.0});
-  EXPECT_EQ(queue.pending(), 2u);  // window not full yet
-  queue.submit(IoRequest{IoKind::kRead, 8192, 4096}, Seconds{0.0});
-  EXPECT_EQ(queue.pending(), 0u);  // third submission filled the window
-  EXPECT_EQ(queue.stats().dispatch_windows, 1u);
-  std::vector<CompletionRecord> records;
-  EXPECT_EQ(queue.poll(records), 3u);
-  EXPECT_EQ(queue.stats().completed, 3u);
-}
-
-TEST(AsyncQueue, ElevatorServicesOneAscendingSweep) {
-  HddModel dev{HddParams{}};
-  AsyncBlockDevice queue(dev,
-                         AsyncDeviceConfig{0, IoSchedulerKind::kElevator});
-  const std::uint64_t mib = util::mebibytes(1).value();
-  for (const std::uint64_t off : {700 * mib, 100 * mib, 900 * mib, 300 * mib}) {
-    queue.submit(IoRequest{IoKind::kRead, off, 4096}, Seconds{0.0});
-  }
-  (void)queue.drain();
-  std::vector<CompletionRecord> records;
-  queue.poll(records);
-  ASSERT_EQ(records.size(), 4u);
-  // Head starts at 0: one ascending sweep.
-  for (std::size_t i = 1; i < records.size(); ++i) {
-    EXPECT_GT(records[i].offset, records[i - 1].offset);
-  }
-}
-
-TEST(AsyncQueue, DeadlineServicesExpiredOldestFirst) {
-  HddModel dev{HddParams{}};
-  AsyncDeviceConfig config;
-  config.scheduler = IoSchedulerKind::kDeadline;
-  config.deadline_window = util::milliseconds(1.0);
-  AsyncBlockDevice queue(dev, config);
-  const std::uint64_t mib = util::mebibytes(1).value();
-  // A, far from the head and submitted first, would lose an elevator sweep
-  // to the three near-head requests forever; under deadline it expires
-  // after 1 ms and jumps the sweep.
-  queue.submit(IoRequest{IoKind::kRead, 900 * mib, 4096}, Seconds{0.0});
-  queue.submit(IoRequest{IoKind::kRead, 1 * mib, 4096}, Seconds{0.001});
-  queue.submit(IoRequest{IoKind::kRead, 2 * mib, 4096}, Seconds{0.002});
-  queue.submit(IoRequest{IoKind::kRead, 3 * mib, 4096}, Seconds{0.003});
-  (void)queue.drain();
-  std::vector<CompletionRecord> records;
-  queue.poll(records);
-  ASSERT_EQ(records.size(), 4u);
-  // First pick (nothing expired yet): elevator-next near the head. By the
-  // time it completes, request A is long past its deadline and goes next.
-  EXPECT_EQ(records[0].offset, 1 * mib);
-  EXPECT_EQ(records[1].offset, 900 * mib);
 }
 
 TEST(AsyncQueue, FaultAtDepthLandsOnTheCorrectRecord) {
@@ -134,210 +63,28 @@ TEST(AsyncQueue, FaultAtDepthLandsOnTheCorrectRecord) {
   const std::uint64_t bad = util::gibibytes(2).value();
   config.bad_ranges = {{bad, 1u << 20}};
   FaultyDisk disk(inner, config);
-  AsyncBlockDevice queue(disk, AsyncDeviceConfig{4, IoSchedulerKind::kNoop});
+  AsyncBlockDevice queue(disk);
 
   const std::uint64_t mib = util::mebibytes(1).value();
-  queue.submit(IoRequest{IoKind::kRead, 10 * mib, 4096}, Seconds{0.0});
-  queue.submit(IoRequest{IoKind::kRead, bad + 4096, 4096}, Seconds{0.0});
-  queue.submit(IoRequest{IoKind::kRead, 20 * mib, 4096}, Seconds{0.0});
-  queue.submit(IoRequest{IoKind::kRead, 30 * mib, 4096}, Seconds{0.0});
-  (void)queue.drain();
-  std::vector<CompletionRecord> records;
-  queue.poll(records);
-  ASSERT_EQ(records.size(), 4u);
+  const std::vector<IoRequest> batch{
+      {IoKind::kRead, 10 * mib, 4096},
+      {IoKind::kRead, bad + 4096, 4096},
+      {IoKind::kRead, 20 * mib, 4096},
+      {IoKind::kRead, 30 * mib, 4096}};
+  EXPECT_THROW((void)queue.run_batch(batch, Seconds{0.0}), DeviceError);
+  const std::vector<CompletionRecord>& records = queue.last_batch();
+  ASSERT_EQ(records.size(), 4u);  // the rest of the batch was serviced
   int errors = 0;
-  for (const CompletionRecord& r : records) {
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const CompletionRecord& r = records[i];
     if (!r.ok) {
       ++errors;
       EXPECT_EQ(r.offset, bad + 4096);  // the fault pinned the right request
-      EXPECT_EQ(r.handle, 2u);
+      EXPECT_EQ(i, 1u);
       EXPECT_GE(r.complete.value(), r.start.value());  // time still passed
     }
   }
   EXPECT_EQ(errors, 1);
-  EXPECT_EQ(queue.stats().errors, 1u);
-}
-
-TEST(AsyncQueue, DrainCheckedThrowsTheRecordedError) {
-  HddModel inner{HddParams{}};
-  FaultConfig config;
-  config.bad_ranges = {{0, 1u << 20}};
-  FaultyDisk disk(inner, config);
-  AsyncBlockDevice queue(disk);
-  queue.submit(IoRequest{IoKind::kRead, 4096, 4096}, Seconds{0.0});
-  EXPECT_THROW((void)queue.drain_checked(), DeviceError);
-}
-
-TEST(AsyncQueue, FlushRequiresADrainedQueue) {
-  HddModel dev{HddParams{}};
-  AsyncBlockDevice queue(dev);
-  queue.submit(IoRequest{IoKind::kWrite, 0, 4096}, Seconds{0.0});
-  EXPECT_THROW((void)queue.flush(Seconds{0.0}), util::ContractViolation);
-  (void)queue.drain();
-  EXPECT_NO_THROW((void)queue.flush(queue.drain()));
-}
-
-TEST(AsyncQueue, OccupancyGaugeTracksPendingDepth) {
-  struct ObsGuard {
-    ~ObsGuard() { obs::set_enabled(false); }
-  } guard;
-  obs::set_enabled(true);
-  auto& gauge =
-      obs::Registry::global().gauge("storage.async.queue_occupancy");
-  HddModel dev{HddParams{}};
-  AsyncBlockDevice queue(dev);
-  queue.submit(IoRequest{IoKind::kRead, 0, 4096}, Seconds{0.0});
-  queue.submit(IoRequest{IoKind::kRead, 4096, 4096}, Seconds{0.0});
-  EXPECT_DOUBLE_EQ(gauge.value(), 2.0);
-  (void)queue.drain();
-  EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
-}
-
-// ---- NVMe: multiple submission queues ----
-
-TEST(Nvme, QueueCountIsFairAcrossChannels) {
-  NvmeParams params = nvme_default_params();
-  ASSERT_EQ(params.queues, 4u);
-  NvmeModel dev(params);
-  AsyncBlockDevice queue(dev);
-  // Four equal requests submitted together: the queue layer spreads them
-  // over the four channels, so every request starts at the batch start.
-  std::vector<IoRequest> batch;
-  for (int i = 0; i < 4; ++i) {
-    batch.push_back(IoRequest{IoKind::kRead,
-                              static_cast<std::uint64_t>(i) << 26, 1u << 26});
-  }
-  (void)queue.run_batch(batch, Seconds{0.0});
-  ASSERT_EQ(queue.last_batch().size(), 4u);
-  for (const CompletionRecord& r : queue.last_batch()) {
-    EXPECT_DOUBLE_EQ(r.start.value(), 0.0);
-  }
-}
-
-TEST(Nvme, MoreQueuesFinishParallelWindowsFaster) {
-  const auto makespan = [](std::size_t queues) {
-    NvmeParams params = nvme_default_params();
-    params.queues = queues;
-    NvmeModel dev(params);
-    AsyncBlockDevice queue(dev);
-    std::vector<IoRequest> batch;
-    for (int i = 0; i < 8; ++i) {
-      batch.push_back(IoRequest{
-          IoKind::kRead, static_cast<std::uint64_t>(i) << 26, 1u << 26});
-    }
-    return queue.run_batch(batch, Seconds{0.0}).value();
-  };
-  const double one = makespan(1);
-  const double four = makespan(4);
-  EXPECT_LT(four, one);
-}
-
-// ---- RAID0 ----
-
-TEST(Raid0, StripeMappingCoversEveryChildExactlyOnce) {
-  std::vector<std::unique_ptr<BlockDevice>> children;
-  for (int i = 0; i < 4; ++i) {
-    children.push_back(std::make_unique<HddModel>(HddParams{}));
-  }
-  Raid0Model raid(std::move(children));
-  const std::uint64_t stripe = raid.stripe().value();
-
-  // 8 whole stripes from stripe boundary: two per child, contiguous.
-  for (std::size_t c = 0; c < raid.child_count(); ++c) {
-    const auto extent = raid.child_extent(c, 0, 8 * stripe);
-    EXPECT_EQ(extent.length, 2 * stripe) << c;
-  }
-
-  // Random sub-ranges: the per-child extents always conserve the bytes.
-  util::Xoshiro256 rng{0x57121};
-  for (int trial = 0; trial < 200; ++trial) {
-    const std::uint64_t offset = rng.uniform_index(64 * stripe);
-    const std::uint64_t length = 1 + rng.uniform_index(16 * stripe);
-    std::uint64_t total = 0;
-    for (std::size_t c = 0; c < raid.child_count(); ++c) {
-      const auto extent = raid.child_extent(c, offset, length);
-      total += extent.length;
-      EXPECT_LE(extent.offset + extent.length,
-                raid.child(c).capacity().value());
-    }
-    EXPECT_EQ(total, length) << "offset=" << offset << " length=" << length;
-  }
-}
-
-TEST(Raid0, IntraStripeRequestTouchesOneChild) {
-  std::vector<std::unique_ptr<BlockDevice>> children;
-  for (int i = 0; i < 4; ++i) {
-    children.push_back(std::make_unique<HddModel>(HddParams{}));
-  }
-  Raid0Model raid(std::move(children));
-  const std::uint64_t stripe = raid.stripe().value();
-  // Second stripe lives on child 1 at child offset 0 (stripe 1 of 4).
-  std::size_t touched = 0;
-  for (std::size_t c = 0; c < raid.child_count(); ++c) {
-    const auto extent = raid.child_extent(c, stripe + 512, 1024);
-    if (extent.length > 0) {
-      ++touched;
-      EXPECT_EQ(c, 1u);
-      EXPECT_EQ(extent.offset, 512u);
-      EXPECT_EQ(extent.length, 1024u);
-    }
-  }
-  EXPECT_EQ(touched, 1u);
-}
-
-TEST(Raid0, ServiceBusiesEveryChildOnAFullStripeRow) {
-  std::vector<std::unique_ptr<BlockDevice>> children;
-  for (int i = 0; i < 4; ++i) {
-    children.push_back(std::make_unique<HddModel>(HddParams{}));
-  }
-  Raid0Model raid(std::move(children));
-  const std::uint64_t stripe = raid.stripe().value();
-  const Seconds end = raid.service(
-      IoRequest{IoKind::kRead, 0,
-                static_cast<std::uint32_t>(4 * stripe)},
-      Seconds{0.0});
-  EXPECT_GT(end.value(), 0.0);
-  for (std::size_t c = 0; c < raid.child_count(); ++c) {
-    EXPECT_EQ(raid.child(c).counters().reads, 1u) << c;
-    EXPECT_EQ(raid.child(c).counters().bytes_read.value(), stripe) << c;
-  }
-  EXPECT_EQ(raid.counters().reads, 1u);
-  EXPECT_EQ(raid.counters().bytes_read.value(), 4 * stripe);
-  EXPECT_FALSE(raid.activity().segments().empty());
-}
-
-TEST(Raid0, SingleChildVolumeIsTheChildBitForBit) {
-  HddModel bare{HddParams{}};
-  std::vector<std::unique_ptr<BlockDevice>> children;
-  children.push_back(std::make_unique<HddModel>(HddParams{}));
-  Raid0Model raid(std::move(children));
-
-  const std::vector<IoRequest> stream = mixed_stream(0x1AC5, 32);
-  Seconds tb{0.0};
-  Seconds tr{0.0};
-  for (const IoRequest& r : stream) {
-    tb = bare.service(r, tb);
-    tr = raid.service(r, tr);
-    EXPECT_EQ(tr.value(), tb.value());
-  }
-  tb = bare.flush(tb);
-  tr = raid.flush(tr);
-  EXPECT_EQ(tr.value(), tb.value());
-
-  EXPECT_EQ(raid.counters().reads, bare.counters().reads);
-  EXPECT_EQ(raid.counters().writes, bare.counters().writes);
-  EXPECT_EQ(raid.counters().bytes_read.value(),
-            bare.counters().bytes_read.value());
-  EXPECT_EQ(raid.counters().bytes_written.value(),
-            bare.counters().bytes_written.value());
-  const auto& sa = bare.activity().segments();
-  const auto& sb = raid.activity().segments();
-  ASSERT_EQ(sa.size(), sb.size());
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    EXPECT_EQ(sa[i].begin.value(), sb[i].begin.value()) << i;
-    EXPECT_EQ(sa[i].end.value(), sb[i].end.value()) << i;
-    EXPECT_EQ(sa[i].phase, sb[i].phase) << i;
-  }
 }
 
 }  // namespace

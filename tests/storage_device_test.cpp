@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "src/storage/activity_log.hpp"
-#include "src/storage/async_device.hpp"
 #include "src/storage/hdd.hpp"
 #include "src/storage/solid_state.hpp"
 #include "src/util/error.hpp"
@@ -169,32 +168,6 @@ TEST(Hdd, StreamingBrokenByHostGapPaysRotation) {
   const Seconds gap = t2 + util::milliseconds(2.0);
   const Seconds t3 = hdd.service(IoRequest{IoKind::kRead, 2 * len, len}, gap);
   EXPECT_GT((t3 - gap).value(), 1e-3);
-}
-
-TEST(Hdd, BatchServiceReordersLikeElevator) {
-  // A batch that ping-pongs across the platter costs less when the elevator
-  // sorts it into one sweep.
-  std::vector<IoRequest> batch;
-  for (int k = 0; k < 5; ++k) {
-    batch.push_back(IoRequest{
-        IoKind::kRead,
-        util::gibibytes(10 + static_cast<std::uint64_t>(k) * 20).value(),
-        16384});
-    batch.push_back(IoRequest{
-        IoKind::kRead,
-        util::gibibytes(400 - static_cast<std::uint64_t>(k) * 20).value(),
-        16384});
-  }
-  HddModel sorted_dev = make_hdd();
-  AsyncBlockDevice queue(sorted_dev);
-  const Seconds batch_end = queue.run_batch(batch, Seconds{0.0});
-
-  HddModel serial_dev = make_hdd();
-  Seconds t{0.0};
-  for (const auto& r : batch) {
-    t = serial_dev.service(r, t);
-  }
-  EXPECT_LT(batch_end.value(), t.value());
 }
 
 TEST(Hdd, RejectsOutOfRangeRequest) {

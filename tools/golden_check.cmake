@@ -26,7 +26,10 @@
 #            kernels are a pure performance substitution, end to end.
 #   figure   the bench, run in the empty WORK_DIR, exits 0 and prints
 #            exactly tools/golden/figures/<bench name>.txt on stdout (its
-#            stderr progress lines are not compared).
+#            stderr progress lines are not compared). Every file it writes
+#            there is pinned by SHA-256 in tools/golden/figures/<bench
+#            name>.sha256 ("<digest>  <path>" lines, sorted by path); a
+#            bench that writes no file has no such golden.
 #   perf_smoke  `bench_perf_harness --smoke` (no baseline, so no timing
 #            gate) exits 0 and prints all four of its metric rows; its one
 #            gate is serve's deterministic deliveries-per-render count.
@@ -112,6 +115,19 @@ elseif(CHECK STREQUAL "figure")
     message(FATAL_ERROR "${bench}: exit ${rc}")
   endif()
   same("${WORK_DIR}/stdout.txt" "${golden}/figures/${bench}.txt")
+  file(GLOB_RECURSE written RELATIVE "${WORK_DIR}" "${WORK_DIR}/*")
+  list(REMOVE_ITEM written stdout.txt)
+  set(pinned "${golden}/figures/${bench}.sha256")
+  if(written OR EXISTS "${pinned}")
+    list(SORT written)
+    set(digests "")
+    foreach(path ${written})
+      file(SHA256 "${WORK_DIR}/${path}" digest)
+      string(APPEND digests "${digest}  ${path}\n")
+    endforeach()
+    file(WRITE "${WORK_DIR}/written.sha256" "${digests}")
+    same("${WORK_DIR}/written.sha256" "${pinned}")
+  endif()
 elseif(CHECK STREQUAL "perf_smoke")
   execute_process(COMMAND "${BENCH}" --smoke WORKING_DIRECTORY "${WORK_DIR}"
                   OUTPUT_VARIABLE out ERROR_QUIET RESULT_VARIABLE rc)

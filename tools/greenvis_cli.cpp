@@ -39,7 +39,6 @@
 #include "src/replay/engine.hpp"
 #include "src/serve/session.hpp"
 #include "src/serve/viewer.hpp"
-#include "src/storage/async_device.hpp"
 #include "src/util/args.hpp"
 #include "src/util/error.hpp"
 #include "src/util/table.hpp"
@@ -56,22 +55,33 @@ void accept_only(const Args& args, std::vector<std::string> flags) {
   args.allow_only(flags);
 }
 
-std::vector<std::string> split_csv(const std::string& text) {
+/// Items of the comma-separated list option `--key`, split from `fallback`
+/// when the option is absent (no items when that is empty too). A given
+/// list may hold no empty item: `--grids=`, `--grids=,` or `--caps=150,,200`
+/// throws instead of quietly running fewer or default points.
+std::vector<std::string> list_option(const Args& args, const std::string& key,
+                                     const std::string& fallback) {
+  if (!args.has(key) && fallback.empty()) {
+    return {};
+  }
+  const std::string text = args.get(key, fallback);
   std::vector<std::string> out;
   std::size_t pos = 0;
-  while (pos <= text.size()) {
+  for (;;) {
     const std::size_t next = text.find(',', pos);
-    const std::string item = text.substr(
-        pos, next == std::string::npos ? std::string::npos : next - pos);
-    if (!item.empty()) {
-      out.push_back(item);
+    out.push_back(text.substr(
+        pos, next == std::string::npos ? std::string::npos : next - pos));
+    if (out.back().empty()) {
+      throw util::ContractViolation(
+          "option --" + key +
+          " expects a comma-separated list with no empty item, got '" + text +
+          "'");
     }
     if (next == std::string::npos) {
-      break;
+      return out;
     }
     pos = next + 1;
   }
-  return out;
 }
 
 /// `text` as a value of option `--key`: an integer at or above `min` that
@@ -147,7 +157,7 @@ template <typename T>
 std::vector<T> int_list(const Args& args, const std::string& key,
                         const std::string& fallback, long long min) {
   std::vector<T> out;
-  for (const std::string& item : split_csv(args.get(key, fallback))) {
+  for (const std::string& item : list_option(args, key, fallback)) {
     out.push_back(parse_int<T>(key, item, min));
   }
   return out;
@@ -158,7 +168,7 @@ std::vector<T> int_list(const Args& args, const std::string& key,
 std::vector<double> number_list(const Args& args, const std::string& key,
                                 double lo, bool open = false) {
   std::vector<double> out;
-  for (const std::string& item : split_csv(args.get(key, std::string{}))) {
+  for (const std::string& item : list_option(args, key, "")) {
     out.push_back(parse_number(key, item, lo, kNoMax, open));
   }
   return out;
@@ -184,7 +194,7 @@ std::optional<RunFlags> read_run_flags(const Args& args, bool snapshot_flags) {
     run.testbed.device = *kind;
   } else {
     std::cerr << "unknown --device '" << device
-              << "' (expected hdd|ssd|nvram|nvme|raid0)\n";
+              << "' (expected hdd|ssd|nvram)\n";
     return std::nullopt;
   }
   if (snapshot_flags) {
@@ -201,21 +211,9 @@ std::optional<RunFlags> read_run_flags(const Args& args, bool snapshot_flags) {
 
 int cmd_compare(const Args& args) {
   accept_only(args, {"case", "cap", "device", "io-ghz", "codec", "tolerance",
-                     "stage-buffers", "pipeline", "io-queue-depth",
-                     "io-sched"});
+                     "stage-buffers", "pipeline"});
   auto run = read_run_flags(args, true);
   if (!run) {
-    return 2;
-  }
-  core::TestbedConfig& config = run->testbed;
-  config.fs.io_queue.queue_depth =
-      int_option(args, "io-queue-depth", config.fs.io_queue.queue_depth, 0);
-  const std::string io_sched = args.get("io-sched", "device");
-  if (const auto sched = storage::parse_io_scheduler(io_sched)) {
-    config.fs.io_queue.scheduler = *sched;
-  } else {
-    std::cerr << "unknown --io-sched '" << io_sched
-              << "' (expected device|noop|elevator|deadline)\n";
     return 2;
   }
   const std::string pipeline = args.get("pipeline", "sync");
@@ -226,7 +224,7 @@ int cmd_compare(const Args& args) {
   }
   const bool async_post = pipeline == "async";
   const core::PipelineOptions& options = run->options;
-  const core::Experiment experiment(config);
+  const core::Experiment experiment(run->testbed);
   const core::CaseStudyConfig& workload = run->workload;
   std::cerr << "running " << workload.name << " (codec="
             << codec::kind_name(workload.snapshot_codec.kind)
@@ -432,11 +430,11 @@ int cmd_trace_template(const Args& args) {
 int cmd_campaign(const Args& args) {
   accept_only(args, {"pipelines", "grids", "periods", "iterations", "codecs",
                      "tolerances", "devices", "freqs", "io-freqs", "caps",
-                     "io-scheds", "io-queue-depths", "viewers", "journal",
-                     "resume", "threads", "shards", "limit", "out", "whatif"});
+                     "viewers", "journal", "resume", "threads", "shards",
+                     "limit", "out", "whatif"});
   campaign::CampaignSpec spec;
   for (const std::string& name :
-       split_csv(args.get("pipelines", "post,insitu"))) {
+       list_option(args, "pipelines", "post,insitu")) {
     if (name == "post") {
       spec.pipelines.push_back(core::PipelineKind::kPostProcessing);
     } else if (name == "async") {
@@ -452,32 +450,22 @@ int cmd_campaign(const Args& args) {
   spec.grids = int_list<std::size_t>(args, "grids", "128", 4);
   spec.io_periods = int_list<int>(args, "periods", "1,2,8", 1);
   spec.iterations = int_list<int>(args, "iterations", "50", 1);
-  for (const std::string& c : split_csv(args.get("codecs", "raw"))) {
+  for (const std::string& c : list_option(args, "codecs", "raw")) {
     spec.codecs.push_back(codec::parse_kind(c));
   }
   spec.tolerances = number_list(args, "tolerances", 0.0);
-  for (const std::string& d : split_csv(args.get("devices", "hdd"))) {
+  for (const std::string& d : list_option(args, "devices", "hdd")) {
     if (const auto kind = core::parse_storage_device(d)) {
       spec.devices.push_back(*kind);
     } else {
       std::cerr << "unknown device '" << d
-                << "' (expected hdd|ssd|nvram|nvme|raid0)\n";
+                << "' (expected hdd|ssd|nvram)\n";
       return 2;
     }
   }
   spec.frequencies = number_list(args, "freqs", 0.0, true);
   spec.io_frequencies = number_list(args, "io-freqs", 0.0);
   spec.package_caps = number_list(args, "caps", 0.0);
-  for (const std::string& s : split_csv(args.get("io-scheds", ""))) {
-    if (const auto kind = storage::parse_io_scheduler(s)) {
-      spec.io_scheds.push_back(*kind);
-    } else {
-      std::cerr << "unknown io scheduler '" << s
-                << "' (expected device|noop|elevator|deadline)\n";
-      return 2;
-    }
-  }
-  spec.io_queue_depths = int_list<std::size_t>(args, "io-queue-depths", "", 0);
   spec.viewer_counts = int_list<int>(args, "viewers", "", 0);
   const std::vector<campaign::CampaignConfig> configs = spec.expand();
 
@@ -799,9 +787,7 @@ commands:
           [--codec raw|delta|rle] [--tolerance T]
           [--pipeline sync|async] [--stage-buffers N]  (async = overlapped
                                                        snapshot staging)
-          [--device hdd|ssd|nvram|nvme|raid0]
-          [--io-queue-depth N]
-          [--io-sched device|noop|elevator|deadline]
+          [--device hdd|ssd|nvram]
   fio <seq-read|rand-read|seq-write|rand-write>
       [--size MIB] [--device hdd|ssd|nvram]           one fio job
   advise --accesses N --kib K --random F --reads F
@@ -810,9 +796,8 @@ commands:
   cluster [--nodes N] [--staging S] [--targets T]     multi-node study
   campaign [--pipelines post,async,insitu] [--grids G,..] [--periods P,..]
       [--iterations N,..] [--codecs raw,delta,rle] [--tolerances T,..]
-      [--devices hdd,ssd,nvram,nvme,raid0] [--freqs F,..] [--io-freqs F,..]
-      [--caps W,..] [--io-scheds device,noop,elevator,deadline]
-      [--io-queue-depths N,..] [--viewers N,..]
+      [--devices hdd,ssd,nvram] [--freqs F,..] [--io-freqs F,..]
+      [--caps W,..] [--viewers N,..]
       [--out FILE] [--journal FILE] [--resume]
       [--limit N] [--shards N] [--threads N] [--whatif]
                                                       parameter sweep with a
@@ -820,12 +805,12 @@ commands:
                                                       resumable journal
   profile [--case 1|2|3] [--pipeline sync|async|insitu] [--codec raw|delta|rle]
       [--tolerance T] [--stage-buffers N] [--cap W] [--io-ghz F]
-      [--device hdd|ssd|nvram|nvme|raid0]
+      [--device hdd|ssd|nvram]
       [--top N] [--out FILE]                          span-level joule
                                                       attribution table +
                                                       ENERGY_profile.json
   serve [--case 1|2|3] [--viewers N] [--views G] [--link-mbps MB]
-      [--cap W] [--device hdd|ssd|nvram|nvme|raid0] [--out FILE]
+      [--cap W] [--device hdd|ssd|nvram] [--out FILE]
                                                       serve N viewer streams,
                                                       each unique view
                                                       rendered once per step;
