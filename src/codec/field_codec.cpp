@@ -224,7 +224,7 @@ std::span<T> scratch(std::vector<T>& buf, std::size_t count) {
 
 }  // namespace
 
-Kind parse_kind(const std::string& name) {
+std::optional<Kind> parse_kind(const std::string& name) {
   if (name == "raw") {
     return Kind::kRaw;
   }
@@ -234,8 +234,7 @@ Kind parse_kind(const std::string& name) {
   if (name == "rle") {
     return Kind::kRle;
   }
-  GREENVIS_REQUIRE_MSG(false, "unknown codec '" + name +
-                                  "' (expected raw|delta|rle)");
+  return std::nullopt;
 }
 
 const char* kind_name(Kind kind) {

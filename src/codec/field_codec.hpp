@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -71,8 +72,9 @@ struct CodecConfig {
   std::size_t chunk_edge{32};
 };
 
-/// Parse "raw" | "delta" | "rle" (throws ContractViolation otherwise).
-[[nodiscard]] Kind parse_kind(const std::string& name);
+/// Inverse of kind_name over "raw" | "delta" | "rle"; nullopt for any other
+/// name.
+[[nodiscard]] std::optional<Kind> parse_kind(const std::string& name);
 [[nodiscard]] const char* kind_name(Kind kind);
 
 struct EncodeStats {

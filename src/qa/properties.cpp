@@ -939,8 +939,11 @@ void register_serve_properties() {
 // render_pseudocolor_into must give, bit for bit, what sampling every pixel
 // through the public bilinear_sample + ColorMap::map_range gives: over
 // 1-pixel and 1-cell axes, every palette, empty and inverted ranges, fields
-// holding NaN, ±Inf and ±1e300, serial and pooled, with the column table
-// allocated per call or passed in as scratch.
+// holding NaN, ±Inf and ±1e300, values whose normalized t lands on or one
+// ulp beside a lookup-table bin edge or a palette stop, lo and hi
+// themselves, frames up to 300 pixels from fields of at most 40 cells,
+// serial and pooled, with the column table allocated per call or passed in
+// as scratch.
 
 void register_vis_properties() {
   struct RasterCase {
@@ -955,8 +958,11 @@ void register_vis_properties() {
     RasterCase rc;
     rc.nx = static_cast<std::size_t>(c.draw_range(1, 40));
     rc.ny = static_cast<std::size_t>(c.draw_range(1, 40));
-    rc.width = static_cast<std::size_t>(c.draw_range(1, 80));
-    rc.height = static_cast<std::size_t>(c.draw_range(1, 80));
+    // One case in four upsamples to 300 pixels, so pooled chunks of many
+    // pixels per cell reach the lookup table's fallback.
+    const std::uint64_t max_pixels = c.draw_below(4) == 3 ? 300 : 80;
+    rc.width = static_cast<std::size_t>(c.draw_range(1, max_pixels));
+    rc.height = static_cast<std::size_t>(c.draw_range(1, max_pixels));
     rc.palette = static_cast<vis::Palette>(c.draw_below(3));
     // 0: finite fields only; otherwise about k/16 of the cells are special.
     const std::uint64_t special_per_16 = c.draw_below(4);
@@ -985,6 +991,44 @@ void register_vis_properties() {
         rc.lo = *std::min_element(rc.values.begin(), rc.values.end());
         rc.hi = *std::max_element(rc.values.begin(), rc.values.end());
         break;
+    }
+    // 0: none; otherwise about k/16 of the cells (never lo or hi, which
+    // stay the extremes) take a value whose t is a bin edge or a stop, or
+    // lo or hi, then nudged up or down one ulp or left, and kept in range.
+    const std::uint64_t edges_per_16 = c.draw_below(4);
+    const double range = rc.hi - rc.lo;
+    if (edges_per_16 > 0 && range > 0.0 && std::isfinite(range)) {
+      const vis::ColorMap palette = vis::make_palette(rc.palette);
+      const vis::ColorMap::Flat stops = palette.flat();
+      const double bins = static_cast<double>(vis::ColorMap::kBins);
+      for (double& v : rc.values) {
+        if (v == rc.lo || v == rc.hi ||
+            rng.uniform_index(16) >= edges_per_16) {
+          continue;
+        }
+        switch (rng.uniform_index(4)) {
+          case 0:
+            v = rc.lo + static_cast<double>(rng.uniform_index(
+                            vis::ColorMap::kBins + 1)) /
+                            bins * range;
+            break;
+          case 1:
+            v = rc.lo + stops.pos[rng.uniform_index(stops.count)] * range;
+            break;
+          case 2:
+            v = rc.lo;
+            break;
+          default:
+            v = rc.hi;
+            break;
+        }
+        const std::uint64_t nudge = rng.uniform_index(3);
+        if (nudge != 0) {
+          v = std::nextafter(v, (nudge == 1 ? -1.0 : 1.0) *
+                                    std::numeric_limits<double>::infinity());
+        }
+        v = std::clamp(v, rc.lo, rc.hi);
+      }
     }
     rc.pooled = c.draw_bool();
     return rc;

@@ -58,9 +58,10 @@ IsaPath parse_name(const std::string& name, IsaPath detected,
   if (name == "avx2") {
     return IsaPath::kAvx2;
   }
-  GREENVIS_REQUIRE_MSG(false, source + ": unknown path '" + name +
-                                  "' (scalar|avx2|auto)");
-  return IsaPath::kScalar;  // unreachable
+  // The name is user input: a failed precondition would print this file's
+  // path instead of naming only the source.
+  throw util::ContractViolation(source + ": unknown path '" + name +
+                                "' (scalar|avx2|auto)");
 }
 
 struct Dispatcher {
@@ -74,10 +75,12 @@ struct Dispatcher {
     }
     const std::string name(env);
     const IsaPath forced = parse_name(name, detected, "GREENVIS_SIMD");
-    GREENVIS_REQUIRE_MSG(supported_on(forced, detected),
-                         "GREENVIS_SIMD=" + name +
-                             " is not supported on this host (detected " +
-                             path_name(detected) + ")");
+    if (!supported_on(forced, detected)) {
+      throw util::ContractViolation("GREENVIS_SIMD=" + name +
+                                    " is not supported on this host "
+                                    "(detected " +
+                                    std::string(path_name(detected)) + ")");
+    }
     active.store(table_or_null(forced), std::memory_order_relaxed);
   }
 };

@@ -119,8 +119,8 @@ struct KernelTable {
 };
 
 [[nodiscard]] const char* path_name(IsaPath path);
-/// Parse "scalar|avx2|auto" ("auto" = detected best); REQUIREs a known
-/// name.
+/// Parse "scalar|avx2|auto" ("auto" = detected best); an unknown name
+/// throws ContractViolation.
 [[nodiscard]] IsaPath parse_path(const std::string& name);
 /// Scalar is always supported; AVX2 when its TU was compiled for this target
 /// AND the CPU reports the feature (i.e. it is the detected path).

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 namespace greenvis::vis {
@@ -67,6 +68,35 @@ class ColorMap {
     }
   };
 
+  /// Bins of the lookup table over the normalized value: bin k holds every
+  /// double in [k / kBins, (k + 1) / kBins), and one entry more holds 1.0.
+  static constexpr std::size_t kBins = std::size_t{1} << 14;
+
+  /// One lookup-table entry: the color Flat::map gives every t in the bin,
+  /// valid only when `exact` (see DESIGN.md §3j for why it is exact).
+  struct Bin {
+    Rgb rgb;
+    bool exact{false};
+  };
+
+  /// The lookup table beside the stops it falls back on, by value like
+  /// Flat. `map` equals Flat::map for every double, NaN included.
+  struct Lookup {
+    const Bin* bins;  // kBins + 1 entries
+    Flat flat;
+
+    [[nodiscard]] Rgb map(double t) const {
+      t = std::clamp(t, 0.0, 1.0);
+      if (std::isnan(t)) {
+        return flat.map(t);  // no bin; the cast below would be undefined
+      }
+      // t * kBins is exact (a power of two), so the cast is floor.
+      const Bin bin = bins[static_cast<std::size_t>(t * double{kBins})];
+      return bin.exact ? bin.rgb : flat.map(t);
+    }
+  };
+
+  /// Validates the stops and builds the lookup table from them.
   explicit ColorMap(const std::vector<Stop>& stops);
 
   /// Map a normalized value (clamped to [0, 1]; NaN maps to channel 0).
@@ -81,7 +111,8 @@ class ColorMap {
   }
 
   /// The classic blue-white-red diverging map (ParaView's default look for
-  /// temperature fields).
+  /// temperature fields). Each built-in map is built once per process, and
+  /// its copies share its lookup table.
   [[nodiscard]] static ColorMap cool_warm();
   /// Black-red-yellow-white "hot" map.
   [[nodiscard]] static ColorMap hot();
@@ -93,9 +124,13 @@ class ColorMap {
     return Flat{p, p + n, p + 2 * n, p + 3 * n, n};
   }
 
+  [[nodiscard]] Lookup lookup() const { return Lookup{bins_->data(), flat()}; }
+
  private:
   /// The validated stops, once: n positions, then n reds, greens, blues.
   std::vector<double> soa_;
+  /// kBins + 1 entries, immutable, shared by every copy of this map.
+  std::shared_ptr<const std::vector<Bin>> bins_;
 };
 
 }  // namespace greenvis::vis

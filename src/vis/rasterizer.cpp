@@ -60,16 +60,17 @@ struct RowPlan {
   AxisMap my;
   const ColumnTap* taps;
   std::size_t width;
-  ColorMap::Flat colors;
+  ColorMap::Lookup colors;
   double lo;
   double range;  // hi - lo; ranges with hi <= lo never reach the row loop
   Rgb* pixels;
 };
 
 /// Rows [y_begin, y_end): one row tap, then per pixel the two column taps
-/// of each row and the colormap. The interpolation is bilinear_sample's
-/// expression term for term, and (v - lo) / range is map_range's, so every
-/// pixel is bit-identical to the per-pixel definition.
+/// of each row and the colormap's lookup table. The interpolation is
+/// bilinear_sample's expression term for term, (v - lo) / range is
+/// map_range's, and the table equals Flat::map, so every pixel is
+/// bit-identical to the per-pixel definition.
 void raster_rows(const RowPlan p, std::size_t y_begin, std::size_t y_end) {
   const double max_y = static_cast<double>(p.ny - 1);
   for (std::size_t y = y_begin; y < y_end; ++y) {
@@ -138,7 +139,7 @@ void render_pseudocolor_into(const util::Field2D& field, const ColorMap& cmap,
                      .my = axis_map(field.ny(), height),
                      .taps = taps.data(),
                      .width = width,
-                     .colors = cmap.flat(),
+                     .colors = cmap.lookup(),
                      .lo = lo,
                      .range = hi - lo,
                      .pixels = &image.at(0, 0)};

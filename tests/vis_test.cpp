@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -14,6 +16,7 @@
 #include "src/serve/viewer.hpp"
 #include "src/util/checksum.hpp"
 #include "src/util/error.hpp"
+#include "src/util/rng.hpp"
 #include "src/vis/color.hpp"
 #include "src/vis/contour.hpp"
 #include "src/vis/filters.hpp"
@@ -105,6 +108,79 @@ TEST(ColorMap, RoundChannelMatchesLround) {
           << v;
     }
   }
+}
+
+// ---------- colormap lookup table ----------
+
+/// Every exact entry of the table equals Flat::map at its bin's first and
+/// last doubles and at 64 random doubles inside (half drawn by value, half
+/// by bit pattern, which reaches the subnormals of bin 0); every bin holding
+/// an interior stop is inexact; the ends, -0.0 and NaN map as Flat::map.
+void expect_table_exact(const ColorMap& cmap) {
+  const ColorMap::Flat flat = cmap.flat();
+  const ColorMap::Lookup lut = cmap.lookup();
+  const double n = static_cast<double>(ColorMap::kBins);
+  util::Xoshiro256 rng{29};
+  std::size_t exact = 0;
+  for (std::size_t k = 0; k <= ColorMap::kBins; ++k) {
+    const ColorMap::Bin bin = lut.bins[k];
+    if (!bin.exact) {
+      continue;
+    }
+    ++exact;
+    const double first = static_cast<double>(k) / n;
+    const double last =
+        k == ColorMap::kBins
+            ? 1.0
+            : std::nextafter(static_cast<double>(k + 1) / n, 0.0);
+    ASSERT_EQ(bin.rgb, flat.map(first)) << "bin " << k;
+    ASSERT_EQ(bin.rgb, flat.map(last)) << "bin " << k;
+    const auto lo_bits = std::bit_cast<std::uint64_t>(first);
+    const auto hi_bits = std::bit_cast<std::uint64_t>(last);
+    for (int i = 0; i < 64; ++i) {
+      const double t =
+          i % 2 == 0
+              ? std::clamp(rng.uniform(first, last), first, last)
+              : std::bit_cast<double>(
+                    lo_bits + rng.next() % (hi_bits - lo_bits + 1));
+      ASSERT_EQ(bin.rgb, flat.map(t)) << "bin " << k << " t " << t;
+      ASSERT_EQ(lut.map(t), flat.map(t)) << "bin " << k << " t " << t;
+    }
+  }
+  EXPECT_GT(exact, ColorMap::kBins / 2);
+  for (std::size_t s = 1; s + 1 < flat.count; ++s) {
+    EXPECT_FALSE(lut.bins[static_cast<std::size_t>(flat.pos[s] * n)].exact)
+        << "stop " << s;
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double t : {1.0, 0.0, -0.0, -1.0, 2.0, inf, -inf,
+                         std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_EQ(lut.map(t), flat.map(t)) << t;
+  }
+}
+
+TEST(ColorMapLookup, BuiltInTablesAreExact) {
+  expect_table_exact(ColorMap::cool_warm());
+  expect_table_exact(ColorMap::hot());
+  expect_table_exact(ColorMap::grayscale());
+}
+
+TEST(ColorMapLookup, OffGridStopsAreExact) {
+  // Five stops off the bin grid, with falling and flat channels.
+  const ColorMap cmap({{0.0, 0.9, 0.1, 0.5},
+                       {0.1, 0.2, 0.8, 0.5},
+                       {1.0 / 3.0, 0.7, 0.3, 0.5},
+                       {0.6180339887498949, 0.0, 1.0, 0.25},
+                       {1.0, 1.0, 0.0, 0.75}});
+  expect_table_exact(cmap);
+}
+
+TEST(ColorMapLookup, CopiesShareTheTable) {
+  EXPECT_EQ(ColorMap::cool_warm().lookup().bins,
+            ColorMap::cool_warm().lookup().bins);
+  const ColorMap hot = ColorMap::hot();
+  const ColorMap copy = hot;
+  EXPECT_EQ(copy.lookup().bins, hot.lookup().bins);
 }
 
 TEST(ColorMap, RejectsBadStops) {

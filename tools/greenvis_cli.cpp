@@ -134,6 +134,33 @@ double parse_number(const std::string& key, const std::string& text,
   return v;
 }
 
+/// Throws the error for `text`, a value of option `--key` that names none of
+/// the `expected` choices.
+[[noreturn]] void unknown_value(const std::string& key, const std::string& text,
+                                const char* expected) {
+  throw util::ContractViolation("unknown --" + key + " '" + text +
+                                "' (expected " + expected + ")");
+}
+
+/// `text` as a value of device option `--key`.
+core::StorageDeviceKind parse_device(const std::string& key,
+                                     const std::string& text) {
+  const auto kind = core::parse_storage_device(text);
+  if (!kind) {
+    unknown_value(key, text, "hdd|ssd|nvram");
+  }
+  return *kind;
+}
+
+/// `text` as a value of codec option `--key`.
+codec::Kind parse_codec(const std::string& key, const std::string& text) {
+  const auto kind = codec::parse_kind(text);
+  if (!kind) {
+    unknown_value(key, text, "raw|delta|rle");
+  }
+  return *kind;
+}
+
 /// Integer option `--key`, `fallback` when absent (see parse_int).
 template <typename T>
 T int_option(const Args& args, const std::string& key, T fallback,
@@ -183,26 +210,22 @@ struct RunFlags {
 
 /// The one reader of the run flags: --case, --cap and --device always, and
 /// with `snapshot_flags` also --io-ghz, --codec, --tolerance and
-/// --stage-buffers. Prints the error and returns nullopt on an unknown
-/// device.
-std::optional<RunFlags> read_run_flags(const Args& args, bool snapshot_flags) {
+/// --stage-buffers.
+RunFlags read_run_flags(const Args& args, bool snapshot_flags) {
   RunFlags run;
-  run.workload = core::case_study(int_option(args, "case", 1, 1));
-  run.testbed.package_cap = util::Watts{number_option(args, "cap", 0.0, 0.0)};
-  const std::string device = args.get("device", "hdd");
-  if (const auto kind = core::parse_storage_device(device)) {
-    run.testbed.device = *kind;
-  } else {
-    std::cerr << "unknown --device '" << device
-              << "' (expected hdd|ssd|nvram)\n";
-    return std::nullopt;
+  const int case_no = int_option(args, "case", 1, 1);
+  if (case_no > 3) {
+    unknown_value("case", args.get("case", std::string{}), "1|2|3");
   }
+  run.workload = core::case_study(case_no);
+  run.testbed.package_cap = util::Watts{number_option(args, "cap", 0.0, 0.0)};
+  run.testbed.device = parse_device("device", args.get("device", "hdd"));
   if (snapshot_flags) {
     run.testbed.io_frequency_ghz = number_option(args, "io-ghz", 0.0, 0.0);
     run.options.stage_buffers =
         int_option(args, "stage-buffers", run.options.stage_buffers, 1);
     run.workload.snapshot_codec.kind =
-        codec::parse_kind(args.get("codec", "raw"));
+        parse_codec("codec", args.get("codec", "raw"));
     run.workload.snapshot_codec.tolerance = number_option(
         args, "tolerance", run.workload.snapshot_codec.tolerance, 0.0);
   }
@@ -212,20 +235,15 @@ std::optional<RunFlags> read_run_flags(const Args& args, bool snapshot_flags) {
 int cmd_compare(const Args& args) {
   accept_only(args, {"case", "cap", "device", "io-ghz", "codec", "tolerance",
                      "stage-buffers", "pipeline"});
-  auto run = read_run_flags(args, true);
-  if (!run) {
-    return 2;
-  }
+  const RunFlags run = read_run_flags(args, true);
   const std::string pipeline = args.get("pipeline", "sync");
   if (pipeline != "sync" && pipeline != "async") {
-    std::cerr << "unknown --pipeline '" << pipeline
-              << "' (expected sync or async)\n";
-    return 2;
+    unknown_value("pipeline", pipeline, "sync|async");
   }
   const bool async_post = pipeline == "async";
-  const core::PipelineOptions& options = run->options;
-  const core::Experiment experiment(run->testbed);
-  const core::CaseStudyConfig& workload = run->workload;
+  const core::PipelineOptions& options = run.options;
+  const core::Experiment experiment(run.testbed);
+  const core::CaseStudyConfig& workload = run.workload;
   std::cerr << "running " << workload.name << " (codec="
             << codec::kind_name(workload.snapshot_codec.kind)
             << ", post pipeline=" << pipeline << ")...\n";
@@ -284,8 +302,9 @@ int cmd_fio(const Args& args) {
       {"rand-write", fio::RwMode::kRandomWrite}};
   const auto it = modes.find(args.positional()[0]);
   if (it == modes.end()) {
-    std::cerr << "unknown fio mode '" << args.positional()[0] << "'\n";
-    return 2;
+    throw util::ContractViolation(
+        "unknown fio mode '" + args.positional()[0] +
+        "' (expected seq-read|rand-read|seq-write|rand-write)");
   }
   const std::map<std::string, fio::DeviceKind> devices{
       {"hdd", fio::DeviceKind::kHdd},
@@ -294,9 +313,7 @@ int cmd_fio(const Args& args) {
   const std::string device = args.get("device", "hdd");
   const auto dev = devices.find(device);
   if (dev == devices.end()) {
-    std::cerr << "unknown --device '" << device
-              << "' (expected hdd|ssd|nvram)\n";
-    return 2;
+    unknown_value("device", device, "hdd|ssd|nvram");
   }
   fio::FioRunnerConfig config;
   config.device = dev->second;
@@ -360,8 +377,7 @@ int cmd_replay(const Args& args) {
     } else if (which == "xrage") {
       text = replay::xrage_like_trace();
     } else {
-      std::cerr << "unknown builtin '" << which << "' (mpas|xrage)\n";
-      return 2;
+      unknown_value("builtin", which, "mpas|xrage");
     }
   } else if (!args.positional().empty()) {
     std::ifstream file(args.positional()[0]);
@@ -442,26 +458,18 @@ int cmd_campaign(const Args& args) {
     } else if (name == "insitu") {
       spec.pipelines.push_back(core::PipelineKind::kInSitu);
     } else {
-      std::cerr << "unknown pipeline '" << name
-                << "' (expected post|async|insitu)\n";
-      return 2;
+      unknown_value("pipelines", name, "post|async|insitu");
     }
   }
   spec.grids = int_list<std::size_t>(args, "grids", "128", 4);
   spec.io_periods = int_list<int>(args, "periods", "1,2,8", 1);
   spec.iterations = int_list<int>(args, "iterations", "50", 1);
   for (const std::string& c : list_option(args, "codecs", "raw")) {
-    spec.codecs.push_back(codec::parse_kind(c));
+    spec.codecs.push_back(parse_codec("codecs", c));
   }
   spec.tolerances = number_list(args, "tolerances", 0.0);
   for (const std::string& d : list_option(args, "devices", "hdd")) {
-    if (const auto kind = core::parse_storage_device(d)) {
-      spec.devices.push_back(*kind);
-    } else {
-      std::cerr << "unknown device '" << d
-                << "' (expected hdd|ssd|nvram)\n";
-      return 2;
-    }
+    spec.devices.push_back(parse_device("devices", d));
   }
   spec.frequencies = number_list(args, "freqs", 0.0, true);
   spec.io_frequencies = number_list(args, "io-freqs", 0.0);
@@ -472,8 +480,7 @@ int cmd_campaign(const Args& args) {
   campaign::ResultCache cache;
   const std::string journal_path = args.get("journal", "");
   if (args.has("resume") && journal_path.empty()) {
-    std::cerr << "--resume requires --journal=FILE\n";
-    return 2;
+    throw util::ContractViolation("option --resume requires --journal=FILE");
   }
   std::optional<std::ofstream> journal_out;
   if (!journal_path.empty()) {
@@ -580,10 +587,7 @@ int cmd_campaign(const Args& args) {
 int cmd_profile(const Args& args) {
   accept_only(args, {"case", "cap", "device", "io-ghz", "codec", "tolerance",
                      "stage-buffers", "pipeline", "top", "out"});
-  const auto run = read_run_flags(args, true);
-  if (!run) {
-    return 2;
-  }
+  const RunFlags run = read_run_flags(args, true);
   const std::string pipeline = args.get("pipeline", "sync");
   core::PipelineKind kind = core::PipelineKind::kPostProcessing;
   if (pipeline == "async") {
@@ -591,16 +595,14 @@ int cmd_profile(const Args& args) {
   } else if (pipeline == "insitu") {
     kind = core::PipelineKind::kInSitu;
   } else if (pipeline != "sync") {
-    std::cerr << "unknown --pipeline '" << pipeline
-              << "' (expected sync, async or insitu)\n";
-    return 2;
+    unknown_value("pipeline", pipeline, "sync|async|insitu");
   }
-  const core::CaseStudyConfig& workload = run->workload;
+  const core::CaseStudyConfig& workload = run.workload;
 
   obs::set_energy_profiler_enabled(true);
   std::cerr << "profiling " << workload.name << " (" << pipeline << ")...\n";
-  const core::Experiment experiment(run->testbed);
-  const auto metrics = experiment.run(kind, workload, run->options);
+  const core::Experiment experiment(run.testbed);
+  const auto metrics = experiment.run(kind, workload, run.options);
   const obs::EnergyReport& rep = metrics.attribution;
 
   util::TextTable t(
@@ -654,16 +656,14 @@ int cmd_serve(const Args& args) {
   const int viewers = int_option(args, "viewers", 16, 1);
   const int views = int_option(args, "views", 4, 1);
   if (views > viewers) {
-    std::cerr << "expected --views <= --viewers\n";
-    return 2;
+    throw util::ContractViolation("option --views expects at most --viewers (" +
+                                  std::to_string(viewers) + "), got '" +
+                                  std::to_string(views) + "'");
   }
-  const auto run = read_run_flags(args, false);
-  if (!run) {
-    return 2;
-  }
+  const RunFlags run = read_run_flags(args, false);
 
   serve::ServeConfig config;
-  config.base = run->workload;
+  config.base = run.workload;
   config.viewers = serve::default_fleet(viewers, views);
   config.delivery_mb_per_s = number_option(
       args, "link-mbps", config.delivery_mb_per_s, 0.0, kNoMax, true);
@@ -685,7 +685,7 @@ int cmd_serve(const Args& args) {
   std::cerr << "serving " << config.base.name << " to " << viewers
             << " viewers (" << views << " view groups)...\n";
   const serve::ServeReport report =
-      serve::run_serve_with_baseline(config, run->testbed);
+      serve::run_serve_with_baseline(config, run.testbed);
 
   util::TextTable t({"Viewer", "Frames", "MB", "Render (s)", "Render (J)",
                      "Encode (J)", "Deliver (J)", "Total (J)"});
@@ -734,7 +734,7 @@ int cmd_verify(const Args& args) {
   }
 
   qa::ConformanceOptions options;
-  options.snapshot_codec.kind = codec::parse_kind(args.get("codec", "raw"));
+  options.snapshot_codec.kind = parse_codec("codec", args.get("codec", "raw"));
   options.snapshot_codec.tolerance = number_option(
       args, "tolerance", options.snapshot_codec.tolerance, 0.0);
   options.build_label = args.get("label", "default");
