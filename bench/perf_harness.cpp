@@ -130,14 +130,12 @@ struct CodecBench {
 };
 
 /// Delta-codec throughput over a 512 x 512 field, reported as uncompressed
-/// MB/s through each direction. With a pool the per-chunk encode fans out
-/// across the workers (bit-identical output, same container bytes).
-CodecBench codec_throughput(int reps, util::ThreadPool* pool) {
+/// MB/s through each direction.
+CodecBench codec_throughput(int reps) {
   const util::Field2D f = smooth_field(512);
   codec::CodecConfig cfg;
   cfg.kind = codec::Kind::kDelta;
   codec::FieldCodec enc(cfg);
-  enc.set_pool(pool);
   std::vector<std::uint8_t> blob;
 
   const int iters = 32 * reps;
@@ -456,8 +454,7 @@ constexpr double kPreSimdCodecMbps = 1708.473;
 
 void write_json(const std::string& path, const std::vector<KernelRow>& rows,
                 const std::vector<SimdRow>& simd_rows, double pool1_serial,
-                double pool1_degenerate,
-                const CodecBench& cdc, double encode_pool_mbps,
+                double pool1_degenerate, const CodecBench& cdc,
                 const std::vector<double>& case_ratios,
                 const std::vector<double>& fig10_raw_s,
                 const std::vector<double>& fig10_delta_s,
@@ -481,7 +478,6 @@ void write_json(const std::string& path, const std::vector<KernelRow>& rows,
      << ", \"pool1_mpixels_per_s\": " << pool1_degenerate
      << ", \"speedup\": " << pool1_degenerate / pool1_serial << "},\n";
   os << "  \"codec\": {\"encode_mbps\": " << cdc.encode_mbps
-     << ", \"encode_mbps_pool\": " << encode_pool_mbps
      << ", \"decode_mbps\": " << cdc.decode_mbps
      << ", \"smooth_ratio\": " << cdc.ratio;
   for (std::size_t n = 0; n < case_ratios.size(); ++n) {
@@ -585,7 +581,7 @@ int run_smoke(const std::string& baseline_path) {
        r < 12 && !(r >= 2 && cdc.encode_mbps >= enc_floor &&
                    cdc.decode_mbps >= dec_floor);
        ++r) {
-    const CodecBench b = codec_throughput(1, nullptr);
+    const CodecBench b = codec_throughput(1);
     cdc.encode_mbps = std::max(cdc.encode_mbps, b.encode_mbps);
     cdc.decode_mbps = std::max(cdc.decode_mbps, b.decode_mbps);
     cdc.ratio = b.ratio;
@@ -726,30 +722,15 @@ int main(int argc, char** argv) try {
   std::cerr << "[perf] codec throughput...\n";
   CodecBench cdc;
   for (int r = 0; r < reps; ++r) {
-    const CodecBench b = codec_throughput(quick ? 1 : 2, nullptr);
+    const CodecBench b = codec_throughput(quick ? 1 : 2);
     cdc.encode_mbps = std::max(cdc.encode_mbps, b.encode_mbps);
     cdc.decode_mbps = std::max(cdc.decode_mbps, b.decode_mbps);
     cdc.ratio = b.ratio;
   }
   cdc.encode_mbps = std::max(
       cdc.encode_mbps,
-      best_until([&] { return codec_throughput(quick ? 1 : 2, nullptr)
-                           .encode_mbps; },
+      best_until([&] { return codec_throughput(quick ? 1 : 2).encode_mbps; },
                  2.0 * kPreSimdCodecMbps));
-  std::cerr << "[perf] codec throughput, pooled encode...\n";
-  double encode_pool_mbps = cdc.encode_mbps;
-  if (!degenerate_pool) {
-    encode_pool_mbps = 0.0;
-    for (int r = 0; r < reps; ++r) {
-      encode_pool_mbps = std::max(
-          encode_pool_mbps, codec_throughput(quick ? 1 : 2, &pool).encode_mbps);
-    }
-  }
-  GREENVIS_REQUIRE_MSG(encode_pool_mbps >= cdc.encode_mbps,
-                       "pooled codec encode slower than serial: " +
-                           std::to_string(encode_pool_mbps) + " < " +
-                           std::to_string(cdc.encode_mbps) +
-                           " MB/s (gate: pool >= serial)");
 
   // Per-ISA throughput of the two gated kernels, scalar first. The scalar
   // row is what the compiler's autovectorizer achieves on the plain loops;
@@ -764,7 +745,7 @@ int main(int argc, char** argv) try {
     srow.heat_mcups = best([&] { return heat2d_mcups(512, 10, 2, nullptr); });
     for (int r = 0; r < reps; ++r) {
       srow.encode_mbps = std::max(
-          srow.encode_mbps, codec_throughput(quick ? 1 : 2, nullptr).encode_mbps);
+          srow.encode_mbps, codec_throughput(quick ? 1 : 2).encode_mbps);
     }
     simd_rows.push_back(srow);
   }
@@ -875,9 +856,6 @@ int main(int argc, char** argv) try {
   t.add_row({"codec_512 (delta)", util::cell(cdc.encode_mbps, 1),
              util::cell(cdc.decode_mbps, 1), util::cell(cdc.ratio, 2),
              "enc/dec MB/s, ratio"});
-  t.add_row({"codec_512 encode pool", util::cell(cdc.encode_mbps, 1),
-             util::cell(encode_pool_mbps, 1),
-             util::cell(encode_pool_mbps / cdc.encode_mbps, 2), "MB/s"});
   t.add_row({"async_overlap case1", util::cell(overlap.sync_s, 1),
              util::cell(overlap.async_s, 1), util::cell(overlap.speedup(), 2),
              "virtual s (lower=better)"});
@@ -931,9 +909,9 @@ int main(int argc, char** argv) try {
             << srv.frames_delivered << " deliveries / " << srv.host_renders
             << " renders), marginal "
             << util::cell(srv.marginal_j_per_viewer, 1) << " J/viewer\n";
-  write_json(out, rows, simd_rows, p1_serial, p1_degen, cdc, encode_pool_mbps,
-             case_ratios, fig10_raw_s, fig10_delta_s, overlap, batch_serial,
-             batch_conc, camp, srv, obs_row, prof);
+  write_json(out, rows, simd_rows, p1_serial, p1_degen, cdc, case_ratios,
+             fig10_raw_s, fig10_delta_s, overlap, batch_serial, batch_conc,
+             camp, srv, obs_row, prof);
   std::cout << "\nwrote " << out << '\n';
   return 0;
 } catch (const std::exception& e) {

@@ -5,7 +5,6 @@
 #include <cstring>
 
 #include "src/util/simd/simd.hpp"
-#include "src/util/thread_pool.hpp"
 
 namespace greenvis::codec {
 
@@ -14,21 +13,22 @@ namespace {
 // Container layout (little-endian):
 //   0   u64  magic "GVCODEC1"
 //   8   u8   version (1)
-//   9   u8   rank (2 | 3)
+//   9   u8   rank (always 2)
 //   10  u8   declared kind
 //   11  u8   reserved (0)
 //   12  u32  chunk edge (cells per side)
 //   16  u64  nx
 //   24  u64  ny
-//   32  u64  nz (1 in 2-D)
+//   32  u64  nz (always 1)
 //   40  f64  tolerance (0 when no quantized chunks can appear)
-//   48  ...  chunks, row-major in (cz, cy, cx) order, each:
+//   48  ...  chunks, row-major in (cy, cx) order, each:
 //              u8 encoding, u8 bits, u16 reserved, u32 payload bytes,
 //              payload
 constexpr std::uint64_t kMagic = 0x314345444F435647ULL;  // "GVCODEC1"
 constexpr std::uint8_t kVersion = 1;
 constexpr std::size_t kContainerHeader = 48;
 constexpr std::size_t kChunkHeader = 8;
+constexpr std::uint8_t kRank = 2;
 constexpr std::uint64_t kMaxDim = 1ULL << 20;
 constexpr std::uint64_t kMaxCells = 1ULL << 32;
 /// Quanta above this magnitude risk int64 overflow in the delta chain; the
@@ -99,25 +99,19 @@ double double_of(std::uint64_t u) {
 /// Serialize the 48-byte container header (layout above).
 void write_container_header(std::vector<std::uint8_t>& out, Kind kind,
                             double tolerance, std::size_t chunk_edge,
-                            std::size_t nx, std::size_t ny, std::size_t nz,
-                            std::uint8_t rank) {
+                            std::size_t nx, std::size_t ny) {
   out.resize(kContainerHeader);
   put_u64(out.data(), kMagic);
   out[8] = kVersion;
-  out[9] = rank;
+  out[9] = kRank;
   out[10] = static_cast<std::uint8_t>(kind);
   out[11] = 0;
   put_u32(out.data() + 12, static_cast<std::uint32_t>(chunk_edge));
   put_u64(out.data() + 16, nx);
   put_u64(out.data() + 24, ny);
-  put_u64(out.data() + 32, nz);
+  put_u64(out.data() + 32, 1);
   put_u64(out.data() + 40, bits_of(kind == Kind::kDelta ? tolerance : 0.0));
 }
-
-/// Fields below this stay on the serial path even with a pool attached; the
-/// dispatch overhead would dominate (the 128x128 case-study fields land
-/// here, keeping the hot loop allocation-free and single-threaded).
-constexpr std::size_t kParallelMinCells = std::size_t{1} << 16;
 
 /// Bounds-checked cursor over an encoded blob: every read REQUIREs the
 /// bytes exist, so truncation surfaces as ContractViolation, never UB.
@@ -205,11 +199,10 @@ std::size_t rle_bytes(const double* v, std::size_t count) {
   return runs * 12;
 }
 
-/// Cells in the largest chunk of an nx x ny (x nz) field: boundary chunks
-/// are clipped, so scratch follows the field, not the header's edge alone.
-std::size_t max_chunk_cells(std::size_t e, std::size_t nx, std::size_t ny,
-                            std::size_t nz, std::uint8_t rank) {
-  return std::min(e, nx) * std::min(e, ny) * (rank == 3 ? std::min(e, nz) : 1);
+/// Cells in the largest chunk of an nx x ny field: boundary chunks are
+/// clipped, so scratch follows the field, not the header's edge alone.
+std::size_t max_chunk_cells(std::size_t e, std::size_t nx, std::size_t ny) {
+  return std::min(e, nx) * std::min(e, ny);
 }
 
 /// The first `count` elements of `buf`, which grows as needed and never
@@ -368,24 +361,12 @@ void FieldCodec::bump_chunk_stats(ChunkEncoding encoding) {
   }
 }
 
-void FieldCodec::encode_values(std::span<const double> values, std::size_t nx,
-                               std::size_t ny, std::size_t nz,
-                               std::uint8_t rank,
+void FieldCodec::encode_values(const util::Field2D& field,
                                std::vector<std::uint8_t>& out) {
   const std::size_t e = config_.chunk_edge;
-  const std::size_t chunk_count = ((nx + e - 1) / e) * ((ny + e - 1) / e) *
-                                  (rank == 3 ? (nz + e - 1) / e : 1);
-  // Per-chunk tasks are short once the kernels are vectorized, so the pool
-  // only pays off with a couple of chunks per executor; below that the
-  // dispatch wake/claim overhead loses to the serial loop.
-  if (pool_ != nullptr && pool_->size() > 1 &&
-      values.size() >= kParallelMinCells &&
-      chunk_count >= std::max<std::size_t>(2, 2 * pool_->size())) {
-    encode_values_parallel(values, nx, ny, nz, rank, out);
-    return;
-  }
-
-  const std::size_t max_cells = max_chunk_cells(e, nx, ny, nz, rank);
+  const std::size_t nx = field.nx();
+  const std::size_t ny = field.ny();
+  const std::size_t max_cells = max_chunk_cells(e, nx, ny);
   const std::span<double> staging = scratch(chunk_buf_, max_cells);
   std::span<std::int64_t> q{};
   std::span<std::uint64_t> zz{};
@@ -396,129 +377,31 @@ void FieldCodec::encode_values(std::span<const double> values, std::size_t nx,
     words = scratch(word_buf_, max_cells);  // bits <= 63 < 64: never more
   }
 
-  write_container_header(out, config_.kind, config_.tolerance, e, nx, ny, nz,
-                         rank);
+  write_container_header(out, config_.kind, config_.tolerance, e, nx, ny);
 
-  const double* src = values.data();
-  for (std::size_t z0 = 0; z0 < nz; z0 += (rank == 3 ? e : nz)) {
-    const std::size_t z1 = rank == 3 ? std::min(nz, z0 + e) : nz;
-    for (std::size_t y0 = 0; y0 < ny; y0 += e) {
-      const std::size_t y1 = std::min(ny, y0 + e);
-      for (std::size_t x0 = 0; x0 < nx; x0 += e) {
-        const std::size_t x1 = std::min(nx, x0 + e);
-        // Gather the chunk into contiguous SoA order (x fastest).
-        const std::size_t w = x1 - x0;
-        double* dst = staging.data();
-        for (std::size_t z = z0; z < z1; ++z) {
-          for (std::size_t y = y0; y < y1; ++y) {
-            std::memcpy(dst, src + (z * ny + y) * nx + x0,
-                        w * sizeof(double));
-            dst += w;
-          }
-        }
-        const std::size_t count =
-            static_cast<std::size_t>(dst - staging.data());
-        // Worst-case bound-sized emission, trimmed to what was written —
-        // byte-identical to an append-based emit.
-        const std::size_t bound = kChunkHeader + count * sizeof(double);
-        const std::size_t pos = out.size();
-        out.resize(pos + bound);
-        const ChunkResult r = encode_chunk(staging.data(), count, q, zz,
-                                           words, out.data() + pos);
-        out.resize(pos + r.bytes);
-        bump_chunk_stats(r.encoding);
+  const double* src = field.values().data();
+  for (std::size_t y0 = 0; y0 < ny; y0 += e) {
+    const std::size_t y1 = std::min(ny, y0 + e);
+    for (std::size_t x0 = 0; x0 < nx; x0 += e) {
+      const std::size_t x1 = std::min(nx, x0 + e);
+      // Gather the chunk into contiguous SoA order (x fastest).
+      const std::size_t w = x1 - x0;
+      for (std::size_t y = y0; y < y1; ++y) {
+        std::memcpy(staging.data() + (y - y0) * w, src + y * nx + x0,
+                    w * sizeof(double));
       }
+      const std::size_t count = w * (y1 - y0);
+      // Worst-case bound-sized emission, trimmed to what was written —
+      // byte-identical to an append-based emit.
+      const std::size_t bound = kChunkHeader + count * sizeof(double);
+      const std::size_t pos = out.size();
+      out.resize(pos + bound);
+      const ChunkResult r =
+          encode_chunk(staging.data(), count, q, zz, words, out.data() + pos);
+      out.resize(pos + r.bytes);
+      bump_chunk_stats(r.encoding);
     }
   }
-}
-
-void FieldCodec::encode_values_parallel(std::span<const double> values,
-                                        std::size_t nx, std::size_t ny,
-                                        std::size_t nz, std::uint8_t rank,
-                                        std::vector<std::uint8_t>& out) {
-  const std::size_t e = config_.chunk_edge;
-
-  // Plan: one descriptor per chunk in the serial (cz, cy, cx) order, with
-  // prefix sums for per-chunk scratch cells and bound-spaced output offsets.
-  chunk_descs_.clear();
-  std::size_t total_cells = 0;
-  std::size_t bound_end = kContainerHeader;
-  for (std::size_t z0 = 0; z0 < nz; z0 += (rank == 3 ? e : nz)) {
-    const std::size_t z1 = rank == 3 ? std::min(nz, z0 + e) : nz;
-    for (std::size_t y0 = 0; y0 < ny; y0 += e) {
-      const std::size_t y1 = std::min(ny, y0 + e);
-      for (std::size_t x0 = 0; x0 < nx; x0 += e) {
-        const std::size_t x1 = std::min(nx, x0 + e);
-        ChunkDesc d;
-        d.x0 = x0, d.x1 = x1, d.y0 = y0, d.y1 = y1, d.z0 = z0, d.z1 = z1;
-        d.cells = (x1 - x0) * (y1 - y0) * (z1 - z0);
-        d.cell_offset = total_cells;
-        d.dst_offset = bound_end;
-        total_cells += d.cells;
-        bound_end += kChunkHeader + d.cells * sizeof(double);
-        chunk_descs_.push_back(d);
-      }
-    }
-  }
-  chunk_results_.assign(chunk_descs_.size(), ChunkResult{});
-
-  // Scratch pools carved per chunk via cell_offset, grown here on the
-  // calling thread; workers only index into their disjoint slices.
-  const bool delta = config_.kind == Kind::kDelta;
-  const std::span<double> stage = scratch(pstage_buf_, total_cells);
-  std::span<std::int64_t> q{};
-  std::span<std::uint64_t> zz{};
-  std::span<std::uint64_t> words{};
-  if (delta) {
-    q = scratch(pq_buf_, total_cells);
-    zz = scratch(pzz_buf_, total_cells);
-    words = scratch(pword_buf_, total_cells);
-  }
-
-  write_container_header(out, config_.kind, config_.tolerance, e, nx, ny, nz,
-                         rank);
-  out.resize(bound_end);  // worst case per chunk; compacted below
-
-  const double* src = values.data();
-  pool_->parallel_for(0, chunk_descs_.size(), [&](std::size_t lo,
-                                                  std::size_t hi) {
-    for (std::size_t c = lo; c < hi; ++c) {
-      const ChunkDesc& d = chunk_descs_[c];
-      // Gather into this chunk's scratch slice (x fastest, as serial).
-      double* g = stage.data() + d.cell_offset;
-      const std::size_t w = d.x1 - d.x0;
-      for (std::size_t z = d.z0; z < d.z1; ++z) {
-        for (std::size_t y = d.y0; y < d.y1; ++y) {
-          std::memcpy(g, src + (z * ny + y) * nx + d.x0, w * sizeof(double));
-          g += w;
-        }
-      }
-      chunk_results_[c] = encode_chunk(
-          stage.data() + d.cell_offset, d.cells,
-          delta ? q.subspan(d.cell_offset, d.cells)
-                : std::span<std::int64_t>{},
-          delta ? zz.subspan(d.cell_offset, d.cells)
-                : std::span<std::uint64_t>{},
-          delta ? words.subspan(d.cell_offset, d.cells)
-                : std::span<std::uint64_t>{},
-          out.data() + d.dst_offset);
-    }
-  });
-
-  // Serial compaction: slide chunks left to their packed positions and bump
-  // stats in chunk order — bytes and counters identical to the serial path
-  // for any pool size. memmove is safe: cursor <= dst_offset always.
-  std::size_t cursor = kContainerHeader;
-  for (std::size_t c = 0; c < chunk_descs_.size(); ++c) {
-    const ChunkResult& r = chunk_results_[c];
-    if (cursor != chunk_descs_[c].dst_offset) {
-      std::memmove(out.data() + cursor,
-                   out.data() + chunk_descs_[c].dst_offset, r.bytes);
-    }
-    cursor += r.bytes;
-    bump_chunk_stats(r.encoding);
-  }
-  out.resize(cursor);
 }
 
 void FieldCodec::encode_lorenzo(const util::Field2D& field,
@@ -611,38 +494,12 @@ void FieldCodec::encode(const util::Field2D& field,
   } else if (config_.kind == Kind::kLorenzo) {
     encode_lorenzo(field, out);
   } else {
-    encode_values(field.values(), field.nx(), field.ny(), 1, 2, out);
-  }
-  stats_.encoded_bytes = out.size();
-}
-
-void FieldCodec::encode(const util::Field3D& field,
-                        std::vector<std::uint8_t>& out) {
-  GREENVIS_REQUIRE_MSG(config_.kind != Kind::kLorenzo,
-                       "codec: the lorenzo kind has no 3-D form");
-  out.clear();
-  stats_ = {};
-  stats_.raw_bytes = field.serialized_bytes();
-  if (config_.kind == Kind::kRaw) {
-    out.resize(field.serialized_bytes());
-    put_u64(out.data(), field.nx());
-    put_u64(out.data() + 8, field.ny());
-    put_u64(out.data() + 16, field.nz());
-    std::memcpy(out.data() + 24, field.values().data(),
-                field.size() * sizeof(double));
-  } else {
-    encode_values(field.values(), field.nx(), field.ny(), field.nz(), 3, out);
+    encode_values(field, out);
   }
   stats_.encoded_bytes = out.size();
 }
 
 std::vector<std::uint8_t> FieldCodec::encode(const util::Field2D& field) {
-  std::vector<std::uint8_t> out;
-  encode(field, out);
-  return out;
-}
-
-std::vector<std::uint8_t> FieldCodec::encode(const util::Field3D& field) {
   std::vector<std::uint8_t> out;
   encode(field, out);
   return out;
@@ -661,9 +518,10 @@ FieldCodec::ContainerInfo FieldCodec::parse_header(
   GREENVIS_REQUIRE_MSG(info.version == kVersion,
                        "codec: unsupported container version " +
                            std::to_string(info.version));
-  info.rank = r.u8();
-  GREENVIS_REQUIRE_MSG(info.rank == 2 || info.rank == 3,
-                       "codec: bad rank " + std::to_string(info.rank));
+  const std::uint8_t rank = r.u8();
+  GREENVIS_REQUIRE_MSG(rank == kRank,
+                       "codec: bad rank " + std::to_string(rank) +
+                           " (only 2-D containers exist)");
   const std::uint8_t kind = r.u8();
   GREENVIS_REQUIRE_MSG(kind <= 2, "codec: bad kind byte");
   info.kind = static_cast<Kind>(kind);
@@ -673,14 +531,12 @@ FieldCodec::ContainerInfo FieldCodec::parse_header(
                        "codec: bad chunk edge");
   info.nx = r.u64();
   info.ny = r.u64();
-  info.nz = r.u64();
   GREENVIS_REQUIRE_MSG(info.nx >= 1 && info.nx <= kMaxDim &&  //
-                           info.ny >= 1 && info.ny <= kMaxDim &&
-                           info.nz >= 1 && info.nz <= kMaxDim,
+                           info.ny >= 1 && info.ny <= kMaxDim,
                        "codec: implausible dimensions");
-  GREENVIS_REQUIRE_MSG(info.rank == 3 || info.nz == 1,
-                       "codec: 2-D container with nz != 1");
-  GREENVIS_REQUIRE_MSG(info.nx * info.ny * info.nz <= kMaxCells,
+  const std::uint64_t nz = r.u64();
+  GREENVIS_REQUIRE_MSG(nz == 1, "codec: 2-D container with nz != 1");
+  GREENVIS_REQUIRE_MSG(info.nx * info.ny <= kMaxCells,
                        "codec: implausible cell count");
   info.tolerance = double_of(r.u64());
   GREENVIS_REQUIRE_MSG(
@@ -689,13 +545,30 @@ FieldCodec::ContainerInfo FieldCodec::parse_header(
   return info;
 }
 
+void FieldCodec::check_chunk_table(std::span<const std::uint8_t> blob,
+                                   const ContainerInfo& info) {
+  const std::uint64_t e = info.chunk_edge;
+  const std::uint64_t chunks =
+      ((info.nx + e - 1) / e) * ((info.ny + e - 1) / e);
+  // Each step consumes at least one 8-byte header, so a short blob ends the
+  // walk after at most size/8 steps whatever the header claims.
+  Reader r{blob};
+  r.pos = kContainerHeader;
+  for (std::uint64_t c = 0; c < chunks; ++c) {
+    r.pos += 4;  // encoding, bits, reserved
+    (void)r.bytes(r.u32());
+  }
+  GREENVIS_REQUIRE_MSG(r.pos == blob.size(),
+                       "codec: trailing bytes after last chunk");
+}
+
 void FieldCodec::decode_chunks(std::span<const std::uint8_t> blob,
                                const ContainerInfo& info, double* dst) {
   Reader r{blob};
   r.pos = kContainerHeader;
   const std::size_t e = info.chunk_edge;
-  const std::size_t nx = info.nx, ny = info.ny, nz = info.nz;
-  const std::size_t max_cells = max_chunk_cells(e, nx, ny, nz, info.rank);
+  const std::size_t nx = info.nx, ny = info.ny;
+  const std::size_t max_cells = max_chunk_cells(e, nx, ny);
   const std::span<double> staging = scratch(chunk_buf_, max_cells);
   // Delta chunks unpack into an int64 scratch first (vectorizable bit
   // extraction), then a scalar prefix sum rebuilds the quanta.
@@ -705,85 +578,76 @@ void FieldCodec::decode_chunks(std::span<const std::uint8_t> blob,
   }
   const util::simd::KernelTable& kern = util::simd::kernels();
 
-  for (std::size_t z0 = 0; z0 < nz; z0 += (info.rank == 3 ? e : nz)) {
-    const std::size_t z1 = info.rank == 3 ? std::min(nz, z0 + e) : nz;
-    for (std::size_t y0 = 0; y0 < ny; y0 += e) {
-      const std::size_t y1 = std::min(ny, y0 + e);
-      for (std::size_t x0 = 0; x0 < nx; x0 += e) {
-        const std::size_t x1 = std::min(nx, x0 + e);
-        const std::size_t count = (x1 - x0) * (y1 - y0) * (z1 - z0);
+  for (std::size_t y0 = 0; y0 < ny; y0 += e) {
+    const std::size_t y1 = std::min(ny, y0 + e);
+    for (std::size_t x0 = 0; x0 < nx; x0 += e) {
+      const std::size_t x1 = std::min(nx, x0 + e);
+      const std::size_t w = x1 - x0;
+      const std::size_t count = w * (y1 - y0);
 
-        const auto enc = r.u8();
-        const std::uint8_t bits = r.u8();
-        (void)r.u16();  // reserved
-        const std::uint32_t payload = r.u32();
+      const auto enc = r.u8();
+      const std::uint8_t bits = r.u8();
+      (void)r.u16();  // reserved
+      const std::uint32_t payload = r.u32();
 
-        if (enc == static_cast<std::uint8_t>(ChunkEncoding::kRaw)) {
-          GREENVIS_REQUIRE_MSG(payload == count * sizeof(double),
-                               "codec: raw chunk size mismatch");
-          std::memcpy(staging.data(), r.bytes(payload), payload);
-        } else if (enc == static_cast<std::uint8_t>(ChunkEncoding::kRle)) {
-          GREENVIS_REQUIRE_MSG(payload % 12 == 0 && payload > 0,
-                               "codec: rle chunk size mismatch");
-          std::size_t filled = 0;
-          for (std::size_t k = 0; k < payload / 12; ++k) {
-            const double value = double_of(r.u64());
-            const std::uint32_t len = r.u32();
-            GREENVIS_REQUIRE_MSG(len > 0 && filled + len <= count,
-                                 "codec: rle run overflows chunk");
-            for (std::size_t i = 0; i < len; ++i) {
-              staging[filled + i] = value;
-            }
-            filled += len;
+      if (enc == static_cast<std::uint8_t>(ChunkEncoding::kRaw)) {
+        GREENVIS_REQUIRE_MSG(payload == count * sizeof(double),
+                             "codec: raw chunk size mismatch");
+        std::memcpy(staging.data(), r.bytes(payload), payload);
+      } else if (enc == static_cast<std::uint8_t>(ChunkEncoding::kRle)) {
+        GREENVIS_REQUIRE_MSG(payload % 12 == 0 && payload > 0,
+                             "codec: rle chunk size mismatch");
+        std::size_t filled = 0;
+        for (std::size_t k = 0; k < payload / 12; ++k) {
+          const double value = double_of(r.u64());
+          const std::uint32_t len = r.u32();
+          GREENVIS_REQUIRE_MSG(len > 0 && filled + len <= count,
+                               "codec: rle run overflows chunk");
+          for (std::size_t i = 0; i < len; ++i) {
+            staging[filled + i] = value;
           }
-          GREENVIS_REQUIRE_MSG(filled == count,
-                               "codec: rle runs do not cover chunk");
-        } else if (enc ==
-                   static_cast<std::uint8_t>(ChunkEncoding::kDeltaBitpack)) {
-          GREENVIS_REQUIRE_MSG(info.tolerance > 0.0,
-                               "codec: delta chunk without tolerance");
-          GREENVIS_REQUIRE_MSG(bits <= 63, "codec: bad delta bit width");
-          const std::size_t nwords =
-              bits == 0 ? 0 : ((count - 1) * bits + 63) / 64;
-          GREENVIS_REQUIRE_MSG(payload == 8 + nwords * 8,
-                               "codec: delta chunk size mismatch");
-          std::int64_t qv = static_cast<std::int64_t>(r.u64());
-          const double tol = info.tolerance;
-          staging[0] = static_cast<double>(qv) * tol;
-          if (bits == 0) {
-            for (std::size_t i = 1; i < count; ++i) {
-              staging[i] = staging[0];
-            }
-          } else {
-            const std::uint8_t* packed = r.bytes(nwords * 8);
-            GREENVIS_REQUIRE_MSG(!deltas.empty(),
-                                 "codec: delta chunk in non-delta container");
-            kern.unpack_deltas(packed, nwords, bits, deltas.data(), count);
-            for (std::size_t i = 1; i < count; ++i) {
-              qv += deltas[i];
-              staging[i] = static_cast<double>(qv) * tol;
-            }
+          filled += len;
+        }
+        GREENVIS_REQUIRE_MSG(filled == count,
+                             "codec: rle runs do not cover chunk");
+      } else if (enc ==
+                 static_cast<std::uint8_t>(ChunkEncoding::kDeltaBitpack)) {
+        GREENVIS_REQUIRE_MSG(info.tolerance > 0.0,
+                             "codec: delta chunk without tolerance");
+        GREENVIS_REQUIRE_MSG(bits <= 63, "codec: bad delta bit width");
+        const std::size_t nwords =
+            bits == 0 ? 0 : ((count - 1) * bits + 63) / 64;
+        GREENVIS_REQUIRE_MSG(payload == 8 + nwords * 8,
+                             "codec: delta chunk size mismatch");
+        std::int64_t qv = static_cast<std::int64_t>(r.u64());
+        const double tol = info.tolerance;
+        staging[0] = static_cast<double>(qv) * tol;
+        if (bits == 0) {
+          for (std::size_t i = 1; i < count; ++i) {
+            staging[i] = staging[0];
           }
         } else {
-          GREENVIS_REQUIRE_MSG(false, "codec: unknown chunk encoding " +
-                                          std::to_string(enc));
-        }
-
-        // Scatter the SoA chunk back into the row-major field.
-        const std::size_t w = x1 - x0;
-        const double* src = staging.data();
-        for (std::size_t z = z0; z < z1; ++z) {
-          for (std::size_t y = y0; y < y1; ++y) {
-            std::memcpy(dst + (z * ny + y) * nx + x0, src,
-                        w * sizeof(double));
-            src += w;
+          const std::uint8_t* packed = r.bytes(nwords * 8);
+          GREENVIS_REQUIRE_MSG(!deltas.empty(),
+                               "codec: delta chunk in non-delta container");
+          kern.unpack_deltas(packed, nwords, bits, deltas.data(), count);
+          for (std::size_t i = 1; i < count; ++i) {
+            qv += deltas[i];
+            staging[i] = static_cast<double>(qv) * tol;
           }
         }
+      } else {
+        GREENVIS_REQUIRE_MSG(false, "codec: unknown chunk encoding " +
+                                        std::to_string(enc));
+      }
+
+      // Scatter the SoA chunk back into the row-major field.
+      for (std::size_t y = y0; y < y1; ++y) {
+        std::memcpy(dst + y * nx + x0, staging.data() + (y - y0) * w,
+                    w * sizeof(double));
       }
     }
   }
-  GREENVIS_REQUIRE_MSG(r.pos == blob.size(),
-                       "codec: trailing bytes after last chunk");
 }
 
 void FieldCodec::decode_into(std::span<const std::uint8_t> blob,
@@ -807,36 +671,9 @@ void FieldCodec::decode_into(std::span<const std::uint8_t> blob,
     return;
   }
   const ContainerInfo info = parse_header(blob);
-  GREENVIS_REQUIRE_MSG(info.rank == 2, "codec: expected a 2-D container");
+  check_chunk_table(blob, info);
   if (out.nx() != info.nx || out.ny() != info.ny) {
     out = util::Field2D(info.nx, info.ny);
-  }
-  decode_chunks(blob, info, out.values().data());
-}
-
-void FieldCodec::decode_into(std::span<const std::uint8_t> blob,
-                             util::Field3D& out) {
-  if (!is_container(blob)) {
-    GREENVIS_REQUIRE_MSG(!is_lorenzo(blob),
-                         "codec: a lorenzo stream has no 3-D form");
-    GREENVIS_REQUIRE_MSG(blob.size() >= 24, "codec: truncated legacy field");
-    const std::size_t nx = get_u64(blob.data());
-    const std::size_t ny = get_u64(blob.data() + 8);
-    const std::size_t nz = get_u64(blob.data() + 16);
-    if (out.nx() == nx && out.ny() == ny && out.nz() == nz) {
-      GREENVIS_REQUIRE(blob.size() ==
-                       util::raw_field_bytes(24, {nx, ny, nz}));
-      std::memcpy(out.values().data(), blob.data() + 24,
-                  nx * ny * nz * sizeof(double));
-    } else {
-      out = util::Field3D::deserialize(blob);
-    }
-    return;
-  }
-  const ContainerInfo info = parse_header(blob);
-  GREENVIS_REQUIRE_MSG(info.rank == 3, "codec: expected a 3-D container");
-  if (out.nx() != info.nx || out.ny() != info.ny || out.nz() != info.nz) {
-    out = util::Field3D(info.nx, info.ny, info.nz);
   }
   decode_chunks(blob, info, out.values().data());
 }
@@ -844,13 +681,6 @@ void FieldCodec::decode_into(std::span<const std::uint8_t> blob,
 util::Field2D FieldCodec::decode2d(std::span<const std::uint8_t> blob) {
   FieldCodec codec;
   util::Field2D out;
-  codec.decode_into(blob, out);
-  return out;
-}
-
-util::Field3D FieldCodec::decode3d(std::span<const std::uint8_t> blob) {
-  FieldCodec codec;
-  util::Field3D out;
   codec.decode_into(blob, out);
   return out;
 }

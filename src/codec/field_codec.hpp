@@ -6,7 +6,7 @@
 // line of work (ISABELA-style quantized residuals, Gorilla/SZ-style delta
 // coding) cited in PAPERS.md.
 //
-// Format: a field is split into fixed-edge 2-D/3-D chunks; each chunk is
+// Format: a 2-D field is split into fixed-edge chunks; each chunk is
 // gathered into a contiguous SoA staging buffer and encoded independently by
 // the cheapest admissible encoder:
 //
@@ -21,7 +21,7 @@
 //
 // The container header is self-describing (magic, rank, dims, chunk edge,
 // tolerance), so readback auto-detects the encoding — including the legacy
-// plain Field2D/Field3D serialization, which has no magic. Kind::kRaw is an
+// plain Field2D serialization, which has no magic. Kind::kRaw is an
 // identity codec: it emits exactly the legacy bytes, keeping every existing
 // figure byte-identical. Kind::kLorenzo is the predictive compressor of
 // Wang, Yu & Ma [22]: one unchunked 2-D "GVZ1" stream of varint residuals
@@ -36,11 +36,6 @@
 #include <vector>
 
 #include "src/util/field.hpp"
-#include "src/util/field3d.hpp"
-
-namespace greenvis::util {
-class ThreadPool;
-}
 
 namespace greenvis::codec {
 
@@ -49,7 +44,7 @@ enum class Kind : std::uint8_t {
   kRaw = 0,    // identity: legacy plain serialization, byte-identical
   kDelta = 1,  // quantized delta+bitpack (lossy within `tolerance`)
   kRle = 2,    // run-length only (lossless; wins on constant regions)
-  /// "GVZ1" stream, 2-D only, lossless when tolerance == 0. Neither a
+  /// "GVZ1" stream, lossless when tolerance == 0. Neither a
   /// container kind nor a --codec value: the predictive transform's codec.
   kLorenzo = 3,
 };
@@ -67,8 +62,8 @@ struct CodecConfig {
   /// and kLorenzo (>= 0; 0 = lossless); reconstruction error is
   /// <= tolerance/2.
   double tolerance{1e-3};
-  /// Cells per chunk side (chunks are edge x edge in 2-D, edge^3 in 3-D;
-  /// boundary chunks are partial).
+  /// Cells per chunk side (chunks are edge x edge; boundary chunks are
+  /// partial).
   std::size_t chunk_edge{32};
 };
 
@@ -93,41 +88,27 @@ struct EncodeStats {
   }
 };
 
-/// Encoder/decoder instance. Holds reusable staging buffers, so
+/// Serial encoder/decoder instance. Holds reusable staging buffers, so
 /// steady-state encode/decode performs zero heap allocations. One instance
-/// per pipeline; calls on one instance must not race. encode() itself may
-/// fan per-chunk work out across an attached ThreadPool (set_pool) when the
-/// field is large enough — chunks are gathered and laid out in a
-/// deterministic order, so the encoded bytes are identical to the serial
-/// path for any pool size.
+/// per pipeline; calls on one instance must not race.
 class FieldCodec {
  public:
   explicit FieldCodec(const CodecConfig& config = {});
-
-  /// Attach a pool for per-chunk parallel encode (nullptr = serial). Small
-  /// fields stay on the serial path (worth_parallel gate).
-  void set_pool(util::ThreadPool* pool) { pool_ = pool; }
 
   /// True when this codec changes bytes (kind != kRaw) and hence when the
   /// pipeline should charge modeled encode/decode compute.
   [[nodiscard]] bool active() const { return config_.kind != Kind::kRaw; }
 
   /// Encode into `out` (cleared first; capacity reused across calls).
-  /// kind == kRaw emits exactly `field.serialize()`. The Field3D overloads
-  /// reject kLorenzo.
+  /// kind == kRaw emits exactly `field.serialize()`.
   void encode(const util::Field2D& field, std::vector<std::uint8_t>& out);
-  void encode(const util::Field3D& field, std::vector<std::uint8_t>& out);
   [[nodiscard]] std::vector<std::uint8_t> encode(const util::Field2D& field);
-  [[nodiscard]] std::vector<std::uint8_t> encode(const util::Field3D& field);
 
-  /// Decode, auto-detecting container, then Lorenzo stream (2-D only), then
-  /// legacy plain serialization. The `_into` forms reuse `out`'s storage
-  /// when the dimensions match.
+  /// Decode, auto-detecting container, then Lorenzo stream, then legacy
+  /// plain serialization. decode_into reuses `out`'s storage when the
+  /// dimensions match.
   void decode_into(std::span<const std::uint8_t> blob, util::Field2D& out);
-  void decode_into(std::span<const std::uint8_t> blob, util::Field3D& out);
   [[nodiscard]] static util::Field2D decode2d(
-      std::span<const std::uint8_t> blob);
-  [[nodiscard]] static util::Field3D decode3d(
       std::span<const std::uint8_t> blob);
 
   /// True when `blob` starts with the codec container magic.
@@ -138,28 +119,18 @@ class FieldCodec {
   [[nodiscard]] const CodecConfig& config() const { return config_; }
 
  private:
-  /// Parsed-and-validated container header.
+  /// Parsed-and-validated container header (rank 2, nz 1).
   struct ContainerInfo {
     std::uint8_t version{0};
-    std::uint8_t rank{0};
     Kind kind{Kind::kRaw};
     std::uint32_t chunk_edge{0};
     std::uint64_t nx{0};
     std::uint64_t ny{0};
-    std::uint64_t nz{0};
     double tolerance{0.0};
   };
   [[nodiscard]] static ContainerInfo parse_header(
       std::span<const std::uint8_t> blob);
 
-  /// One chunk's extent in the source field plus its scratch/output
-  /// placement in the parallel encode plan.
-  struct ChunkDesc {
-    std::size_t x0{0}, x1{0}, y0{0}, y1{0}, z0{0}, z1{0};
-    std::size_t cells{0};
-    std::size_t cell_offset{0};  // into the per-chunk scratch pools
-    std::size_t dst_offset{0};   // bound-spaced offset into `out`
-  };
   struct ChunkResult {
     std::size_t bytes{0};  // header + payload actually written
     ChunkEncoding encoding{ChunkEncoding::kRaw};
@@ -168,17 +139,11 @@ class FieldCodec {
   void encode_lorenzo(const util::Field2D& field,
                       std::vector<std::uint8_t>& out);
   void decode_lorenzo(std::span<const std::uint8_t> blob, util::Field2D& out);
-  void encode_values(std::span<const double> values, std::size_t nx,
-                     std::size_t ny, std::size_t nz, std::uint8_t rank,
+  void encode_values(const util::Field2D& field,
                      std::vector<std::uint8_t>& out);
-  void encode_values_parallel(std::span<const double> values, std::size_t nx,
-                              std::size_t ny, std::size_t nz,
-                              std::uint8_t rank,
-                              std::vector<std::uint8_t>& out);
   /// Encode one SoA-gathered chunk into `dst` (header + payload; `dst` must
   /// have room for kChunkHeader + count*8 bytes, the worst case). `q`/`zz`/
-  /// `words` are caller-provided scratch (delta kind only). Thread-safe:
-  /// touches no instance state.
+  /// `words` are caller-provided scratch (delta kind only).
   [[nodiscard]] ChunkResult encode_chunk(const double* values,
                                          std::size_t count,
                                          std::span<std::int64_t> q,
@@ -186,28 +151,25 @@ class FieldCodec {
                                          std::span<std::uint64_t> words,
                                          std::uint8_t* dst) const;
   void bump_chunk_stats(ChunkEncoding encoding);
-  /// Decode every chunk of a validated container into `dst` (sized
-  /// nx*ny*nz, row-major).
+  /// Walk the chunk headers of a container: each must fit with its payload
+  /// in the blob, and the last must end at the blob's end. Run before the
+  /// field is sized, so a forged header cannot make decode allocate what
+  /// the blob does not hold.
+  static void check_chunk_table(std::span<const std::uint8_t> blob,
+                                const ContainerInfo& info);
+  /// Decode every chunk of a container that passed check_chunk_table into
+  /// `dst` (sized nx*ny, row-major).
   void decode_chunks(std::span<const std::uint8_t> blob,
                      const ContainerInfo& info, double* dst);
 
   CodecConfig config_;
-  util::ThreadPool* pool_{nullptr};
-  // Serial-path scratch (chunk_buf_ also holds the bounded Lorenzo
+  // Chunk scratch (chunk_buf_ also holds the bounded Lorenzo
   // reconstruction). Each buffer grows to its largest request and is then
   // reused, never shrunk.
   std::vector<double> chunk_buf_;
   std::vector<std::uint64_t> word_buf_;
   std::vector<std::uint64_t> zz_buf_;
   std::vector<std::int64_t> q_buf_;
-  // Parallel-encode plan scratch (reused; grows once, steady state is
-  // zero-alloc like the serial path).
-  std::vector<ChunkDesc> chunk_descs_;
-  std::vector<ChunkResult> chunk_results_;
-  std::vector<double> pstage_buf_;
-  std::vector<std::int64_t> pq_buf_;
-  std::vector<std::uint64_t> pzz_buf_;
-  std::vector<std::uint64_t> pword_buf_;
   EncodeStats stats_;
 };
 

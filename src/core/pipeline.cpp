@@ -72,31 +72,35 @@ std::string pipeline_name(PipelineKind kind,
                         : "Post-processing (" + detail + ")";
 }
 
+/// The codec `transform` encodes with. Sampling writes the plain
+/// serialization (the raw codec) and the predictive transform's step is
+/// twice its bound. Only runs that encode with config.snapshot_codec build
+/// (and so validate) it; in-situ writes no snapshot and keeps the raw codec.
+codec::CodecConfig codec_config(PipelineKind kind,
+                                const CaseStudyConfig& config,
+                                const SnapshotTransform& transform) {
+  if (const auto* p = std::get_if<Predictive>(&transform)) {
+    return {codec::Kind::kLorenzo, 2.0 * p->error_bound};
+  }
+  if (std::holds_alternative<Sampling>(transform) ||
+      kind == PipelineKind::kInSitu) {
+    return {};
+  }
+  return config.snapshot_codec;
+}
+
 /// One SnapshotTransform's write half (encode) and read half (decode), with
 /// its byte and quality accounting. Host work only: the modeled compute
 /// each encode and each decode costs is `cost()`.
 class SnapshotCoder {
  public:
-  /// Chunk encode fans out across `pool` when given (bytes are
-  /// pool-size-invariant).
   SnapshotCoder(PipelineKind kind, const CaseStudyConfig& config,
-                const SnapshotTransform& transform, util::ThreadPool* pool)
+                const SnapshotTransform& transform)
       : problem_(config.problem),
         sampling_(std::get_if<Sampling>(&transform)),
-        predictive_(std::holds_alternative<Predictive>(transform)) {
+        predictive_(std::holds_alternative<Predictive>(transform)),
+        codec_(codec_config(kind, config, transform)) {
     GREENVIS_REQUIRE(sampling_ == nullptr || sampling_->stride >= 1);
-    // Sampling writes the plain serialization (the raw codec) and the
-    // predictive transform's step is twice its bound. Only runs that encode
-    // with config.snapshot_codec build (and so validate) it.
-    if (const auto* p = std::get_if<Predictive>(&transform)) {
-      codec_.emplace(
-          codec::CodecConfig{codec::Kind::kLorenzo, 2.0 * p->error_bound});
-    } else if (sampling_ != nullptr) {
-      codec_.emplace();
-    } else if (kind != PipelineKind::kInSitu) {
-      codec_.emplace(config.snapshot_codec);
-      codec_->set_pool(pool);
-    }
     // Per cell, the field codec's quantize + delta + pack is a handful of
     // ops and the predictive codec's predictor + quantize/unpack several
     // times that; either streams one read and one write of the field.
@@ -105,7 +109,7 @@ class SnapshotCoder {
     work_.flops = cells * (predictive_ ? 60.0 : 12.0);
     work_.active_cores = 1;
     work_.dram_bytes = util::Bytes{static_cast<std::uint64_t>(cells * 16)};
-    if (codec_ && codec_->active()) {
+    if (codec_.active()) {
       cost_ = &work_;
     }
   }
@@ -121,13 +125,13 @@ class SnapshotCoder {
     // scored on read (an analysis convenience — the testbed app would not
     // retain it).
     if (sampling_ != nullptr) {
-      codec_->encode(vis::downsample(field, sampling_->stride), payload);
+      codec_.encode(vis::downsample(field, sampling_->stride), payload);
       truths_.push_back(field);
     } else {
-      codec_->encode(field, payload);
+      codec_.encode(field, payload);
     }
     if (predictive_) {
-      ratio_sum_ += codec_->last_stats().ratio();
+      ratio_sum_ += codec_.last_stats().ratio();
       truths_.push_back(field);
     }
     out.snapshot_bytes_written += util::Bytes{payload.size()};
@@ -140,7 +144,7 @@ class SnapshotCoder {
   const util::Field2D& decode(const std::vector<std::uint8_t>& payload,
                               PipelineOutput& out) {
     out.snapshot_bytes_read += util::Bytes{payload.size()};
-    codec_->decode_into(payload, field_);
+    codec_.decode_into(payload, field_);
     if (sampling_ != nullptr) {
       if (sampling_->stride != 1) {
         field_ = vis::resample(field_, problem_.nx, problem_.ny);
@@ -163,7 +167,7 @@ class SnapshotCoder {
   const heat::HeatProblem& problem_;
   const Sampling* sampling_;
   bool predictive_;
-  std::optional<codec::FieldCodec> codec_;
+  codec::FieldCodec codec_;
   machine::ActivityRecord work_;
   const machine::ActivityRecord* cost_{nullptr};
   util::Field2D field_;
@@ -190,7 +194,7 @@ PipelineOutput run_pipeline(Testbed& bed, PipelineKind kind,
   vis::Image frame;  // reused across visualize steps
   io::TimestepWriter writer(bed.fs(), config.dataset);
   const bool staged = kind == PipelineKind::kPostProcessingAsync;
-  SnapshotCoder coder(kind, config, transform, staged ? &pool : nullptr);
+  SnapshotCoder coder(kind, config, transform);
   std::vector<std::uint8_t> payload;
 
   // The staged data path overlaps simulate and write: the producer (this

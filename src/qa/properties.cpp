@@ -164,17 +164,20 @@ void register_compress_properties() {
       });
 
   // The chunked snapshot codec honors the same contract: raw/rle exact,
-  // delta within tolerance, for every field shape and chunk edge.
-  using CodecCase = std::tuple<util::Field2D, std::uint64_t, double>;
+  // delta within tolerance, for every field shape and chunk edge (1-cell
+  // chunks through single-chunk containers).
+  using CodecCase =
+      std::tuple<util::Field2D, std::uint64_t, double, std::uint64_t>;
   add_property<CodecCase>(
       "codec.container_round_trip",
       tuple_of(smooth_field(1, 48, 50.0, 10.0), uint_in(0, 2),
-               element_of<double>({1e-6, 1e-3, 0.5})),
+               element_of<double>({1e-6, 1e-3, 0.5}), uint_in(1, 64)),
       [](const CodecCase& cc) {
-        const auto& [f, kind_index, tolerance] = cc;
+        const auto& [f, kind_index, tolerance, chunk_edge] = cc;
         codec::CodecConfig config;
         config.kind = static_cast<codec::Kind>(kind_index);
         config.tolerance = tolerance;
+        config.chunk_edge = chunk_edge;
         codec::FieldCodec codec{config};
         const auto blob = codec.encode(f);
         const util::Field2D g = codec::FieldCodec::decode2d(blob);
@@ -199,7 +202,70 @@ void register_compress_properties() {
         return std::to_string(std::get<0>(cc).nx()) + "x" +
                std::to_string(std::get<0>(cc).ny()) + " kind=" +
                std::to_string(std::get<1>(cc)) +
-               " tol=" + std::to_string(std::get<2>(cc));
+               " tol=" + std::to_string(std::get<2>(cc)) +
+               " edge=" + std::to_string(std::get<3>(cc));
+      });
+
+  // Random byte flips over any encoded snapshot must either still decode
+  // or raise ContractViolation — never crash, read out of bounds, or throw
+  // anything else — through both decode entry points, into a fresh, a
+  // same-size and a different-size field.
+  using Flips = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+  using FlipCase = std::tuple<util::Field2D, std::uint64_t, std::uint64_t,
+                              Flips>;
+  // Formats: delta container, rle container, lossless and bounded Lorenzo
+  // streams, and the raw kind's legacy serialization.
+  static constexpr const char* kFormats[] = {"delta", "rle", "lorenzo",
+                                             "lorenzo-bounded", "legacy"};
+  add_property<FlipCase>(
+      "codec.decode_flip_robust",
+      tuple_of(smooth_field(1, 48, 50.0, 10.0), uint_in(0, 4), uint_in(1, 64),
+               vector_of(pair_of(uint_in(0, 1ULL << 20), uint_in(0, 255)), 1,
+                         8)),
+      [](const FlipCase& fc) {
+        const auto& [f, format, chunk_edge, flips] = fc;
+        codec::CodecConfig config;
+        config.chunk_edge = chunk_edge;
+        if (format == 0) {
+          config.kind = codec::Kind::kDelta;
+        } else if (format == 1) {
+          config.kind = codec::Kind::kRle;
+        } else if (format <= 3) {
+          config.kind = codec::Kind::kLorenzo;
+          config.tolerance = format == 2 ? 0.0 : 0.02;
+        }
+        codec::FieldCodec codec{config};
+        std::vector<std::uint8_t> blob = codec.encode(f);
+        for (const auto& [pos, byte] : flips) {
+          blob[static_cast<std::size_t>(pos) % blob.size()] =
+              static_cast<std::uint8_t>(byte);
+        }
+        util::Field2D same(f.nx(), f.ny());
+        util::Field2D other(f.nx() + 1, f.ny());
+        const std::function<void()> decodes[] = {
+            [&] { (void)codec::FieldCodec::decode2d(blob); },
+            [&] { codec.decode_into(blob, same); },
+            [&] { codec.decode_into(blob, other); }};
+        for (const auto& decode : decodes) {
+          try {
+            decode();
+          } catch (const util::ContractViolation&) {
+            // Clean rejection is a pass.
+          } catch (const std::exception& e) {
+            return std::string("non-contract exception: ") + e.what();
+          }
+        }
+        return ok();
+      },
+      [](const FlipCase& fc) {
+        const auto& [f, format, chunk_edge, flips] = fc;
+        std::ostringstream os;
+        os << kFormats[format] << " " << f.nx() << "x" << f.ny()
+           << " edge=" << chunk_edge << ", " << flips.size() << " flip(s):";
+        for (const auto& [pos, byte] : flips) {
+          os << " @" << pos << "<-" << byte;
+        }
+        return os.str();
       });
 }
 

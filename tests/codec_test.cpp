@@ -30,8 +30,6 @@
 #include "src/trace/clock.hpp"
 #include "src/util/error.hpp"
 #include "src/util/field.hpp"
-#include "src/util/field3d.hpp"
-#include "src/util/thread_pool.hpp"
 #include "src/vis/pipeline.hpp"
 #include "tests/wrapped_blobs.hpp"
 
@@ -106,24 +104,12 @@ namespace {
 
 using util::ContractViolation;
 using util::Field2D;
-using util::Field3D;
 
 Field2D random_field2d(std::size_t nx, std::size_t ny, unsigned seed,
                        double lo = -10.0, double hi = 10.0) {
   Field2D f(nx, ny);
   std::mt19937 rng(seed);
   std::uniform_real_distribution<double> dist(lo, hi);
-  for (double& v : f.values()) {
-    v = dist(rng);
-  }
-  return f;
-}
-
-Field3D random_field3d(std::size_t nx, std::size_t ny, std::size_t nz,
-                       unsigned seed) {
-  Field3D f(nx, ny, nz);
-  std::mt19937 rng(seed);
-  std::uniform_real_distribution<double> dist(-5.0, 5.0);
   for (double& v : f.values()) {
     v = dist(rng);
   }
@@ -198,12 +184,6 @@ TEST(RawKind, ByteIdenticalToLegacySerialize2D) {
   EXPECT_EQ(codec.encode(f), f.serialize());
 }
 
-TEST(RawKind, ByteIdenticalToLegacySerialize3D) {
-  const Field3D f = random_field3d(11, 7, 5, 2);
-  FieldCodec codec;
-  EXPECT_EQ(codec.encode(f), f.serialize());
-}
-
 TEST(RawKind, PreservesNonFiniteBitsExactly) {
   Field2D f = random_field2d(16, 16, 3);
   f.at(0, 0) = std::numeric_limits<double>::quiet_NaN();
@@ -233,21 +213,6 @@ TEST(DeltaKind, RoundTripWithinTolerance2D) {
     ASSERT_EQ(back.ny(), f.ny());
     EXPECT_LE(max_abs_diff(f.values(), back.values()), tol);
   }
-}
-
-TEST(DeltaKind, RoundTripWithinTolerance3D) {
-  const Field3D f = random_field3d(20, 17, 9, 5);
-  CodecConfig cfg;
-  cfg.kind = Kind::kDelta;
-  cfg.tolerance = 1e-3;
-  cfg.chunk_edge = 8;
-  FieldCodec codec(cfg);
-  const auto blob = codec.encode(f);
-  const Field3D back = FieldCodec::decode3d(blob);
-  ASSERT_EQ(back.nx(), f.nx());
-  ASSERT_EQ(back.ny(), f.ny());
-  ASSERT_EQ(back.nz(), f.nz());
-  EXPECT_LE(max_abs_diff(f.values(), back.values()), 1e-3);
 }
 
 TEST(DeltaKind, NonFiniteChunkFallsBackBitExact) {
@@ -449,15 +414,6 @@ TEST(LorenzoKind, SmoothFieldsCompressWell) {
   EXPECT_LT(blob.size(), tighter.encode(f).size());
 }
 
-TEST(LorenzoKind, HasNoThreeDimensionalForm) {
-  FieldCodec codec = lorenzo_codec(0.0);
-  std::vector<std::uint8_t> out;
-  EXPECT_THROW(codec.encode(random_field3d(4, 4, 4, 3), out),
-               ContractViolation);
-  const auto blob = codec.encode(random_field2d(8, 8, 3));
-  EXPECT_THROW((void)FieldCodec::decode3d(blob), ContractViolation);
-}
-
 TEST(LorenzoKind, StepsFlowThroughDataset) {
   trace::VirtualClock clock;
   storage::HddModel hdd{storage::HddParams{}};
@@ -473,69 +429,6 @@ TEST(LorenzoKind, StepsFlowThroughDataset) {
   codec.decode_into(reader.read_step(0), back);
   EXPECT_EQ(back.nx(), field.nx());
   EXPECT_LE(max_abs_diff(field.values(), back.values()), 0.01 * (1.0 + 1e-9));
-}
-
-// --- parallel chunk encode: bit-identical to serial, any pool size ---
-
-TEST(ParallelEncode, BitIdenticalToSerialAcrossKindsAndPools) {
-  const Field2D smooth = smooth_field2d(512);
-  const Field2D noisy = random_field2d(512, 512, 17);
-  for (const Kind kind : {Kind::kRaw, Kind::kDelta, Kind::kRle}) {
-    CodecConfig cfg;
-    cfg.kind = kind;
-    cfg.tolerance = 1e-3;
-    FieldCodec serial(cfg);
-    for (const std::size_t workers : {1u, 2u, 5u}) {
-      util::ThreadPool pool(workers);
-      FieldCodec pooled(cfg);
-      pooled.set_pool(&pool);
-      for (const Field2D* f : {&smooth, &noisy}) {
-        const auto want = serial.encode(*f);
-        const auto got = pooled.encode(*f);
-        EXPECT_EQ(got, want) << kind_name(kind) << " workers=" << workers;
-        EXPECT_EQ(pooled.last_stats().chunks_raw,
-                  serial.last_stats().chunks_raw);
-        EXPECT_EQ(pooled.last_stats().chunks_delta,
-                  serial.last_stats().chunks_delta);
-        EXPECT_EQ(pooled.last_stats().chunks_rle,
-                  serial.last_stats().chunks_rle);
-        EXPECT_EQ(pooled.last_stats().encoded_bytes,
-                  serial.last_stats().encoded_bytes);
-      }
-    }
-  }
-}
-
-TEST(ParallelEncode, RepeatedPooledEncodesMatchSerial) {
-  // The pooled path reuses its scratch across calls; stale contents from
-  // one encode must never leak into the next.
-  const Field2D f = smooth_field2d(512);
-  CodecConfig cfg;
-  cfg.kind = Kind::kDelta;
-  cfg.tolerance = 1e-3;
-  FieldCodec serial(cfg);
-  const auto want = serial.encode(f);
-  util::ThreadPool pool(3);
-  FieldCodec pooled(cfg);
-  pooled.set_pool(&pool);
-  std::vector<std::uint8_t> got;
-  for (int rep = 0; rep < 3; ++rep) {
-    pooled.encode(f, got);
-    EXPECT_EQ(got, want);
-  }
-}
-
-TEST(ParallelEncode, SmallFieldsStayOnTheSerialPath) {
-  // Below the worth_parallel cell floor the pool must not change anything
-  // (it is not even dispatched) — same bytes, same stats.
-  const Field2D f = random_field2d(64, 64, 18);
-  CodecConfig cfg;
-  cfg.kind = Kind::kDelta;
-  FieldCodec serial(cfg);
-  util::ThreadPool pool(3);
-  FieldCodec pooled(cfg);
-  pooled.set_pool(&pool);
-  EXPECT_EQ(pooled.encode(f), serial.encode(f));
 }
 
 // --- container detection, legacy auto-detect, decode_into reuse ---
@@ -559,14 +452,10 @@ TEST(Container, DetectsMagicButNotLegacyBytes) {
 
 TEST(Container, LegacyBlobsAutoDetectOnDecode) {
   const Field2D f2 = random_field2d(19, 31, 10);
-  const Field3D f3 = random_field3d(6, 5, 4, 11);
   FieldCodec codec;
   Field2D out2;
   codec.decode_into(f2.serialize(), out2);
   EXPECT_EQ(out2, f2);
-  Field3D out3;
-  codec.decode_into(f3.serialize(), out3);
-  EXPECT_EQ(out3, f3);
   // Static helpers take the same path.
   EXPECT_EQ(FieldCodec::decode2d(f2.serialize()), f2);
 }
@@ -697,16 +586,21 @@ TEST(Robustness, LorenzoTrailingBytesAndOverlongVarintsThrow) {
                ContractViolation);
 }
 
-TEST(Robustness, RankMismatchThrows) {
-  const Field2D f2 = random_field2d(16, 16, 15);
-  const Field3D f3 = random_field3d(8, 8, 8, 16);
+TEST(Robustness, RankThreeContainerThrows) {
+  // Containers are 2-D only: a valid blob that claims rank 3, or a depth
+  // other than 1, is rejected rather than decoded as a plane.
   CodecConfig cfg;
   cfg.kind = Kind::kDelta;
   FieldCodec codec(cfg);
-  EXPECT_THROW((void)FieldCodec::decode3d(codec.encode(f2)),
-               ContractViolation);
-  EXPECT_THROW((void)FieldCodec::decode2d(codec.encode(f3)),
-               ContractViolation);
+  const auto good = codec.encode(random_field2d(16, 16, 15));
+  ASSERT_EQ(good[9], 2);
+  std::vector<std::uint8_t> rank3 = good;
+  rank3[9] = 3;
+  EXPECT_THROW((void)FieldCodec::decode2d(rank3), ContractViolation);
+  std::vector<std::uint8_t> deep = good;
+  ASSERT_EQ(deep[32], 1);
+  deep[32] = 2;  // nz, the u64 at offset 32
+  EXPECT_THROW((void)FieldCodec::decode2d(deep), ContractViolation);
 }
 
 TEST(Robustness, TruncatedLegacyBlobThrows) {
@@ -719,21 +613,18 @@ TEST(Robustness, TruncatedLegacyBlobThrows) {
   Field2D out2(4, 4);
   EXPECT_THROW(codec.decode_into(util::wrapped_field2d_blob(), out2),
                ContractViolation);
-  Field3D out3(2, 2, 2);
-  EXPECT_THROW(codec.decode_into(util::wrapped_field3d_blob(), out3),
-               ContractViolation);
 }
 
 // --- scratch follows the field, not the header's chunk edge ---
 
 constexpr std::size_t kMiB = std::size_t{1} << 20;
 
-/// A 64-byte 3-D container whose header claims the largest legal chunk
-/// edge (1024) for a 1 x 1 x 1 field, holding one raw chunk of `value`.
-/// Sizing scratch by the edge alone would ask for 1024^3 doubles (8 GiB).
+/// A 64-byte container whose header claims the largest legal chunk edge
+/// (1024) for a 1 x 1 field, holding one raw chunk of `value`. Sizing
+/// scratch by the edge alone would ask for 1024^2 doubles (8 MiB).
 std::vector<std::uint8_t> edge_1024_blob(double tolerance, double value) {
   std::vector<std::uint8_t> b = util::dims_only_blob({0x314345444F435647ULL});
-  b.insert(b.end(), {1, 3, 0, 0});     // version 1, rank 3, kind raw
+  b.insert(b.end(), {1, 2, 0, 0});     // version 1, rank 2, kind raw
   b.insert(b.end(), {0, 4, 0, 0});     // chunk edge 1024
   const std::vector<std::uint8_t> tail = util::dims_only_blob(
       {1, 1, 1, std::bit_cast<std::uint64_t>(tolerance),
@@ -748,25 +639,42 @@ TEST(ScratchSize, DecodeIgnoresAHugeClaimedChunkEdge) {
     const std::vector<std::uint8_t> blob = edge_1024_blob(tolerance, 2.5);
     ASSERT_EQ(blob.size(), 64u);
     g_largest_request.store(0);
-    const Field3D f = FieldCodec::decode3d(blob);
+    const Field2D f = FieldCodec::decode2d(blob);
     EXPECT_LT(g_largest_request.load(), kMiB) << "tolerance " << tolerance;
     ASSERT_EQ(f.size(), 1u);
-    EXPECT_EQ(f.at(0, 0, 0), 2.5);
+    EXPECT_EQ(f.at(0, 0), 2.5);
   }
 }
 
 TEST(ScratchSize, EncodeOfASmallFieldIgnoresAHugeChunkEdge) {
-  Field3D f(2, 2, 2);
-  f.at(1, 1, 1) = 4.0;
+  Field2D f(2, 2);
+  f.at(1, 1) = 4.0;
   for (const Kind kind : {Kind::kRle, Kind::kDelta}) {
     FieldCodec codec(CodecConfig{kind, 1e-3, 1024});
     g_largest_request.store(0);
     const std::vector<std::uint8_t> blob = codec.encode(f);
     EXPECT_LT(g_largest_request.load(), kMiB) << kind_name(kind);
-    const Field3D back = FieldCodec::decode3d(blob);
+    const Field2D back = FieldCodec::decode2d(blob);
     EXPECT_LE(max_abs_diff(back.values(), f.values()), 1e-3)
         << kind_name(kind);
   }
+}
+
+TEST(ScratchSize, ForgedDimensionsAllocateNothing) {
+  // A bare 48-byte header claiming a 2048 x 2048 raw field (32 MiB once
+  // decoded) and holding no chunk: the chunk table is checked before the
+  // field is sized, so decode throws without allocating the claim.
+  std::vector<std::uint8_t> blob =
+      util::dims_only_blob({0x314345444F435647ULL});
+  blob.insert(blob.end(), {1, 2, 0, 0});   // version 1, rank 2, kind raw
+  blob.insert(blob.end(), {32, 0, 0, 0});  // chunk edge 32
+  const std::vector<std::uint8_t> tail =
+      util::dims_only_blob({2048, 2048, 1, 0});  // nx, ny, nz, tolerance
+  blob.insert(blob.end(), tail.begin(), tail.end());
+  ASSERT_EQ(blob.size(), 48u);
+  g_largest_request.store(0);
+  EXPECT_THROW((void)FieldCodec::decode2d(blob), ContractViolation);
+  EXPECT_LT(g_largest_request.load(), kMiB);
 }
 
 }  // namespace

@@ -44,6 +44,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "hdd.random_service_settle_bound",
                       "compress.lossy_round_trip",
                       "codec.container_round_trip",
+                      "codec.decode_flip_robust",
                       "replay.trace_flip_robust",
                       "pipeline.async_matches_sync",
                       "campaign.replay_identical",

@@ -287,7 +287,7 @@ TEST(Registry, BuiltinsRegisteredAndRunnable) {
   for (const char* name :
        {"hdd.seq_throughput_block_invariant", "hdd.random_service_settle_bound",
         "compress.lossy_round_trip", "codec.container_round_trip",
-        "replay.trace_flip_robust"}) {
+        "codec.decode_flip_robust", "replay.trace_flip_robust"}) {
     EXPECT_TRUE(registry.contains(name)) << name;
   }
   EXPECT_THROW((void)registry.run("no.such.property", Config{}),

@@ -161,6 +161,30 @@ codec::Kind parse_codec(const std::string& key, const std::string& text) {
   return *kind;
 }
 
+/// `text` as a tolerance of option `--key`: a number >= 0, and > 0 when
+/// `delta`, because the delta codec quantizes by it (raw and rle ignore
+/// it). `codec_flag` names the option that selected delta.
+double parse_tolerance(const std::string& key, const std::string& text,
+                       bool delta, const std::string& codec_flag) {
+  const double v = parse_number(key, text, 0.0);
+  if (delta && v == 0.0) {
+    throw util::ContractViolation("option --" + key +
+                                  " expects a number > 0 with --" +
+                                  codec_flag + " delta, got '" + text + "'");
+  }
+  return v;
+}
+
+/// --codec and --tolerance into `config` (see parse_tolerance).
+void read_codec_flags(const Args& args, codec::CodecConfig& config) {
+  config.kind = parse_codec("codec", args.get("codec", "raw"));
+  if (args.has("tolerance")) {
+    config.tolerance =
+        parse_tolerance("tolerance", args.get("tolerance", std::string{}),
+                        config.kind == codec::Kind::kDelta, "codec");
+  }
+}
+
 /// Integer option `--key`, `fallback` when absent (see parse_int).
 template <typename T>
 T int_option(const Args& args, const std::string& key, T fallback,
@@ -224,10 +248,7 @@ RunFlags read_run_flags(const Args& args, bool snapshot_flags) {
     run.testbed.io_frequency_ghz = number_option(args, "io-ghz", 0.0, 0.0);
     run.options.stage_buffers =
         int_option(args, "stage-buffers", run.options.stage_buffers, 1);
-    run.workload.snapshot_codec.kind =
-        parse_codec("codec", args.get("codec", "raw"));
-    run.workload.snapshot_codec.tolerance = number_option(
-        args, "tolerance", run.workload.snapshot_codec.tolerance, 0.0);
+    read_codec_flags(args, run.workload.snapshot_codec);
   }
   return run;
 }
@@ -467,7 +488,12 @@ int cmd_campaign(const Args& args) {
   for (const std::string& c : list_option(args, "codecs", "raw")) {
     spec.codecs.push_back(parse_codec("codecs", c));
   }
-  spec.tolerances = number_list(args, "tolerances", 0.0);
+  const bool delta =
+      std::ranges::find(spec.codecs, codec::Kind::kDelta) != spec.codecs.end();
+  for (const std::string& t : list_option(args, "tolerances", "")) {
+    spec.tolerances.push_back(
+        parse_tolerance("tolerances", t, delta, "codecs"));
+  }
   for (const std::string& d : list_option(args, "devices", "hdd")) {
     spec.devices.push_back(parse_device("devices", d));
   }
@@ -734,9 +760,7 @@ int cmd_verify(const Args& args) {
   }
 
   qa::ConformanceOptions options;
-  options.snapshot_codec.kind = parse_codec("codec", args.get("codec", "raw"));
-  options.snapshot_codec.tolerance = number_option(
-      args, "tolerance", options.snapshot_codec.tolerance, 0.0);
+  read_codec_flags(args, options.snapshot_codec);
   options.build_label = args.get("label", "default");
 
   std::cerr << "running differential oracles...\n";
