@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "src/obs/tracer.hpp"
@@ -106,6 +107,17 @@ FioRunOutput FioRunner::run(const FioJob& job) const {
   fs_params.allocation = storage::AllocationPolicy::kAged;
   storage::Filesystem fs(*device, clock, fs_params);
   util::Xoshiro256 rng{job.seed};
+  // The job's one file is laid out contiguously; refuse a job that cannot
+  // fit before any of it is written.
+  const std::uint64_t fs_block = fs_params.block_size.value();
+  const std::uint64_t space = fs.contiguous_space().value();
+  if ((job.total_size.value() + fs_block - 1) / fs_block * fs_block > space) {
+    constexpr std::uint64_t kMiB = 1 << 20;
+    throw util::ContractViolation(
+        "fio job of " + std::to_string(job.total_size.value() / kMiB) +
+        " MiB does not fit the device's " + std::to_string(space / kMiB) +
+        " MiB contiguous region");
+  }
 
   const std::uint64_t bs = job.block_size.value();
   const std::uint64_t total = job.total_size.value();

@@ -109,6 +109,26 @@ const Filesystem::FileNode& Filesystem::node_for(Fd fd) const {
   return files_.at(it->second.name);
 }
 
+std::uint64_t Filesystem::contiguous_begin() const {
+  const std::uint64_t bs = params_.block_size.value();
+  return static_cast<std::uint64_t>(device_.capacity().as_double() *
+                                    params_.aged_region_fraction) /
+         bs * bs;
+}
+
+std::uint64_t Filesystem::contiguous_end() const {
+  return static_cast<std::uint64_t>(device_.capacity().as_double() *
+                                    params_.journal_position_fraction);
+}
+
+util::Bytes Filesystem::contiguous_space() const {
+  const std::uint64_t bs = params_.block_size.value();
+  const std::uint64_t next = contig_next_ == 0 ? contiguous_begin()
+                                               : contig_next_;
+  const std::uint64_t end = contiguous_end();
+  return util::Bytes{end > next ? (end - next) / bs * bs : 0};
+}
+
 std::uint64_t Filesystem::allocate_block(FileNode& node) {
   const std::uint64_t bs = params_.block_size.value();
   const std::size_t groups = group_next_.size();
@@ -139,14 +159,11 @@ std::uint64_t Filesystem::allocate_block(FileNode& node) {
     // Preallocated data draws from a dedicated region between the block
     // groups and the journal.
     if (contig_next_ == 0) {
-      contig_next_ = static_cast<std::uint64_t>(
-          device_.capacity().as_double() * params_.aged_region_fraction);
-      contig_next_ = (contig_next_ / bs) * bs;
+      contig_next_ = contiguous_begin();
     }
     off = contig_next_;
     contig_next_ += bs;
-    GREENVIS_ENSURE(off + bs <= static_cast<std::uint64_t>(
-        device_.capacity().as_double() * params_.journal_position_fraction));
+    GREENVIS_ENSURE(off + bs <= contiguous_end());
   } else {
     const std::size_t g =
         (node.blocks.size() + static_cast<std::size_t>(node.id)) % groups;

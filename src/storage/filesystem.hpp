@@ -149,6 +149,10 @@ class Filesystem {
   /// discontiguous (0 = perfectly laid out).
   [[nodiscard]] double fragmentation(const std::string& name) const;
 
+  /// Bytes left in the contiguous-preallocation region (between the block
+  /// groups and the journal): how far `force_contiguous` files may grow.
+  [[nodiscard]] util::Bytes contiguous_space() const;
+
   [[nodiscard]] BlockDevice& device() { return device_; }
   [[nodiscard]] PageCache& cache() { return cache_; }
   [[nodiscard]] const FsCounters& counters() const { return counters_; }
@@ -180,6 +184,9 @@ class Filesystem {
   [[nodiscard]] const FileNode& node_for(Fd fd) const;
   /// Allocate one data block (and a metadata block every stride).
   std::uint64_t allocate_block(FileNode& node);
+  /// Device offsets bounding the contiguous-preallocation region.
+  [[nodiscard]] std::uint64_t contiguous_begin() const;
+  [[nodiscard]] std::uint64_t contiguous_end() const;
   /// Ensure the file has blocks covering [0, size).
   void grow_to(FileNode& node, std::uint64_t size);
   void charge_syscall();

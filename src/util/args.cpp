@@ -11,10 +11,11 @@ ArgParser::ArgParser(int argc, const char* const* argv, int first) {
   for (int i = first; i < argc; ++i) {
     const std::string token = argv[i];
     if (token.rfind("--", 0) == 0) {
-      GREENVIS_REQUIRE_MSG(token.size() > 2, "empty option name '--'");
       const std::size_t eq = token.find('=', 2);
+      if (token.size() == 2 || eq == 2) {
+        throw ContractViolation("empty option name '" + token + "'");
+      }
       if (eq != std::string::npos) {
-        GREENVIS_REQUIRE_MSG(eq > 2, "empty option name in '" + token + "'");
         options_[token.substr(2, eq - 2)] = token.substr(eq + 1);
       } else {
         const std::string key = token.substr(2);
@@ -50,56 +51,6 @@ std::string ArgParser::get(const std::string& key,
     return fallback;
   }
   return it->second.value_or(std::string{});
-}
-
-double ArgParser::get(const std::string& key, double fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) {
-    return fallback;
-  }
-  GREENVIS_REQUIRE_MSG(it->second.has_value(),
-                       "option --" + key + " expects a value");
-  try {
-    std::size_t used = 0;
-    const double v = std::stod(*it->second, &used);
-    GREENVIS_REQUIRE(used == it->second->size());
-    return v;
-  } catch (const ContractViolation&) {
-    throw ContractViolation("option --" + key + " expects a number, got '" +
-                            *it->second + "'");
-  } catch (const std::exception&) {
-    throw ContractViolation("option --" + key + " expects a number, got '" +
-                            *it->second + "'");
-  }
-}
-
-long long ArgParser::get(const std::string& key, long long fallback) const {
-  const auto it = options_.find(key);
-  if (it == options_.end()) {
-    return fallback;
-  }
-  GREENVIS_REQUIRE_MSG(it->second.has_value(),
-                       "option --" + key + " expects a value");
-  try {
-    std::size_t used = 0;
-    const long long v = std::stoll(*it->second, &used);
-    GREENVIS_REQUIRE(used == it->second->size());
-    return v;
-  } catch (const ContractViolation&) {
-    throw ContractViolation("option --" + key + " expects an integer, got '" +
-                            *it->second + "'");
-  } catch (const std::exception&) {
-    throw ContractViolation("option --" + key + " expects an integer, got '" +
-                            *it->second + "'");
-  }
-}
-
-std::string ArgParser::require(const std::string& key) const {
-  const auto it = options_.find(key);
-  GREENVIS_REQUIRE_MSG(it != options_.end(), "missing required --" + key);
-  GREENVIS_REQUIRE_MSG(it->second.has_value(),
-                       "option --" + key + " expects a value");
-  return *it->second;
 }
 
 }  // namespace greenvis::util

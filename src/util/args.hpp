@@ -1,8 +1,9 @@
-// Command-line argument parsing for the CLI and example binaries.
+// Command-line tokenizer for the CLI and the perf harness.
 //
-// Supports `--key value`, `--key=value`, bare `--flag`, and positional
-// arguments. Typed getters with defaults; optional strict mode rejects
-// unknown options so typos fail loudly instead of silently using defaults.
+// Splits `--key value`, `--key=value`, bare `--flag` and positional
+// arguments. It knows no option's type: the greenvis CLI checks each value
+// against its option table (tools/cli_options.hpp); allow_only() lets a
+// small binary reject options it does not read.
 #pragma once
 
 #include <map>
@@ -14,10 +15,15 @@ namespace greenvis::util {
 
 class ArgParser {
  public:
+  /// nullopt = bare flag; "" = explicit empty via `--key=`. A repeated
+  /// option keeps the last occurrence (last-wins).
+  using Options = std::map<std::string, std::optional<std::string>>;
+
   /// Parse argv[first..argc). A token starting with "--" is an option: with
   /// an embedded '=' the value follows in the same token; otherwise it
   /// consumes the next token as its value unless that token is itself an
-  /// option (then it is a flag). Everything else is positional.
+  /// option (then it is a flag). Everything else is positional. An empty
+  /// option name (`--`, `--=v`) throws ContractViolation.
   ArgParser(int argc, const char* const* argv, int first = 1);
 
   /// Restrict options to `allowed`; any other --option throws
@@ -27,6 +33,7 @@ class ArgParser {
   [[nodiscard]] const std::vector<std::string>& positional() const {
     return positional_;
   }
+  [[nodiscard]] const Options& options() const { return options_; }
   [[nodiscard]] bool has(const std::string& key) const {
     return options_.contains(key);
   }
@@ -35,24 +42,13 @@ class ArgParser {
   /// `has("k") && !has_value("k")` identifies flag form.
   [[nodiscard]] bool has_value(const std::string& key) const;
 
-  /// Typed getters; return `fallback` when absent. Malformed numbers and
-  /// numeric lookups of a value-less flag throw. The string getter maps a
-  /// bare flag to "" for convenience; use has_value() to distinguish it
-  /// from an explicit `--key=`.
+  /// The option's value, `fallback` when absent; a bare flag maps to "".
   [[nodiscard]] std::string get(const std::string& key,
                                 const std::string& fallback) const;
-  [[nodiscard]] double get(const std::string& key, double fallback) const;
-  [[nodiscard]] long long get(const std::string& key,
-                              long long fallback) const;
-
-  /// Value of a required option; throws when missing or value-less.
-  [[nodiscard]] std::string require(const std::string& key) const;
 
  private:
   std::vector<std::string> positional_;
-  /// nullopt = bare flag; "" = explicit empty via `--key=`. A repeated
-  /// option keeps the last occurrence (last-wins).
-  std::map<std::string, std::optional<std::string>> options_;
+  Options options_;
 };
 
 }  // namespace greenvis::util

@@ -123,5 +123,35 @@ TEST(FioRunner, RejectsMisalignedJob) {
   EXPECT_THROW((void)runner.run(bad), util::ContractViolation);
 }
 
+TEST(FioRunner, RejectsAJobBeyondTheContiguousRegionBeforeLayout) {
+  // The job's file is laid out contiguously; past the region the layout
+  // would run for seconds and then trip the filesystem's allocator
+  // invariant. The runner refuses the job first, naming both sizes.
+  for (const DeviceKind device :
+       {DeviceKind::kHdd, DeviceKind::kSsd, DeviceKind::kNvram}) {
+    FioRunnerConfig config;
+    config.device = device;
+    for (const RwMode mode :
+         {RwMode::kSequentialRead, RwMode::kSequentialWrite}) {
+      FioJob job = table3_job(mode);
+      job.total_size = util::mebibytes(1000000);
+      try {
+        (void)FioRunner(config).run(job);
+        FAIL() << "a 1000000 MiB job ran";
+      } catch (const util::ContractViolation& e) {
+        const std::string what = e.what();
+        EXPECT_EQ(what.rfind("fio job of 1000000 MiB does not fit the "
+                             "device's ",
+                             0),
+                  0u)
+            << what;
+        EXPECT_NE(what.find(" MiB contiguous region"), std::string::npos)
+            << what;
+        EXPECT_EQ(what.find("failed:"), std::string::npos) << what;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace greenvis::fio

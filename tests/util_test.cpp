@@ -290,7 +290,7 @@ TEST(Args, ParsesOptionsFlagsAndPositionals) {
   ASSERT_EQ(args.positional().size(), 2u);
   EXPECT_EQ(args.positional()[0], "run");
   EXPECT_EQ(args.positional()[1], "file.trace");
-  EXPECT_EQ(args.get("case", 0.0), 2.0);
+  EXPECT_EQ(args.get("case", std::string{}), "2");
   EXPECT_TRUE(args.has("verbose"));
   EXPECT_EQ(args.get("verbose", std::string{"x"}), "");
 }
@@ -302,22 +302,6 @@ TEST(Args, OptionGreedilyConsumesNextToken) {
   EXPECT_TRUE(args.positional().empty());
 }
 
-TEST(Args, TypedGettersWithDefaults) {
-  const char* argv[] = {"prog", "--rate", "1.5", "--count", "42"};
-  const ArgParser args(5, argv);
-  EXPECT_DOUBLE_EQ(args.get("rate", 0.0), 1.5);
-  EXPECT_EQ(args.get("count", 0LL), 42);
-  EXPECT_DOUBLE_EQ(args.get("missing", 7.0), 7.0);
-  EXPECT_EQ(args.get("missing", std::string{"d"}), "d");
-}
-
-TEST(Args, MalformedNumbersThrow) {
-  const char* argv[] = {"prog", "--rate", "fast"};
-  const ArgParser args(3, argv);
-  EXPECT_THROW((void)args.get("rate", 0.0), ContractViolation);
-  EXPECT_THROW((void)args.get("rate", 0LL), ContractViolation);
-}
-
 TEST(Args, StrictModeRejectsUnknownOptions) {
   const char* argv[] = {"prog", "--typo", "1"};
   const ArgParser args(3, argv);
@@ -325,18 +309,12 @@ TEST(Args, StrictModeRejectsUnknownOptions) {
   EXPECT_NO_THROW(args.allow_only({"typo"}));
 }
 
-TEST(Args, RequireThrowsWhenMissing) {
-  const char* argv[] = {"prog"};
-  const ArgParser args(1, argv);
-  EXPECT_THROW((void)args.require("needed"), ContractViolation);
-}
-
 TEST(Args, FlagFollowedByOption) {
   const char* argv[] = {"prog", "--dry-run", "--case", "3"};
   const ArgParser args(4, argv);
   EXPECT_TRUE(args.has("dry-run"));
   EXPECT_EQ(args.get("dry-run", std::string{"?"}), "");
-  EXPECT_EQ(args.get("case", 0LL), 3);
+  EXPECT_EQ(args.get("case", std::string{}), "3");
 }
 
 TEST(Args, EqualsSyntaxBindsValueInSameToken) {
@@ -344,7 +322,7 @@ TEST(Args, EqualsSyntaxBindsValueInSameToken) {
                         "positional"};
   const ArgParser args(4, argv);
   EXPECT_EQ(args.get("trace-out", std::string{}), "trace.json");
-  EXPECT_EQ(args.get("case", 0LL), 2);
+  EXPECT_EQ(args.get("case", std::string{}), "2");
   ASSERT_EQ(args.positional().size(), 1u);
   EXPECT_EQ(args.positional()[0], "positional");
 }
@@ -361,9 +339,17 @@ TEST(Args, EqualsSyntaxAllowsEmptyValueAndLiteralEquals) {
   EXPECT_EQ(args.positional()[0], "next");
 }
 
-TEST(Args, EqualsSyntaxRejectsEmptyName) {
-  const char* argv[] = {"prog", "--=value"};
-  EXPECT_THROW(ArgParser(2, argv), ContractViolation);
+TEST(Args, EmptyOptionNameThrowsWithoutSourceLocation) {
+  for (const char* token : {"--", "--=value"}) {
+    const char* argv[] = {"prog", token};
+    try {
+      (void)ArgParser(2, argv);
+      FAIL() << token << " parsed";
+    } catch (const ContractViolation& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "empty option name '" + std::string(token) + "'");
+    }
+  }
 }
 
 TEST(Args, BareFlagDistinguishableFromExplicitEmpty) {
@@ -382,32 +368,10 @@ TEST(Args, BareFlagDistinguishableFromExplicitEmpty) {
   EXPECT_EQ(args.get("empty", std::string{"?"}), "");
 }
 
-TEST(Args, NumericGetOnBareFlagThrowsExpectsValue) {
-  const char* argv[] = {"prog", "--count", "--rate"};
-  const ArgParser args(3, argv);
-  try {
-    (void)args.get("count", 0LL);
-    FAIL() << "should have thrown";
-  } catch (const ContractViolation& e) {
-    EXPECT_NE(std::string(e.what()).find("expects a value"),
-              std::string::npos);
-  }
-  EXPECT_THROW((void)args.get("rate", 0.0), ContractViolation);
-}
-
-TEST(Args, RequireThrowsOnBareFlag) {
-  const char* argv[] = {"prog", "--out"};
-  const ArgParser args(2, argv);
-  EXPECT_THROW((void)args.require("out"), ContractViolation);
-  const char* argv2[] = {"prog", "--out="};
-  const ArgParser args2(2, argv2);
-  EXPECT_EQ(args2.require("out"), "");
-}
-
 TEST(Args, RepeatedOptionLastWins) {
   const char* argv[] = {"prog", "--case=1", "--case", "2", "--case=3"};
   const ArgParser args(5, argv);
-  EXPECT_EQ(args.get("case", 0LL), 3);
+  EXPECT_EQ(args.get("case", std::string{}), "3");
   const char* argv2[] = {"prog", "--case=1", "--case"};
   const ArgParser args2(3, argv2);
   // A trailing bare repeat demotes the option back to a flag: last wins
